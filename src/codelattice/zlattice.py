@@ -3,10 +3,12 @@
 Everything here is exact.  Bases are kept in a canonical column Hermite
 normal form (pivot rows strictly increasing, pivots positive, entries to the
 left of each pivot reduced into [0, pivot)), so two lattices are equal iff
-their stored bases are identical tuples.  LLL runs on exact rationals
-(``fractions.Fraction``); shortest vectors come from a plain Fincke-Pohst
-depth-first enumeration with no pruning heuristics, guarded by an explicit
-node budget.  Floating point appears nowhere.
+their stored bases are identical tuples.  LLL is the fraction-free integral
+LLL of Cohen (Alg. 2.6.7): one integral Gram-Schmidt (the integers d_i and
+lambda_ij) drives it and is then handed to enumeration.  Shortest vectors
+come from a plain Fincke-Pohst depth-first enumeration with no pruning
+heuristics, guarded by an explicit node budget.  Floating point appears
+nowhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -130,13 +133,14 @@ class Lattice:
     must already be canonical.
     """
 
-    __slots__ = ("n", "basis", "pivots", "_gram")
+    __slots__ = ("n", "basis", "pivots", "_gram", "_reduction")
 
     def __init__(self, n: int, basis: tuple[IntVec, ...], pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Lattice is immutable")
@@ -154,11 +158,7 @@ class Lattice:
         """Exact Gram matrix of the basis columns (cached)."""
         if self._gram is None:
             b = self.basis
-            r = len(b)
-            g = tuple(
-                tuple(sum(b[i][t] * b[j][t] for t in range(self.n)) for j in range(r))
-                for i in range(r)
-            )
+            g = tuple(tuple(sum(map(mul, bi, bj)) for bj in b) for bi in b)
             object.__setattr__(self, "_gram", g)
         return self._gram
 
@@ -263,88 +263,95 @@ def determinant(L: Lattice) -> Determinant:
 
 
 # ---------------------------------------------------------------------------
-# exact Gram-Schmidt and LLL
+# fraction-free Gram-Schmidt and LLL (Cohen, Alg. 2.6.7)
 # ---------------------------------------------------------------------------
 
-def _gso(cols: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Gram-Schmidt data (mu, squared norms) for independent columns."""
-    m = len(cols)
-    n = len(cols[0]) if m else 0
-    mu = [[Fraction(0)] * m for _ in range(m)]
-    B = [Fraction(0)] * m
-    bstar: list[list[Fraction]] = []
-    for i in range(m):
-        v = [Fraction(x) for x in cols[i]]
-        for j in range(i):
-            num = Fraction(0)
-            cj = bstar[j]
-            ci = cols[i]
-            for t in range(n):
-                if cj[t]:
-                    num += ci[t] * cj[t]
-            mij = num / B[j]
-            mu[i][j] = mij
-            if mij:
-                v = [v[t] - mij * cj[t] for t in range(n)]
-        bstar.append(v)
-        B[i] = sum(x * x for x in v)
-        mu[i][i] = Fraction(1)
-    return mu, B
+def _integral_gso(G: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integral Gram-Schmidt data (lam, d) from the Gram matrix of independent columns.
+
+    ``d[0] = 1``, ``d[i+1] = det Gram(b_0..b_i) > 0`` and, for j < i,
+    ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.  All are
+    integers and every division below is exact.
+    """
+    m = len(G)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        gk, lk = G[k], lam[k]
+        for j in range(k + 1):
+            u = gk[j]
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            else:
+                d[k + 1] = u
+    return lam, d
 
 
-def lll_reduce(L: Lattice, delta: Fraction = DEFAULT_DELTA) -> list[IntVec]:
-    """LLL-reduced basis of L with exact rational arithmetic.
+def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[int]]:
+    """LLL-reduced basis of L with its final integral GSO data (lam, d).
 
-    Returns basis columns (size-reduced, Lovasz condition with the given
-    delta).  Deterministic; the input lattice object is not modified.
+    Fraction-free LLL on the integers of :func:`_integral_gso`: size-reduce
+    b_k against b_{k-1} .. b_0, then test the Lovasz condition, swap and
+    step back on failure.  The result is cached on L for the last delta
+    used; callers must not modify the returned lists.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must satisfy 1/4 < delta < 1")
+    if L._reduction is not None and L._reduction[0] == delta:
+        return L._reduction[1:]
+    dp, dq = delta.numerator, delta.denominator
     m = L.rank
-    if m <= 1:
-        return [tuple(c) for c in L.basis]
-    n = L.n
-    basis = [list(c) for c in L.basis]
-    mu, B = _gso(basis)
-    half = Fraction(1, 2)
-
-    def size_reduce(k: int, j: int) -> None:
-        mkj = mu[k][j]
-        if mkj > half or mkj < -half:
-            q = (mkj + half).__floor__()
-            if q:
-                bj = basis[j]
-                bk = basis[k]
-                for t in range(n):
-                    bk[t] -= q * bj[t]
-                mu[k][j] -= q
-                mrow_k, mrow_j = mu[k], mu[j]
-                for i in range(j):
-                    if mrow_j[i]:
-                        mrow_k[i] -= q * mrow_j[i]
-
+    basis = list(L.basis)
+    lam, d = _integral_gso(L.gram())
     k = 1
     while k < m:
+        bk, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
-            size_reduce(k, j)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            # |mu_kj| > 1/2  <=>  2|lam_kj| > d_{j+1}; q = floor(mu_kj + 1/2)
+            lkj, dj = lk[j], d[j + 1]
+            if 2 * abs(lkj) > dj:
+                q = (2 * lkj + dj) // (2 * dj)
+                bk = [x - q * y for x, y in zip(bk, basis[j])]
+                lj = lam[j]
+                lk[j] = lkj - q * dj
+                for i in range(j):
+                    if lj[i]:
+                        lk[i] -= q * lj[i]
+        basis[k] = bk
+        # Lovasz: B_k >= (delta - mu^2) B_{k-1}, multiplied by d_k d_{k-1} q_delta
+        lkk = lk[k - 1]
+        dk, dk1 = d[k], d[k + 1]
+        if dq * (dk1 * d[k - 1] + lkk * lkk) >= dp * dk * dk:
             k += 1
             continue
-        basis[k - 1], basis[k] = basis[k], basis[k - 1]
-        mu_old = mu[k][k - 1]
-        Bnew = B[k] + mu_old * mu_old * B[k - 1]
-        mu[k][k - 1] = mu_old * B[k - 1] / Bnew
-        B[k] = B[k - 1] * B[k] / Bnew
-        B[k - 1] = Bnew
+        basis[k - 1], basis[k] = bk, basis[k - 1]
+        lprev = lam[k - 1]
         for j in range(k - 1):
-            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            lprev[j], lk[j] = lk[j], lprev[j]
+        dnew = (d[k - 1] * dk1 + lkk * lkk) // dk
         for i in range(k + 1, m):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - mu_old * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - lkk * t) // dk
+            li[k - 1] = (dnew * t + lkk * li[k]) // dk1
+        d[k] = dnew
         k = max(k - 1, 1)
-    return [tuple(c) for c in basis]
+    result = (tuple(map(tuple, basis)), lam, d)
+    object.__setattr__(L, "_reduction", (delta,) + result)
+    return result
+
+
+def lll_reduce(L: Lattice, delta: Fraction = DEFAULT_DELTA) -> list[IntVec]:
+    """LLL-reduced basis of L, computed exactly on integers.
+
+    Returns basis columns (size-reduced, Lovasz condition with the given
+    delta).  Deterministic; L is unchanged apart from the cached result.
+    """
+    return list(_lll(L, delta)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +374,14 @@ class _Budget:
 def _coeff_interval(c: Fraction, t: Fraction) -> tuple[int, int]:
     """All integers x with (x - c)^2 <= t, as [lo, hi]; empty iff lo > hi.
 
-    Exact: the predicate is evaluated by cross-multiplication, and if the
-    interval holds any integer it holds the integer nearest to c.
+    Closed form, exact: with c = p/q and t = u/v the condition is
+    (x*q - p)^2 * v <= u*q^2, i.e. |x*q - p| <= r = isqrt(u*q^2 // v).
     """
     if t < 0:
         return 1, 0
     p, q = c.numerator, c.denominator
-    u, v = t.numerator, t.denominator
-    uqq = u * q * q
-
-    def ok(x: int) -> bool:
-        d = x * q - p
-        return d * d * v <= uqq
-
-    x0 = (2 * p + q) // (2 * q)
-    if not ok(x0):
-        return 1, 0
-    lo = hi = x0
-    while ok(hi + 1):
-        hi += 1
-    while ok(lo - 1):
-        lo -= 1
-    return lo, hi
+    r = isqrt(t.numerator * q * q // t.denominator)
+    return -((r - p) // q), (p + r) // q
 
 
 def _enumerate(
@@ -453,6 +446,23 @@ def _combine(basis: Sequence[IntVec], coeffs: Sequence[int], n: int) -> IntVec:
     return tuple(v)
 
 
+def _reduced_gso(
+    L: Lattice, delta
+) -> tuple[list[IntVec], list[list[Fraction]], list[Fraction]]:
+    """LLL basis of L with its Gram-Schmidt data (mu, B) as Fractions.
+
+    mu_ij = lam_ij / d_{j+1} and B_i = d_{i+1} / d_i.  Goes through the
+    public :func:`lll_reduce`, so LLL stays a layer of its own for callers
+    that time it, then reads the (lam, d) that LLL left cached on L instead
+    of computing a second Gram-Schmidt.
+    """
+    reduced = lll_reduce(L, delta)
+    _, lam, d = _lll(L, delta)
+    mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(len(reduced))]
+    B = [Fraction(d[i + 1], d[i]) for i in range(len(reduced))]
+    return reduced, mu, B
+
+
 @dataclass(frozen=True)
 class ShortVectorReport:
     """Exact shortest-vector data: squared length, kissing number, full set.
@@ -484,8 +494,7 @@ def shortest_vectors(
     """
     if L.rank == 0:
         raise ZeroRank("shortest vector of a rank-0 lattice")
-    reduced = lll_reduce(L, delta)
-    mu, B = _gso(reduced)
+    reduced, mu, B = _reduced_gso(L, delta)
     bud = _Budget(budget)
     r0 = min(sum(e * e for e in col) for col in reduced)
     lam = _enumerate(reduced, mu, B, r0, bud, lambda c, nrm: None, shrink=True)
@@ -508,8 +517,7 @@ def vectors_up_to(
         raise ValueError("radius must be >= 0")
     if L.rank == 0:
         return [(0,) * L.n]
-    reduced = lll_reduce(L, delta)
-    mu, B = _gso(reduced)
+    reduced, mu, B = _reduced_gso(L, delta)
     bud = _Budget(budget)
     out: list[tuple[int, IntVec]] = []
 
@@ -525,20 +533,18 @@ def vectors_up_to(
 # norms and exact l_p comparisons
 # ---------------------------------------------------------------------------
 
-def lp_norm(v: Sequence[int], p) -> int | float:
-    """Sigma |v_i|^p, reported as the p-th power (no roots taken).
+def lp_norm(v: Sequence[int], p) -> int:
+    """Sigma |v_i|^p for an integer p >= 1, reported as the p-th power (no roots taken).
 
-    Exact integer for integral p >= 1; for fractional p the return value is
-    a float and only informational; use :func:`lp_power_sum_cmp` for exact
-    comparisons.
+    Fractional p raises ``ValueError``: that sum is irrational in general,
+    so compare it exactly with :func:`lp_power_sum_cmp` instead.
     """
     pf = Fraction(p)
     if pf < 1:
         raise ValueError("p must be >= 1")
-    if pf.denominator == 1:
-        e = pf.numerator
-        return sum(abs(x) ** e for x in v)
-    return float(sum(abs(x) ** float(pf) for x in v))
+    if pf.denominator != 1:
+        raise ValueError("lp_norm needs an integer p; use lp_power_sum_cmp for fractional p")
+    return sum(abs(x) ** pf.numerator for x in v)
 
 
 def iroot(x: int, k: int) -> int:

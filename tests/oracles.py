@@ -142,3 +142,82 @@ def box_member(cols, v):
     n = len(v)
     recon = [sum(int(x[i]) * cols[i][t] for i in range(len(cols))) for t in range(n)]
     return tuple(recon) == tuple(v)
+
+
+def _frac_gso(cols):
+    """Exact Gram-Schmidt data (mu, squared norms) for independent columns."""
+    m = len(cols)
+    n = len(cols[0]) if m else 0
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    B = [Fraction(0)] * m
+    bstar = []
+    for i in range(m):
+        v = [Fraction(x) for x in cols[i]]
+        for j in range(i):
+            num = Fraction(0)
+            cj = bstar[j]
+            ci = cols[i]
+            for t in range(n):
+                if cj[t]:
+                    num += ci[t] * cj[t]
+            mij = num / B[j]
+            mu[i][j] = mij
+            if mij:
+                v = [v[t] - mij * cj[t] for t in range(n)]
+        bstar.append(v)
+        B[i] = sum(x * x for x in v)
+        mu[i][i] = Fraction(1)
+    return mu, B
+
+
+def frac_lll(cols, delta):
+    """LLL over ``fractions.Fraction``: the reference for the integral LLL.
+
+    Same decision order as the package: size-reduce k against k-1 .. 0,
+    then test the Lovasz condition, swap and step back on failure.
+    """
+    delta = Fraction(delta)
+    m = len(cols)
+    if m <= 1:
+        return [tuple(c) for c in cols]
+    n = len(cols[0])
+    basis = [list(c) for c in cols]
+    mu, B = _frac_gso(basis)
+    half = Fraction(1, 2)
+
+    def size_reduce(k, j):
+        mkj = mu[k][j]
+        if mkj > half or mkj < -half:
+            q = (mkj + half).__floor__()
+            if q:
+                bj = basis[j]
+                bk = basis[k]
+                for t in range(n):
+                    bk[t] -= q * bj[t]
+                mu[k][j] -= q
+                mrow_k, mrow_j = mu[k], mu[j]
+                for i in range(j):
+                    if mrow_j[i]:
+                        mrow_k[i] -= q * mrow_j[i]
+
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            size_reduce(k, j)
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+            continue
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        mu_old = mu[k][k - 1]
+        Bnew = B[k] + mu_old * mu_old * B[k - 1]
+        mu[k][k - 1] = mu_old * B[k - 1] / Bnew
+        B[k] = B[k - 1] * B[k] / Bnew
+        B[k - 1] = Bnew
+        for j in range(k - 1):
+            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        for i in range(k + 1, m):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - mu_old * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return [tuple(c) for c in basis]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from codelattice.errors import (
 )
 from codelattice.zlattice import (
     DEFAULT_DELTA,
+    _coeff_interval,
+    _lll,
     Determinant,
     GeneratingSet,
     Lattice,
@@ -27,7 +30,7 @@ from codelattice.zlattice import (
     vectors_up_to,
 )
 
-from oracles import box_member, box_vectors, frac_det, reduce_columns
+from oracles import box_member, box_vectors, frac_det, frac_lll, reduce_columns
 
 
 def rand_lattice(rng, n=None, k=None, lo=-4, hi=4):
@@ -163,6 +166,41 @@ def test_lll_postconditions():
             assert B[k] >= (DEFAULT_DELTA - mu[k][k - 1] ** 2) * B[k - 1]
 
 
+LLL_DELTAS = (Fraction(26, 100), Fraction(3, 4), Fraction(99, 100), Fraction(999, 1000))
+
+
+def rand_lattice_of_rank(rng, rank):
+    """A random lattice of exactly the given rank in dimension rank..rank+2."""
+    while True:
+        L, _ = rand_lattice(rng, n=rank + rng.randrange(3), k=rank, lo=-9, hi=9)
+        if L.rank == rank:
+            return L
+
+
+def test_lll_matches_fraction_reference():
+    rng = random.Random(30)
+    for rank in range(1, 13):
+        for _ in range(3):
+            L = rand_lattice_of_rank(rng, rank)
+            for delta in LLL_DELTAS:
+                assert lll_reduce(L, delta) == frac_lll(L.basis, delta)
+
+
+def test_lll_integral_gso_matches_oracle():
+    rng = random.Random(31)
+    for rank in range(1, 9):
+        for _ in range(3):
+            L = rand_lattice_of_rank(rng, rank)
+            for delta in LLL_DELTAS:
+                red, lam, d = _lll(L, delta)
+                mu, B = oracle_gso(red)
+                assert d[0] == 1
+                for i in range(rank):
+                    assert Fraction(d[i + 1], d[i]) == B[i]
+                    for j in range(i):
+                        assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+
+
 def test_lll_delta_validation():
     L = Lattice.from_generators(2, [(1, 0), (0, 1)])
     for bad in (Fraction(1, 4), Fraction(1), 0, 2):
@@ -229,11 +267,39 @@ def test_enumeration_budget():
     assert len(vectors_up_to(L, 4, budget=10**6)) == 9
 
 
+def test_coeff_interval_closed_form():
+    rng = random.Random(32)
+    for _ in range(400):
+        c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+        mag = 10 ** rng.choice((0, 3, 12, 30))
+        t = Fraction(rng.randint(-5, 10**3) * mag, rng.randint(1, 10**3))
+        p, q, u, v = c.numerator, c.denominator, t.numerator, t.denominator
+        lo, hi = _coeff_interval(c, t)
+        # the solutions form an interval of integers; if there is any, the
+        # integer nearest to c is one
+        nearest = (2 * p + q) // (2 * q)
+        for x in (lo - 1, lo, hi, hi + 1, nearest):
+            assert ((x * q - p) ** 2 * v <= u * q * q) == (lo <= x <= hi)
+
+
+def test_enumeration_budget_bounds_interval_work():
+    # the coefficient interval on Z^1 at R = 10**14 holds 2*10**7 + 1 integers;
+    # the budget must stop the sweep at once instead of after walking them
+    Z1 = Lattice.from_generators(1, [(1,)])
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationBudgetExceeded) as ei:
+        vectors_up_to(Z1, 10**14, budget=10)
+    assert ei.value.budget == 10
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_lp_norm_exact_integer_p():
     assert lp_norm((3, -4), 2) == 25
     assert lp_norm((3, -4), 1) == 7
     assert lp_norm((1, -2, 2), 3) == 17
-    assert isinstance(lp_norm((1, 2), Fraction(3, 2)), float)
+    # no floating point: fractional p is refused and points to the exact comparison
+    with pytest.raises(ValueError, match="lp_power_sum_cmp"):
+        lp_norm((1, 2), Fraction(3, 2))
     with pytest.raises(ValueError):
         lp_norm((1,), Fraction(1, 2))
 
