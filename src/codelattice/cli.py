@@ -1,8 +1,9 @@
 """Command-line surface: matrix I/O, constructions, analysis, verification.
 
 Exit codes: 0 success (and verification PASS), 1 verification failure,
-2 parse/usage error, 3 codeword sweep too large, 4 construction error,
-5 enumeration budget exhausted.
+2 parse/usage error, 3 a work cap refused the input (sweep rank > 28,
+coset quotient > 2^20, sign support > 24), 4 construction error,
+5 enumeration budget exhausted, 70 internal error (a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +28,9 @@ from .errors import (
     EnumerationBudgetExceeded,
     HypothesesFail,
     ParseError,
+    QuotientTooLarge,
     RankTooLarge,
+    SupportTooLarge,
     ToolkitError,
 )
 from .gf2core import Code, min_distance, min_weight_codewords
@@ -62,50 +64,6 @@ THEOREMS = (
 )
 CONSTRUCTIONS = ("a", "d", "d-special", "simplified-d", "c-star", "d-bar")
 TEXT_VECTOR_CAP = 1000
-
-
-@dataclass
-class RunConfig:
-    """Validated command parameters, normalized before any computation."""
-
-    command: str
-    path: Optional[str] = None
-    construction: Optional[str] = None
-    theorem: Optional[str] = None
-    tower: Optional[str] = None
-    a: Optional[int] = None
-    m: Optional[int] = None
-    p: Fraction = Fraction(2)
-    seed: int = 0
-    delta: Fraction = DEFAULT_DELTA
-    budget: int = DEFAULT_BUDGET
-    full_enum: bool = False
-    workers: int = 1
-    out: Optional[str] = None
-    fmt: Optional[str] = None
-    no_timing: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        g = lambda name, default=None: getattr(args, name, default)
-        return cls(
-            command=args.command,
-            path=g("path"),
-            construction=g("construction"),
-            theorem=g("theorem"),
-            tower=g("tower"),
-            a=g("a"),
-            m=g("m"),
-            p=g("p", Fraction(2)),
-            seed=g("seed", 0),
-            delta=g("delta", DEFAULT_DELTA),
-            budget=g("budget", DEFAULT_BUDGET),
-            full_enum=g("full_enum", False),
-            workers=g("workers", 1),
-            out=g("out"),
-            fmt=g("fmt"),
-            no_timing=g("no_timing", False),
-        )
 
 
 def _fraction(text: str) -> Fraction:
@@ -147,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("path")
     p_an.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_an.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
-    p_an.add_argument("--workers", type=int, default=1)
     common(p_an)
 
     p_ver = sub.add_parser("verify", help="run a verification target, exit 0 iff PASS")
@@ -158,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
     p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ver.add_argument("--full-enum", dest="full_enum", action="store_true")
-    p_ver.add_argument("--workers", type=int, default=1)
     p_ver.add_argument("--tower", help="tower manifest for dbar-schur (default: bundled)")
     common(p_ver, timing=True)
     return parser
@@ -167,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if getattr(args, "budget", 1) < 1:
         parser.error("--budget must be positive")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be positive")
     delta = getattr(args, "delta", DEFAULT_DELTA)
     if not Fraction(1, 4) < delta < 1:
         parser.error("--delta must lie strictly between 1/4 and 1")
@@ -195,11 +149,15 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _cmd_code_info(cfg: RunConfig) -> int:
-    M = read_matrix(cfg.path)
+def _code_from_file(path: str) -> Code:
+    M = read_matrix(path)
     if not hasattr(M, "mul"):
-        raise ParseError(f"{cfg.path}: expected an F2 matrix")
-    C = Code(M)
+        raise ParseError(f"{path}: expected an F2 matrix")
+    return Code(M)
+
+
+def _cmd_code_info(args: argparse.Namespace) -> int:
+    C = _code_from_file(args.path)
     d = min_distance(C)
     S = min_weight_codewords(C)
     sample = [list(c.coords()) for c in S[:5]]
@@ -210,9 +168,9 @@ def _cmd_code_info(cfg: RunConfig) -> int:
         "kappa0": len(S),
         "min_weight_sample": sample,
     }
-    fmt = cfg.fmt or "text"
+    fmt = args.fmt or "text"
     if fmt == "json":
-        _emit(_dump_json(rep), cfg.out)
+        _emit(_dump_json(rep), args.out)
     else:
         lines = [
             f"block length n = {C.n}",
@@ -222,34 +180,27 @@ def _cmd_code_info(cfg: RunConfig) -> int:
         ]
         for c in sample:
             lines.append("  min-weight word: " + " ".join(str(e) for e in c))
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
-def _code_from_file(path: str) -> Code:
-    M = read_matrix(path)
-    if not hasattr(M, "mul"):
-        raise ParseError(f"{path}: expected an F2 matrix")
-    return Code(M)
-
-
-def _cmd_construct(cfg: RunConfig) -> int:
-    name = cfg.construction
+def _cmd_construct(args: argparse.Namespace) -> int:
+    name = args.construction
     extras: dict = {}
     if name == "a":
-        L = construction_a(_code_from_file(cfg.path))
+        L = construction_a(_code_from_file(args.path))
     elif name == "simplified-d":
-        L = simplified_d(_code_from_file(cfg.path))
+        L = simplified_d(_code_from_file(args.path))
     elif name == "c-star":
-        L = construction_c_star(_code_from_file(cfg.path))
+        L = construction_c_star(_code_from_file(args.path))
     elif name == "d":
-        _, blocks = load_matrix_tower(cfg.path)
+        _, blocks = load_matrix_tower(args.path)
         inp = DTowerInput(tuple(blocks))
-        if cfg.a is not None and cfg.a != inp.a:
-            raise ParseError(f"manifest implies a = {inp.a}, got --a {cfg.a}")
+        if args.a is not None and args.a != inp.a:
+            raise ParseError(f"manifest implies a = {inp.a}, got --a {args.a}")
         L = construction_d(inp, strict=True)
     elif name == "d-special":
-        _, blocks = load_matrix_tower(cfg.path)
+        _, blocks = load_matrix_tower(args.path)
         if len(blocks) < 2:
             raise ParseError("d-special needs at least two blocks")
         mids = blocks[1:-1]
@@ -257,11 +208,11 @@ def _cmd_construct(cfg: RunConfig) -> int:
             if mid.k != 1:
                 raise ParseError(f"middle block {i} must be a single column")
         a = len(blocks) - 1
-        if cfg.a is not None and cfg.a != a:
-            raise ParseError(f"manifest implies a = {a}, got --a {cfg.a}")
+        if args.a is not None and args.a != a:
+            raise ParseError(f"manifest implies a = {a}, got --a {args.a}")
         L = vladut_special_d(blocks[0], [m.column(0) for m in mids], blocks[-1], a)
     elif name == "d-bar":
-        T = load_code_tower(cfg.path)
+        T = load_code_tower(args.path)
         L = d_bar_span(T)
         ok, wit = d_bar_is_lattice(T)
         extras["is_lattice"] = ok
@@ -279,15 +230,15 @@ def _cmd_construct(cfg: RunConfig) -> int:
         "determinant": str(det),
         **extras,
     }
-    fmt = cfg.fmt or "text"
+    fmt = args.fmt or "text"
     if fmt == "json":
         rep["basis"] = [list(col) for col in L.basis]
-        if cfg.out:
-            _emit(matrix_text, cfg.out)
+        if args.out:
+            _emit(matrix_text, args.out)
         _emit(_dump_json(rep), None)
     else:
-        if cfg.out:
-            _emit(matrix_text, cfg.out)
+        if args.out:
+            _emit(matrix_text, args.out)
             lines = [f"{k}: {v}" for k, v in rep.items()]
             _emit("\n".join(lines), None)
         else:
@@ -296,16 +247,16 @@ def _cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_lattice_analyze(cfg: RunConfig) -> int:
-    parsed = read_matrix(cfg.path)
+def _cmd_lattice_analyze(args: argparse.Namespace) -> int:
+    parsed = read_matrix(args.path)
     if hasattr(parsed, "mul"):
-        raise ParseError(f"{cfg.path}: expected a Z matrix, found an F2 matrix")
+        raise ParseError(f"{args.path}: expected a Z matrix, found an F2 matrix")
     rows, _, columns = parsed
     L = Lattice.from_generators(rows, columns)
-    sv = shortest_vectors(L, budget=cfg.budget, delta=cfg.delta)
-    fmt = cfg.fmt or "text"
+    sv = shortest_vectors(L, budget=args.budget, delta=args.delta)
+    fmt = args.fmt or "text"
     if fmt == "json":
-        _emit(_dump_json(sv.to_dict()), cfg.out)
+        _emit(_dump_json(sv.to_dict()), args.out)
     else:
         lines = [
             f"rank = {L.rank} of n = {L.n}",
@@ -316,7 +267,7 @@ def _cmd_lattice_analyze(cfg: RunConfig) -> int:
             lines.append("  " + " ".join(str(e) for e in v))
         if sv.kissing > TEXT_VECTOR_CAP:
             lines.append(f"  ... ({sv.kissing - TEXT_VECTOR_CAP} more)")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -350,36 +301,35 @@ def _report_text(d: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    t = cfg.theorem
+def _cmd_verify(args: argparse.Namespace) -> int:
+    t = args.theorem
     if t == "thm22":
-        g, _, _ = build_cor23(cfg.m if cfg.m is not None else 17, cfg.seed)
+        g, _, _ = build_cor23(args.m if args.m is not None else 17, args.seed)
         rep = check_thm22_hypotheses(g)
     elif t == "cor23":
         rep = verify_cor23(
-            cfg.m if cfg.m is not None else 17,
-            cfg.seed,
-            full_enum=cfg.full_enum,
-            budget=cfg.budget,
-            workers=cfg.workers,
+            args.m if args.m is not None else 17,
+            args.seed,
+            full_enum=args.full_enum,
+            budget=args.budget,
         )
     elif t == "thm24":
-        rep = verify_thm24(build_cor25(cfg.m if cfg.m is not None else 4), cfg.p)
+        rep = verify_thm24(build_cor25(args.m if args.m is not None else 4), args.p)
     elif t == "cor25":
-        rep = verify_cor25(cfg.m if cfg.m is not None else 4, cfg.p)
+        rep = verify_cor25(args.m if args.m is not None else 4, args.p)
     elif t == "cstar-collapse":
-        rep = verify_cstar_collapse(seed=cfg.seed)
+        rep = verify_cstar_collapse(seed=args.seed)
     elif t == "dbar-schur":
-        T = load_code_tower(cfg.tower) if cfg.tower else None
+        T = load_code_tower(args.tower) if args.tower else None
         rep = verify_dbar_schur(T)
     else:  # golay-lp
-        rep = golay_lp_check(cfg.p, budget=cfg.budget)
-    d = rep.to_dict(include_timing=not cfg.no_timing)
-    fmt = cfg.fmt or "json"
+        rep = golay_lp_check(args.p, budget=args.budget)
+    d = rep.to_dict(include_timing=not args.no_timing)
+    fmt = args.fmt or "json"
     if fmt == "json":
-        _emit(_dump_json(d), cfg.out)
+        _emit(_dump_json(d), args.out)
     else:
-        _emit(_report_text(d), cfg.out)
+        _emit(_report_text(d), args.out)
     return 0 if rep.passed else 1
 
 
@@ -387,7 +337,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    cfg = RunConfig.from_args(args)
     handlers = {
         "code-info": _cmd_code_info,
         "construct": _cmd_construct,
@@ -395,14 +344,14 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RankTooLarge as e:
+    except (RankTooLarge, QuotientTooLarge, SupportTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except EnumerationBudgetExceeded as e:
@@ -416,6 +365,9 @@ def main(argv=None) -> int:
     except (ToolkitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except Exception as e:
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -209,14 +208,6 @@ class Thm22Gadget:
     def level_matrix(self) -> BinaryMatrix:
         return stack_with_replication(self.A, self.B, self.m)
 
-    def code(self) -> Code:
-        return Code(self.level_matrix())
-
-    def lattice(self) -> Lattice:
-        if self.K0 is None or len(self.c_list) != self.a - 1:
-            raise ValueError("gadget carries no completion data")
-        return vladut_special_d(self.K0, list(self.c_list), self.level_matrix(), self.a)
-
 
 @dataclass(frozen=True)
 class Thm24Gadget:
@@ -247,9 +238,6 @@ class Thm24Gadget:
 
     def level_matrix(self) -> BinaryMatrix:
         return stack_with_replication(self.A, self.B, self.m)
-
-    def code(self) -> Code:
-        return Code(self.level_matrix())
 
 
 def _int_image(M: BinaryMatrix, z: Sequence[int]) -> tuple[int, ...]:
@@ -443,34 +431,21 @@ def build_cor25(m: int = 4) -> Thm24Gadget:
 # ternary sign-pattern search
 # ---------------------------------------------------------------------------
 
-def _sign_chunk(args) -> list[int]:
-    """Walk sign-pattern indices [start, stop) in Gray order; return hits.
+def _sign_walk(D: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
+    """Walk every sign pattern of a support in Gray order; return the hits.
 
     State: residues X of the adjugate solve for the current pattern, kept
     reduced mod D.  A pattern is a lattice member iff X is all zero.  The
-    pattern for index t is t ^ (t >> 1); bit b set means coordinate
+    t-th pattern is g = t ^ (t >> 1); bit b set means coordinate
     support[b] carries -1 instead of +1, which shifts X by the
     precomputed column cols2[b] = 2 * adjugate(e_support[b]) mod D.
     """
-    D, x_plus, cols2, start, stop = args
     n = len(x_plus)
-    g = start ^ (start >> 1)
     X = list(x_plus)
-    b = 0
-    while (g >> b) > 0:
-        if (g >> b) & 1:
-            col = cols2[b]
-            for i in range(n):
-                X[i] = (X[i] - col[i]) % D
-        b += 1
-    hits: list[int] = []
-    for t in range(start, stop):
-        if not any(X):
-            hits.append(g)
-        nxt = t + 1
-        if nxt == stop:
-            break
-        b = (nxt & -nxt).bit_length() - 1
+    g = 0
+    hits: list[int] = [] if any(X) else [0]
+    for t in range(1, 1 << len(cols2)):
+        b = (t & -t).bit_length() - 1
         g ^= 1 << b
         col = cols2[b]
         if (g >> b) & 1:
@@ -479,13 +454,18 @@ def _sign_chunk(args) -> list[int]:
         else:
             for i in range(n):
                 X[i] = (X[i] + col[i]) % D
+        if not any(X):
+            hits.append(g)
     return hits
 
 
-def _patterns_in_lattice(L: Lattice, c: BinaryVector, workers: int) -> list[IntVec]:
-    """All sign assignments on supp(c) that are members of L."""
+def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
+    """All sign assignments on supp(c) that are members of L.
+
+    Full-rank lattices use the Gray walk over adjugate residues; lower
+    ranks, where no adjugate exists, test each pattern for membership.
+    """
     support = c.support()
-    w = len(support)
     n = L.n
 
     def build(g: int) -> IntVec:
@@ -494,37 +474,24 @@ def _patterns_in_lattice(L: Lattice, c: BinaryVector, workers: int) -> list[IntV
             v[i] = -1 if (g >> b) & 1 else 1
         return tuple(v)
 
-    total = 1 << w
     if L.rank == L.n:
         D, x_plus = adjugate_solve(L, c.coords())
-        x_plus = tuple(x % D for x in x_plus)
         cols2 = []
         for i in support:
             e = tuple(1 if t == i else 0 for t in range(n))
             _, col = adjugate_solve(L, e)
             cols2.append(tuple((2 * x) % D for x in col))
-        cols2 = tuple(cols2)
-        if workers > 1 and total >= 4096:
-            step = -(-total // workers)
-            chunks = [
-                (D, x_plus, cols2, s, min(s + step, total))
-                for s in range(0, total, step)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_sign_chunk, chunks))
-            hits = [g for part in parts for g in part]
-        else:
-            hits = _sign_chunk((D, x_plus, cols2, 0, total))
+        hits = _sign_walk(D, tuple(x % D for x in x_plus), tuple(cols2))
         return [build(g) for g in hits]
     out = []
-    for g in range(total):
+    for g in range(1 << len(support)):
         v = build(g)
         if L.contains(v):
             out.append(v)
     return out
 
 
-def ternary_sign_search(L: Lattice, C: Code, bound: int, workers: int = 1) -> list[IntVec]:
+def ternary_sign_search(L: Lattice, C: Code, bound: int) -> list[IntVec]:
     """All nonzero v in L with entries in {-1,0,1} and ||v||_2^2 <= bound^2.
 
     Sound and complete for lattices whose members all reduce mod 2 into C:
@@ -552,7 +519,7 @@ def ternary_sign_search(L: Lattice, C: Code, bound: int, workers: int = 1) -> li
             continue
         if w > SIGN_SUPPORT_CAP:
             raise SupportTooLarge(f"candidate support {w} exceeds {SIGN_SUPPORT_CAP}")
-        out.extend(_patterns_in_lattice(L, c, workers))
+        out.extend(_patterns_in_lattice(L, c))
     out.sort(key=lambda v: (sum(e * e for e in v), v))
     return out
 
@@ -566,7 +533,6 @@ def verify_cor23(
     seed: int = 0,
     full_enum: bool = False,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> VerificationReport:
     """Build the bundled scaled-tower instance and verify its conclusions:
     exact distance 16, no nonzero ternary vector of squared norm <= 16 in
@@ -587,7 +553,7 @@ def verify_cor23(
         ConclusionResult("code minimum distance equals 16", d == 16, {"observed": d})
     )
 
-    ternary = ternary_sign_search(lat, code, 4, workers=workers)
+    ternary = ternary_sign_search(lat, code, 4)
     conclusions.append(
         ConclusionResult(
             "no nonzero ternary vector of squared norm <= 16 in the lattice",

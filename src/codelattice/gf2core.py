@@ -6,9 +6,10 @@ integers compares coordinate tuples lexicographically, so sorting vectors
 needs no conversion.
 
 Codes are column-generated: ``Code(G)`` is the F2-span of the columns of G,
-its dimension is the F2-rank of G.  Distance and kissing-number computations
-sweep all 2^k codewords with a Gray-code walk; the sweep is hard-capped at
-rank 28 and refuses larger inputs with :class:`RankTooLarge`.
+its dimension is the F2-rank of G.  Distance, minimum-weight words and
+kissing number all read one cached sweep per code: a Gray-code walk over
+all 2^k codewords that keeps the minimum-weight words.  The sweep is
+hard-capped at rank 28 and refuses larger inputs with :class:`RankTooLarge`.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def complete_to_full_rank(M: BinaryMatrix, seed: int = 0) -> BinaryMatrix:
 class Code:
     """F2-linear code given as the span of generator-matrix columns."""
 
-    __slots__ = ("gen", "_basis", "_pivots")
+    __slots__ = ("gen", "_basis", "_pivots", "_min_words")
 
     def __init__(self, gen: BinaryMatrix) -> None:
         object.__setattr__(self, "gen", gen)
@@ -366,6 +367,7 @@ class Code:
         object.__setattr__(
             self, "_pivots", {b.bit_length() - 1: b for b in basis}
         )
+        object.__setattr__(self, "_min_words", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Code is immutable")
@@ -403,6 +405,35 @@ class Code:
             word ^= basis[(i & -i).bit_length() - 1]
             yield BinaryVector(self.n, word)
 
+    def _min_weight_bits(self) -> tuple[int, ...]:
+        """Sorted backing integers of the minimum-weight codewords.
+
+        The Gray-code sweep runs on the first call only; the tuple is
+        cached on the code, which is immutable, so it never goes stale.
+        """
+        if self._min_words is None:
+            r = self.dimension
+            if r == 0:
+                raise ZeroCode("the zero code has no nonzero codeword")
+            if r > SWEEP_RANK_CAP:
+                raise RankTooLarge(f"rank {r} > sweep cap {SWEEP_RANK_CAP}")
+            basis = self._basis
+            word = 0
+            best = self.n + 1
+            found: list[int] = []
+            for i in range(1, 1 << r):
+                word ^= basis[(i & -i).bit_length() - 1]
+                w = word.bit_count()
+                if w > best:
+                    continue
+                if w < best:
+                    best = w
+                    found = []
+                found.append(word)
+            found.sort()
+            object.__setattr__(self, "_min_words", tuple(found))
+        return self._min_words
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Code)
@@ -426,48 +457,17 @@ def is_subcode(sub: Code, sup: Code) -> bool:
 
 def min_distance(C: Code) -> int:
     """Least Hamming weight over nonzero codewords (exhaustive sweep)."""
-    r = C.dimension
-    if r == 0:
-        raise ZeroCode("the zero code has no nonzero codeword")
-    if r > SWEEP_RANK_CAP:
-        raise RankTooLarge(f"rank {r} > sweep cap {SWEEP_RANK_CAP}")
-    basis = C._basis
-    word = 0
-    best = C.n + 1
-    for i in range(1, 1 << r):
-        word ^= basis[(i & -i).bit_length() - 1]
-        w = word.bit_count()
-        if w < best:
-            best = w
-    return best
+    return C._min_weight_bits()[0].bit_count()
 
 
 def min_weight_codewords(C: Code) -> list[BinaryVector]:
     """The set S_C of all minimum-weight codewords, lexicographically sorted."""
-    r = C.dimension
-    if r == 0:
-        raise ZeroCode("the zero code has no nonzero codeword")
-    if r > SWEEP_RANK_CAP:
-        raise RankTooLarge(f"rank {r} > sweep cap {SWEEP_RANK_CAP}")
-    basis = C._basis
-    word = 0
-    best = C.n + 1
-    found: list[int] = []
-    for i in range(1, 1 << r):
-        word ^= basis[(i & -i).bit_length() - 1]
-        w = word.bit_count()
-        if w < best:
-            best = w
-            found = [word]
-        elif w == best:
-            found.append(word)
-    found.sort()
-    return [BinaryVector(C.n, b) for b in found]
+    return [BinaryVector(C.n, b) for b in C._min_weight_bits()]
 
 
 def code_kissing_number(C: Code) -> int:
     """Number of codewords achieving the minimum distance."""
-    return len(min_weight_codewords(C))
+    return len(C._min_weight_bits())
 
 
 class CodeTower:

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from codelattice import cli
 from codelattice.cli import main
 from codelattice.gf2core import BinaryMatrix
 from codelattice.matio import data_path, read_matrix, write_f2_matrix, write_z_matrix
@@ -46,6 +48,22 @@ def test_exit_3_on_oversized_sweep(capsys, tmp_path):
     write_f2_matrix(p, BinaryMatrix.identity(29))
     code, _, err = run(capsys, ["code-info", p])
     assert code == 3 and "error:" in err
+    # seven levels of F2^3: the d-bar coset quotient is 2^21 > 2^20
+    write_f2_matrix(str(tmp_path / "f3.txt"), BinaryMatrix.identity(3))
+    man = tmp_path / "tower7.txt"
+    man.write_text("tower 3 7\n" + "f3.txt\n" * 7)
+    code, _, err = run(capsys, ["construct", str(man), "--construction", "d-bar"])
+    assert code == 3 and "cosets" in err
+
+
+def test_exit_70_on_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("pivot does not divide 2^a (bug)")
+
+    monkeypatch.setattr(cli, "verify_dbar_schur", broken)
+    code, out, err = run(capsys, ["verify", "dbar-schur"])
+    assert code == 70 and out == ""
+    assert err == "error: internal: ArithmeticError: pivot does not divide 2^a (bug)\n"
 
 
 def test_exit_4_on_tower_violation(capsys, tmp_path):
@@ -179,6 +197,12 @@ def test_verify_cor23_deterministic_output(capsys):
     rep = json.loads(out1)
     assert rep["exact_values"]["d"] == 16
     assert "runtime_ms" not in rep
+    # the full-enumeration report is pinned byte for byte to the benchmark's golden copy
+    golden = Path(__file__).resolve().parents[1] / "perfbench/golden/cor23-m17-seed0.json"
+    argv = ["verify", "cor23", "--full-enum", "--no-timing", "--m", "17", "--seed", "0"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_verify_text_format(capsys):

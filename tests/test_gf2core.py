@@ -238,6 +238,16 @@ def test_min_distance_brute_force():
         )  # sorted, unique
         assert all(w.weight == min(weights) for w in words)
         assert code_kissing_number(C) == weights.count(min(weights))
+        # a fresh code queried in reverse order sweeps once and agrees
+        fresh = Code(M)
+        assert code_kissing_number(fresh) == len(words)
+        assert min_weight_codewords(fresh) == words
+        assert min_distance(fresh) == min(weights)
+        # callers own the returned list: mutating it leaves the cache intact
+        words.append(BinaryVector.zero(n))
+        min_weight_codewords(fresh).clear()
+        assert min_weight_codewords(fresh) == words[:-1]
+        assert code_kissing_number(fresh) == len(words) - 1
 
 
 def test_min_distance_rank_cap():
