@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .constructions import (
@@ -85,6 +86,8 @@ __all__ = [
 ]
 
 MOD4_SWEEP_CAP = 20
+# Largest support the sign search takes: the meet-in-the-middle join then
+# holds at most 2^12 residue tuples of length n per half.
 SIGN_SUPPORT_CAP = 24
 
 
@@ -432,46 +435,59 @@ def build_cor25(m: int = 4) -> Thm24Gadget:
 # ---------------------------------------------------------------------------
 
 def _sign_walk(D: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
-    """Walk every sign pattern of a support in Gray order; return the hits.
+    """The sign patterns of a support that are lattice members, ascending.
 
-    State: residues X of the adjugate solve for the current pattern, kept
-    reduced mod D.  A pattern is a lattice member iff X is all zero.  The
-    t-th pattern is g = t ^ (t >> 1); bit b set means coordinate
-    support[b] carries -1 instead of +1, which shifts X by the
-    precomputed column cols2[b] = 2 * adjugate(e_support[b]) mod D.
+    Bit b of pattern S set means coordinate support[b] carries -1 instead
+    of +1, which shifts the adjugate residues by cols2[b] = 2 *
+    adjugate(e_support[b]) mod D.  So S is a member iff x_plus -
+    sum_{b in S} cols2[b] = 0 mod D.  Meet in the middle (Horowitz-Sahni):
+    write S = lo | hi << h over the w = len(cols2) support bits, h = w // 2;
+    the condition becomes x_plus - sum_lo = sum_hi mod D.  A dict maps each
+    low-half residue tuple to its masks and each high-half sum is looked up
+    once, so a support costs 2^h + 2^(w-h) residue tuples instead of 2^w
+    patterns.  High masks ascend and each dict entry lists its low masks in
+    ascending order, so the hits come out sorted.
     """
-    n = len(x_plus)
-    X = list(x_plus)
-    g = 0
-    hits: list[int] = [] if any(X) else [0]
-    for t in range(1, 1 << len(cols2)):
-        b = (t & -t).bit_length() - 1
-        g ^= 1 << b
-        col = cols2[b]
-        if (g >> b) & 1:
-            for i in range(n):
-                X[i] = (X[i] - col[i]) % D
-        else:
-            for i in range(n):
-                X[i] = (X[i] + col[i]) % D
-        if not any(X):
-            hits.append(g)
-    return hits
+    h = len(cols2) // 2
+
+    def subset_sums(start: IntVec, cols) -> list[IntVec]:
+        # sums[mask]: start plus the columns picked by mask; the sums with
+        # bit j set are the earlier ones plus column j
+        sums = [start]
+        for col in cols:
+            sums += [tuple((a + c) % D for a, c in zip(s, col)) for s in sums]
+        return sums
+
+    lows: dict[IntVec, list[int]] = {}
+    neg_low = [tuple(-c % D for c in col) for col in cols2[:h]]
+    for lo, r in enumerate(subset_sums(x_plus, neg_low)):
+        lows.setdefault(r, []).append(lo)
+    zero = (0,) * len(x_plus)
+    return [
+        lo | hi << h
+        for hi, s in enumerate(subset_sums(zero, cols2[h:]))
+        for lo in lows.get(s, ())
+    ]
 
 
 def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
-    """All sign assignments on supp(c) that are members of L.
+    """All sign assignments on supp(c) that are members of L, in pattern order.
 
-    Full-rank lattices use the Gray walk over adjugate residues; lower
-    ranks, where no adjugate exists, test each pattern for membership.
+    Full-rank lattices join adjugate residues meet-in-the-middle
+    (_sign_walk).  D, the residues and the columns are first divided by
+    their common gcd g: every residue is an integer combination of them,
+    so it vanishes mod D exactly when its quotient by g vanishes mod D/g,
+    and the table keys shrink (on cor23 the modulus drops from a 128-bit
+    D to 2).  Lower ranks, where no adjugate exists, test each pattern
+    for membership.
     """
     support = c.support()
     n = L.n
 
-    def build(g: int) -> IntVec:
+    def build(p: int) -> IntVec:
         v = [0] * n
         for b, i in enumerate(support):
-            v[i] = -1 if (g >> b) & 1 else 1
+            v[i] = -1 if (p >> b) & 1 else 1
         return tuple(v)
 
     if L.rank == L.n:
@@ -480,12 +496,18 @@ def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
         for i in support:
             e = tuple(1 if t == i else 0 for t in range(n))
             _, col = adjugate_solve(L, e)
-            cols2.append(tuple((2 * x) % D for x in col))
-        hits = _sign_walk(D, tuple(x % D for x in x_plus), tuple(cols2))
-        return [build(g) for g in hits]
+            cols2.append([2 * x for x in col])
+        g = gcd(D, *x_plus, *(x for col in cols2 for x in col))
+        Dg = D // g
+        hits = _sign_walk(
+            Dg,
+            tuple(x // g % Dg for x in x_plus),
+            tuple(tuple(x // g % Dg for x in col) for col in cols2),
+        )
+        return [build(p) for p in hits]
     out = []
-    for g in range(1 << len(support)):
-        v = build(g)
+    for p in range(1 << len(support)):
+        v = build(p)
         if L.contains(v):
             out.append(v)
     return out

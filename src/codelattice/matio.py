@@ -2,8 +2,8 @@
 
 Matrix files: first line ``<rows> <cols> <field>`` with field F2 or Z, then
 rows*cols whitespace-separated entries in row-major order (line breaks are
-not significant beyond the header).  Codes are stored as their generator
-matrix: n rows, k columns.
+not significant beyond the header).  Either both dimensions are zero or
+neither is.  Codes are stored as their generator matrix: n rows, k columns.
 
 Tower manifests: first line ``tower <n> <count>``, then one matrix file
 path per line, relative to the manifest's directory, ordered from the
@@ -56,6 +56,10 @@ def parse_matrix(text: str, source: str = "<string>"):
         raise ParseError(f"{source}: field must be F2 or Z, got {field!r}")
     if rows < 0 or cols < 0:
         raise ParseError(f"{source}: negative dimensions")
+    if (rows == 0) != (cols == 0):
+        # no entries back the other dimension, yet every consumer would
+        # allocate and walk it
+        raise ParseError(f"{source}: header {rows} {cols} has one zero dimension")
     body = tokens[3:]
     if len(body) != rows * cols:
         raise ParseError(
@@ -68,10 +72,11 @@ def parse_matrix(text: str, source: str = "<string>"):
     if field == "F2":
         if any(e not in (0, 1) for e in entries):
             raise ParseError(f"{source}: F2 entries must be 0 or 1")
-        matrix_rows = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
-        if rows == 0 or cols == 0:
-            return BinaryMatrix(rows, (0,) * cols)
-        return BinaryMatrix.from_rows(matrix_rows)
+        if rows == 0:
+            return BinaryMatrix(0, ())
+        return BinaryMatrix.from_rows(
+            [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+        )
     columns = [
         tuple(entries[r * cols + c] for r in range(rows)) for c in range(cols)
     ]

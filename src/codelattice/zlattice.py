@@ -626,8 +626,8 @@ def adjugate_solve(L: Lattice, v: Sequence[int]) -> tuple[int, list[int]]:
     """For full-rank L: (D, X) with H X = D v, D = det(L), X integral.
 
     Since X = D * H^{-1} v, the vector v lies in L iff every X_i is
-    divisible by D.  This turns batches of membership tests into cheap
-    modular updates (used by the sign-pattern search).
+    divisible by D.  This turns batches of membership tests into residue
+    sums mod D, which the sign-pattern search joins meet-in-the-middle.
     """
     if L.rank != L.n:
         raise ZeroRank("adjugate solve needs a full-rank lattice")

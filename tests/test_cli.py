@@ -41,6 +41,13 @@ def test_exit_2_on_malformed_and_missing_input(capsys, tmp_path):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, ["code-info", str(tmp_path / "nope.txt")])
     assert code == 2
+    # a header with one zero dimension is refused before anything is built
+    bad.write_text("10000000 0 F2\n")
+    code, _, err = run(capsys, ["code-info", str(bad)])
+    assert code == 2 and "one zero dimension" in err
+    bad.write_text("0 10000000 Z\n")
+    code, _, err = run(capsys, ["lattice-analyze", str(bad)])
+    assert code == 2 and "one zero dimension" in err
 
 
 def test_exit_3_on_oversized_sweep(capsys, tmp_path):
@@ -66,30 +73,6 @@ def test_exit_70_on_internal_error(capsys, monkeypatch):
     assert err == "error: internal: ArithmeticError: pivot does not divide 2^a (bug)\n"
 
 
-def test_exit_4_on_tower_violation(capsys, tmp_path):
-    write_f2_matrix(str(tmp_path / "k0.txt"), BinaryMatrix.identity(4))
-    write_f2_matrix(
-        str(tmp_path / "k1.txt"), BinaryMatrix.from_rows([[1], [0], [0], [0]])
-    )
-    man = tmp_path / "tower.txt"
-    man.write_text("tower 4 2\nk0.txt\nk1.txt\n")
-    code, _, err = run(capsys, ["construct", str(man), "--construction", "d"])
-    assert code == 4 and "error:" in err
-
-
-def test_exit_5_on_budget(capsys, tmp_path):
-    p = str(tmp_path / "l.txt")
-    cols = [
-        (2, 0, 0, 0),
-        (0, 2, 0, 0),
-        (0, 0, 2, 0),
-        (0, 0, 0, 2),
-    ]
-    write_z_matrix(p, 4, cols)
-    code, _, err = run(capsys, ["lattice-analyze", p, "--budget", "1"])
-    assert code == 5 and "error:" in err
-
-
 def test_exit_1_on_hypotheses_fail_with_report(capsys):
     code, _, err = run(capsys, ["verify", "thm24", "--m", "3"])
     assert code == 1
@@ -112,6 +95,67 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert ei.value.code == 2
         capsys.readouterr()
+
+
+def _exit_0(tmp_path, monkeypatch):
+    return ["code-info", data_path("golay24.txt")]
+
+
+def _exit_1(tmp_path, monkeypatch):
+    return ["verify", "thm24", "--m", "3"]
+
+
+def _exit_2(tmp_path, monkeypatch):
+    p = tmp_path / "empty.txt"
+    p.write_text("3 0 F2\n")
+    return ["code-info", str(p)]
+
+
+def _exit_3(tmp_path, monkeypatch):
+    p = str(tmp_path / "id29.txt")
+    write_f2_matrix(p, BinaryMatrix.identity(29))
+    return ["code-info", p]
+
+
+def _exit_4(tmp_path, monkeypatch):
+    write_f2_matrix(str(tmp_path / "k0.txt"), BinaryMatrix.identity(4))
+    write_f2_matrix(str(tmp_path / "k1.txt"), BinaryMatrix.from_rows([[1], [0], [0], [0]]))
+    man = tmp_path / "tower.txt"
+    man.write_text("tower 4 2\nk0.txt\nk1.txt\n")
+    return ["construct", str(man), "--construction", "d"]
+
+
+def _exit_5(tmp_path, monkeypatch):
+    p = str(tmp_path / "l.txt")
+    write_z_matrix(p, 4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+    return ["lattice-analyze", p, "--budget", "1"]
+
+
+def _exit_70(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "verify_dbar_schur", broken)
+    return ["verify", "dbar-schur"]
+
+
+EXIT_ARGV = {
+    0: _exit_0,
+    1: _exit_1,
+    2: _exit_2,
+    3: _exit_3,
+    4: _exit_4,
+    5: _exit_5,
+    70: _exit_70,
+}
+
+
+@pytest.mark.parametrize("expected", sorted(EXIT_ARGV))
+def test_documented_exit_codes(capsys, tmp_path, monkeypatch, expected):
+    # one command per row of the exit-code table in the cli docstring and README
+    code, _, err = run(capsys, EXIT_ARGV[expected](tmp_path, monkeypatch))
+    assert code == expected
+    assert ("error:" in err) == (expected != 0)
 
 
 def test_construct_a_round_trip(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +15,7 @@ from codelattice.errors import (
     SupportTooLarge,
 )
 from codelattice.gadgets import (
+    SIGN_SUPPORT_CAP,
     Thm22Gadget,
     Thm24Gadget,
     build_cor23,
@@ -38,7 +41,7 @@ from codelattice.gf2core import (
     min_weight_codewords,
 )
 from codelattice.matio import cor23_matrices, cor25_matrices
-from codelattice.zlattice import Lattice, vectors_up_to
+from codelattice.zlattice import Lattice, adjugate_solve, vectors_up_to
 
 bv = BinaryVector.from_coords
 
@@ -173,7 +176,8 @@ def test_ternary_sign_search_guards():
 
 
 def test_ternary_sign_search_matches_brute_force():
-    # the Gray walk over a support of size 12 against membership of every pattern
+    # the meet-in-the-middle join over a support of size 12 against
+    # membership of every pattern
     rep12 = Code(BinaryMatrix.from_columns([bv((1,) * 12)]))
     L = construction_a(rep12)
     found = ternary_sign_search(L, rep12, 4)
@@ -181,6 +185,67 @@ def test_ternary_sign_search_matches_brute_force():
     assert found == brute
     # every sign assignment of the all-ones word reduces into the code
     assert len(found) == 4096
+
+
+def _reduced_modulus(L, c):
+    """D / g for the sign search on supp(c): the order of the residues it joins."""
+    D, x_plus = adjugate_solve(L, c.coords())
+    units = [tuple(int(t == i) for t in range(L.n)) for i in c.support()]
+    cols = [adjugate_solve(L, e)[1] for e in units]
+    return D // gcd(D, *x_plus, *(2 * x for col in cols for x in col))
+
+
+def test_ternary_sign_search_partial_hits_match_brute_force():
+    # full-rank lattices whose basis reduces mod 2 into C: embedded codewords
+    # of C (random signs), twice the words of a second code, and mZ^n with
+    # m = 8 as well as 4 so that D/g can exceed 2; every ternary vector of
+    # Z^n is tested for membership directly
+    rng = random.Random(61)
+    weights, partial, wide = set(), set(), 0
+    for _ in range(40):
+        n = rng.randrange(3, 7)
+        cols = [BinaryVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 3))]
+        low = rng.sample(range(n), rng.randrange(1, 3))  # a word of weight 1 or 2
+        cols.append(BinaryVector.from_coords([int(i in low) for i in range(n)]))
+        C = Code(BinaryMatrix.from_columns(cols, n=n))
+        twice = [BinaryVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 3))]
+        m = rng.choice((4, 8))
+        gens = [tuple(rng.choice((-1, 1)) * e for e in c.coords()) for c in C.gen.columns()]
+        gens += [tuple(2 * e for e in c.coords()) for c in twice]
+        gens += [tuple(m * (t == i) for t in range(n)) for i in range(n)]
+        L = Lattice.from_generators(n, gens)
+        found = ternary_sign_search(L, C, 3)  # 3^2 >= n: every support
+        brute = sorted(
+            (v for v in itertools.product((-1, 0, 1), repeat=n) if any(v) and L.contains(v)),
+            key=lambda v: (sum(e * e for e in v), v),
+        )
+        assert found == brute
+        for c in C.codewords():
+            w = c.weight
+            if w == 0:
+                continue
+            weights.add(w)
+            on = [v for v in found if [int(e != 0) for e in v] == list(c.coords())]
+            if 0 < len(on) < 1 << w:
+                partial.add(w)
+            wide += _reduced_modulus(L, c) > 2
+    assert {1, 2} <= weights
+    assert any(w % 2 for w in partial) and any(w % 2 == 0 for w in partial)
+    assert wide > 0
+
+
+def test_sign_search_at_the_support_cap():
+    # L = Z(1, ..., 1) + 4Z^24 over the length-24 repetition code: the only
+    # ternary members are +-(1, ..., 1); a walk over all 2^24 patterns of
+    # the cap-sized support would not finish in time
+    n = SIGN_SUPPORT_CAP
+    rep = Code(BinaryMatrix.from_columns([bv((1,) * n)]))
+    four = [tuple(4 * (t == i) for t in range(n)) for i in range(n)]
+    L = Lattice.from_generators(n, [(1,) * n] + four)
+    t0 = time.perf_counter()
+    found = ternary_sign_search(L, rep, 5)
+    assert time.perf_counter() - t0 < 1.0
+    assert found == [(-1,) * n, (1,) * n]
 
 
 def test_thm24_hypotheses_pass_on_bundled_instance():

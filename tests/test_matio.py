@@ -1,5 +1,6 @@
 import os
 import random
+import time
 
 import pytest
 
@@ -57,6 +58,21 @@ def test_parse_errors():
         parse_matrix("1 1 F2 2")
     with pytest.raises(ParseError, match="negative"):
         parse_matrix("-1 1 Z")
+
+
+def test_parse_refuses_one_zero_dimension():
+    # no entries back the nonzero dimension, so it is refused before any
+    # row or column is built, however large it claims to be
+    for header in ("0 3 F2", "3 0 F2", "0 3 Z", "3 0 Z", "0 10000000 Z", "10000000 0 F2"):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="one zero dimension"):
+            parse_matrix(header)
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_parse_empty_matrix():
+    assert parse_matrix("0 0 F2") == BinaryMatrix(0, ())
+    assert parse_matrix("0 0 Z") == (0, 0, [])
 
 
 def test_file_round_trip(tmp_path):
