@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("path", help="F2 matrix file, or a tower manifest for d/d-special/d-bar")
     p_con.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
     p_con.add_argument("--a", type=int, default=None, help="expected scaling depth (validated)")
-    p_con.add_argument("--seed", type=int, default=0)
     common(p_con)
 
     p_an = sub.add_parser("lattice-analyze", help="exact shortest vectors of a Z matrix")
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=int, default=None)
     p_ver.add_argument("--p", type=_fraction, default=Fraction(2))
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
     p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ver.add_argument("--full-enum", dest="full_enum", action="store_true")
     p_ver.add_argument("--tower", help="tower manifest for dbar-schur (default: bundled)")
@@ -123,8 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if getattr(args, "budget", 1) < 1:
         parser.error("--budget must be positive")
-    delta = getattr(args, "delta", DEFAULT_DELTA)
-    if not Fraction(1, 4) < delta < 1:
+    if args.command == "lattice-analyze" and not Fraction(1, 4) < args.delta < 1:
         parser.error("--delta must lie strictly between 1/4 and 1")
     if args.command == "verify":
         if args.p < 1:

@@ -6,7 +6,7 @@ left of each pivot reduced into [0, pivot)), so two lattices are equal iff
 their stored bases are identical tuples.  LLL is the fraction-free integral
 LLL of Cohen (Alg. 2.6.7): one integral Gram-Schmidt (the integers d_i and
 lambda_ij) drives it and is then handed to enumeration.  Shortest vectors
-come from a plain Fincke-Pohst depth-first enumeration with no pruning
+come from one plain Fincke-Pohst depth-first walk with no pruning
 heuristics, guarded by an explicit node budget.  Floating point appears
 nowhere.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -358,19 +358,6 @@ def lll_reduce(L: Lattice, delta: Fraction = DEFAULT_DELTA) -> list[IntVec]:
 # Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
 
-class _Budget:
-    __slots__ = ("left", "total")
-
-    def __init__(self, total: int) -> None:
-        self.left = total
-        self.total = total
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise EnumerationBudgetExceeded(self.total)
-
-
 def _coeff_interval(c: Fraction, t: Fraction) -> tuple[int, int]:
     """All integers x with (x - c)^2 <= t, as [lo, hi]; empty iff lo > hi.
 
@@ -389,38 +376,48 @@ def _enumerate(
     mu: list[list[Fraction]],
     B: list[Fraction],
     radius,
-    budget: _Budget,
-    visit: Callable[[tuple[int, ...], int], None],
-    shrink: bool = False,
-) -> int:
-    """Depth-first sweep of all coefficient vectors with norm^2 <= radius.
+    budget: int,
+    shortest: bool,
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """One depth-first walk over all coefficient vectors with norm^2 <= radius.
 
-    ``visit(coeffs, norm_sq)`` fires at every leaf inside the radius (the
-    zero vector included).  With ``shrink`` the radius tightens to the
-    smallest nonzero norm seen so far, turning the sweep into an exact
-    shortest-vector search.  Returns the final radius.
+    Returns ``(radius, leaves)`` with the leaves as ``(norm_sq, coeffs)``.
+    Without ``shortest`` every leaf inside the radius is kept, the zero
+    vector included.  With ``shortest`` the zero leaf is skipped and each
+    smaller nonzero leaf tightens the radius and drops the leaves kept so
+    far; the radius never falls below lambda_1^2, so the walk ends holding
+    exactly the vectors at lambda_1^2.  Each candidate coefficient costs
+    one node; more than ``budget`` nodes raise EnumerationBudgetExceeded.
     """
     m = len(basis)
     x = [0] * m
-    state = [Fraction(radius)]
+    bound = Fraction(radius)
+    left = budget
+    leaves: list[tuple[int, tuple[int, ...]]] = []
     # per-level nonzero-mu column lists keep the center updates sparse
     nz = [[j for j in range(i) if mu[i][j]] for i in range(m)]
 
     def rec(i: int, rho: Fraction, acc: list[Fraction]) -> None:
+        nonlocal bound, left
         if i < 0:
-            norm = rho
-            if shrink and norm and norm < state[0]:
-                state[0] = norm
-            visit(tuple(x), int(norm))
+            if shortest:
+                if not rho:
+                    return
+                if rho < bound:
+                    bound = rho
+                    leaves.clear()
+            leaves.append((int(rho), tuple(x)))
             return
         c = -acc[i]
-        t = (state[0] - rho) / B[i]
+        t = (bound - rho) / B[i]
         lo, hi = _coeff_interval(c, t)
         for xi in range(lo, hi + 1):
-            budget.spend()
+            left -= 1
+            if left < 0:
+                raise EnumerationBudgetExceeded(budget)
             d = xi - c
             rho2 = rho + d * d * B[i]
-            if rho2 > state[0]:
+            if rho2 > bound:
                 continue
             x[i] = xi
             if xi:
@@ -434,7 +431,7 @@ def _enumerate(
         x[i] = 0
 
     rec(m - 1, Fraction(0), [Fraction(0)] * m)
-    return int(state[0])
+    return int(bound), leaves
 
 
 def _combine(basis: Sequence[IntVec], coeffs: Sequence[int], n: int) -> IntVec:
@@ -488,24 +485,16 @@ def shortest_vectors(
 ) -> ShortVectorReport:
     """Exact lambda_1^2 and the complete set of vectors achieving it.
 
-    Fincke-Pohst after LLL(99/100); the initial radius is the smallest
-    basis-vector norm, then a shrinking pass finds the exact minimum and a
-    second pass collects every vector at that norm.
+    Fincke-Pohst after LLL(99/100) in one walk: the radius starts at the
+    smallest reduced basis-vector norm and tightens to each shorter nonzero
+    vector found, dropping the vectors kept at the old radius.
     """
     if L.rank == 0:
         raise ZeroRank("shortest vector of a rank-0 lattice")
     reduced, mu, B = _reduced_gso(L, delta)
-    bud = _Budget(budget)
     r0 = min(sum(e * e for e in col) for col in reduced)
-    lam = _enumerate(reduced, mu, B, r0, bud, lambda c, nrm: None, shrink=True)
-    found: list[IntVec] = []
-
-    def collect(coeffs: tuple[int, ...], norm: int) -> None:
-        if norm == lam and any(coeffs):
-            found.append(_combine(reduced, coeffs, L.n))
-
-    _enumerate(reduced, mu, B, lam, bud, collect, shrink=False)
-    found.sort()
+    lam, leaves = _enumerate(reduced, mu, B, r0, budget, shortest=True)
+    found = sorted(_combine(reduced, coeffs, L.n) for _, coeffs in leaves)
     return ShortVectorReport(lambda1_sq=lam, kissing=len(found), vectors=tuple(found))
 
 
@@ -518,14 +507,8 @@ def vectors_up_to(
     if L.rank == 0:
         return [(0,) * L.n]
     reduced, mu, B = _reduced_gso(L, delta)
-    bud = _Budget(budget)
-    out: list[tuple[int, IntVec]] = []
-
-    def collect(coeffs: tuple[int, ...], norm: int) -> None:
-        out.append((norm, _combine(reduced, coeffs, L.n)))
-
-    _enumerate(reduced, mu, B, R, bud, collect, shrink=False)
-    out.sort()
+    _, leaves = _enumerate(reduced, mu, B, R, budget, shortest=False)
+    out = sorted((norm, _combine(reduced, coeffs, L.n)) for norm, coeffs in leaves)
     return [v for _, v in out]
 
 

@@ -48,6 +48,15 @@ def test_exit_2_on_malformed_and_missing_input(capsys, tmp_path):
     bad.write_text("0 10000000 Z\n")
     code, _, err = run(capsys, ["lattice-analyze", str(bad)])
     assert code == 2 and "one zero dimension" in err
+    # flags no command read are gone: verify --delta, construct --seed
+    for argv in (
+        ["verify", "cor25", "--delta", "1/2"],
+        ["construct", data_path("golay24.txt"), "--construction", "a", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_3_on_oversized_sweep(capsys, tmp_path):

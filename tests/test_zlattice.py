@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from codelattice.constructions import construction_a
 from codelattice.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
     ZeroRank,
 )
+from codelattice.matio import golay_code
 from codelattice.zlattice import (
     DEFAULT_DELTA,
     _coeff_interval,
@@ -213,24 +215,34 @@ def test_lll_delta_validation():
 
 def test_shortest_vectors_matches_box_oracle():
     rng = random.Random(25)
-    cases = 0
-    while cases < 15:
+    cases = []
+    while len(cases) < 15:
         L, _ = rand_lattice(rng, n=rng.randrange(2, 5), lo=-4, hi=4)
-        if L.rank == 0:
-            continue
-        cases += 1
+        if L.rank:
+            cases.append((L, DEFAULT_DELTA))
+    # at delta = 26/100 LLL often leaves a basis whose shortest column is
+    # longer than lambda_1, so the walk has to tighten its radius
+    while len(cases) < 35:
+        n = rng.randrange(4, 7)
+        L, _ = rand_lattice(rng, n=n, k=n, lo=-4, hi=4)
+        if L.rank == n:
+            cases.append((L, Fraction(26, 100)))
+    shrunk = 0
+    for L, delta in cases:
         cols = reduce_columns([list(c) for c in L.basis])
         r0 = min(sum(e * e for e in c) for c in cols)
         ref = box_vectors(cols, r0)
         lam = min(nrm for nrm, v in ref if nrm > 0)
         expect = sorted(v for nrm, v in ref if nrm == lam)
-        rep = shortest_vectors(L)
+        rep = shortest_vectors(L, delta=delta)
         assert rep.lambda1_sq == lam
         assert list(rep.vectors) == expect
         assert rep.kissing == len(expect)
         assert rep.kissing % 2 == 0  # v and -v both counted
         d = rep.to_dict()
         assert d["lambda1_sq"] == lam and len(d["vectors"]) == rep.kissing
+        shrunk += min(sum(e * e for e in c) for c in lll_reduce(L, delta)) > lam
+    assert shrunk >= 1
 
 
 def test_vectors_up_to_matches_box_oracle():
@@ -265,6 +277,32 @@ def test_enumeration_budget():
     assert ei.value.budget == 3
     # generous budget succeeds on the same call
     assert len(vectors_up_to(L, 4, budget=10**6)) == 9
+
+
+def test_enumeration_budget_bounds_one_walk():
+    # LLL's shortest column of Golay Construction A already has norm^2
+    # lambda_1^2 = 4, so the shortest-vector walk is the radius-4 walk and
+    # must finish on exactly the same number of nodes
+    L = construction_a(golay_code())
+
+    def finishes(budget):
+        try:
+            vectors_up_to(L, 4, budget=budget)
+        except EnumerationBudgetExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 1  # vectors_up_to fails at lo and finishes at hi
+    while not finishes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
+    rep = shortest_vectors(L, budget=hi)
+    assert (rep.lambda1_sq, rep.kissing) == (4, 48)
+    with pytest.raises(EnumerationBudgetExceeded) as ei:
+        shortest_vectors(L, budget=hi - 1)
+    assert ei.value.budget == hi - 1
 
 
 def test_coeff_interval_closed_form():
