@@ -49,7 +49,6 @@ from .zlattice import (
     contains,
     determinant,
     hnf,
-    lattices_equal,
     lll_reduce,
     lp_norm,
     lp_power_sum_cmp,

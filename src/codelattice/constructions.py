@@ -44,7 +44,7 @@ from .gf2core import (
     rank,
     schur_product,
 )
-from .zlattice import IntVec, Lattice, lattices_equal, scale
+from .zlattice import IntVec, Lattice, scale
 
 __all__ = [
     "embed",
@@ -208,21 +208,10 @@ def vladut_special_d(
     total = K0.k + len(c_list) + Ka.k
     if total != n:
         raise NotFullRank(f"{total} columns for ambient dimension {n}")
-    stack = K0
-    for c in c_list:
-        stack = stack.hstack(BinaryMatrix.from_columns([c]))
-    stack = stack.hstack(Ka)
-    if rank(stack) != n:
+    blocks = (K0, *[BinaryMatrix(n, (c.bits,)) for c in c_list], Ka)
+    if rank(BinaryMatrix(n, [col for M in blocks for col in M.cols])) != n:
         raise NotFullRank("(K_0 | c_1 | ... | K_a) is singular over F2")
-    gens: list[IntVec] = []
-    for col in K0.columns():
-        gens.append(tuple((2**a) * e for e in col.coords()))
-    for i, c in enumerate(c_list, start=1):
-        f = 2 ** (a - i)
-        gens.append(tuple(f * e for e in c.coords()))
-    for col in Ka.columns():
-        gens.append(col.coords())
-    return Lattice.from_generators(n, gens)
+    return construction_d(DTowerInput(blocks), strict=False)
 
 
 def simplified_d(C: Code) -> Lattice:
@@ -268,7 +257,7 @@ def construction_c_star(C: Code) -> Lattice:
         raise ValueError(f"ambient dimension {n} > cap {C_STAR_AMBIENT_CAP}")
     collapsed = scale(construction_a(C), 2 ** (n - 1))
     if n <= C_STAR_CROSSCHECK_CAP:
-        if not lattices_equal(c_star_definitional(C), collapsed):
+        if c_star_definitional(C) != collapsed:
             raise ArithmeticError("intersection form disagrees with collapse (bug)")
     return collapsed
 

@@ -56,7 +56,6 @@ from .zlattice import (
     Lattice,
     adjugate_solve,
     iroot,
-    lattices_equal,
     lp_norm,
     lp_power_sum_cmp,
     scale,
@@ -882,7 +881,7 @@ def verify_cstar_collapse(
         n = code.n
         direct = c_star_definitional(code)
         collapsed = scale(construction_a(code), 2 ** (n - 1))
-        same = lattices_equal(direct, collapsed)
+        same = direct == collapsed
         d = min_distance(code)
         sv = shortest_vectors(construction_a(code))
         lam_ok = sv.lambda1_sq == min(d, 4)

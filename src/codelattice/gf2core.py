@@ -188,10 +188,6 @@ class BinaryMatrix:
     def identity(cls, n: int) -> "BinaryMatrix":
         return cls(n, tuple(1 << (n - 1 - i) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, n: int, k: int) -> "BinaryMatrix":
-        return cls(n, (0,) * k)
-
     def column(self, j: int) -> BinaryVector:
         return BinaryVector(self.n, self.cols[j])
 
@@ -236,9 +232,6 @@ class BinaryMatrix:
         for row in rows:
             out.extend([row] * m)
         return BinaryMatrix.from_rows(out)
-
-    def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix.from_rows([list(c.coords()) for c in self.columns()])
 
     def __eq__(self, other) -> bool:
         return (

@@ -13,6 +13,8 @@ largest code down (C_1 .. C_a, or K_0 .. K_a for Construction-D input).
 from __future__ import annotations
 
 import os
+import re
+import sys
 from functools import lru_cache
 from importlib import resources
 
@@ -37,6 +39,28 @@ __all__ = [
 ]
 
 
+# whitespace-free tokens joined by single spaces, each of them [+-]?[0-9]+
+_INT_TOKENS = re.compile(r"(?:[+-]?[0-9]+(?: |\Z))*")
+
+
+def _parse_ints(tokens: list[str], source: str, what: str) -> list[int]:
+    """The integers spelled by ``tokens``, each of the form [+-]?[0-9]+.
+
+    ``int`` alone would also take ``1_0`` and non-ASCII digits, and would
+    call a token past the interpreter's digit limit a non-integer.
+    """
+    if not _INT_TOKENS.fullmatch(" ".join(tokens)):
+        raise ParseError(f"{source}: {what}")
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        digits = max(len(t.lstrip("+-")) for t in tokens)
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"{source}: entry of {digits} digits is too long (limit {limit})"
+        ) from None
+
+
 def parse_matrix(text: str, source: str = "<string>"):
     """Parse matrix text; returns BinaryMatrix for F2, list of columns for Z.
 
@@ -46,11 +70,7 @@ def parse_matrix(text: str, source: str = "<string>"):
     tokens = text.split()
     if len(tokens) < 3:
         raise ParseError(f"{source}: missing header")
-    try:
-        rows = int(tokens[0])
-        cols = int(tokens[1])
-    except ValueError:
-        raise ParseError(f"{source}: header must start with two integers") from None
+    rows, cols = _parse_ints(tokens[:2], source, "header must start with two integers")
     field = tokens[2]
     if field not in ("F2", "Z"):
         raise ParseError(f"{source}: field must be F2 or Z, got {field!r}")
@@ -65,10 +85,7 @@ def parse_matrix(text: str, source: str = "<string>"):
         raise ParseError(
             f"{source}: expected {rows * cols} entries, found {len(body)}"
         )
-    try:
-        entries = [int(t) for t in body]
-    except ValueError:
-        raise ParseError(f"{source}: non-integer entry") from None
+    entries = _parse_ints(body, source, "non-integer entry")
     if field == "F2":
         if any(e not in (0, 1) for e in entries):
             raise ParseError(f"{source}: F2 entries must be 0 or 1")
@@ -130,11 +147,7 @@ def read_tower_manifest(path: str) -> tuple[int, list[str]]:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "tower":
         raise ParseError(f"{path}: manifest header must be 'tower <n> <count>'")
-    try:
-        n = int(head[1])
-        count = int(head[2])
-    except ValueError:
-        raise ParseError(f"{path}: bad manifest header numbers") from None
+    n, count = _parse_ints(head[1:], path, "bad manifest header numbers")
     files = lines[1:]
     if len(files) != count:
         raise ParseError(f"{path}: expected {count} level files, found {len(files)}")

@@ -3,19 +3,20 @@
 Everything here is exact.  Bases are kept in a canonical column Hermite
 normal form (pivot rows strictly increasing, pivots positive, entries to the
 left of each pivot reduced into [0, pivot)), so two lattices are equal iff
-their stored bases are identical tuples.  LLL is the fraction-free integral
-LLL of Cohen (Alg. 2.6.7): one integral Gram-Schmidt (the integers d_i and
-lambda_ij) drives it and is then handed to enumeration.  Shortest vectors
-come from one plain Fincke-Pohst depth-first walk with no pruning
-heuristics, guarded by an explicit node budget.  Floating point appears
-nowhere.
+their stored bases are identical tuples.  One integral Gram-Schmidt (the
+integers d_i and lambda_ij of Cohen Alg. 2.6.7) drives both the
+fraction-free LLL and the enumeration that follows it: shortest vectors
+come from one plain Fincke-Pohst depth-first walk on those integers, with
+no pruning heuristics and an explicit node budget.  ``Fraction`` appears
+only for the LLL parameter delta and the exact l_p comparisons; floating
+point appears nowhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -39,7 +40,6 @@ __all__ = [
     "vectors_up_to",
     "lp_norm",
     "lp_power_sum_cmp",
-    "lattices_equal",
     "scale",
     "adjugate_solve",
     "iroot",
@@ -358,28 +358,30 @@ def lll_reduce(L: Lattice, delta: Fraction = DEFAULT_DELTA) -> list[IntVec]:
 # Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
 
-def _coeff_interval(c: Fraction, t: Fraction) -> tuple[int, int]:
-    """All integers x with (x - c)^2 <= t, as [lo, hi]; empty iff lo > hi.
+def _coeff_interval(N: int, q: int, t: int) -> tuple[int, int]:
+    """All integers x with (x*q - N)^2 <= t (q > 0), as [lo, hi]; empty iff lo > hi.
 
-    Closed form, exact: with c = p/q and t = u/v the condition is
-    (x*q - p)^2 * v <= u*q^2, i.e. |x*q - p| <= r = isqrt(u*q^2 // v).
+    Closed form, exact: the condition is |x*q - N| <= r = isqrt(t).
     """
     if t < 0:
         return 1, 0
-    p, q = c.numerator, c.denominator
-    r = isqrt(t.numerator * q * q // t.denominator)
-    return -((r - p) // q), (p + r) // q
+    r = isqrt(t)
+    return -((r - N) // q), (N + r) // q
 
 
 def _enumerate(
-    basis: Sequence[IntVec],
-    mu: list[list[Fraction]],
-    B: list[Fraction],
-    radius,
+    lam: list[list[int]],
+    d: list[int],
+    radius: int,
     budget: int,
     shortest: bool,
 ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """One depth-first walk over all coefficient vectors with norm^2 <= radius.
+
+    Walks the integral GSO (lam, d) of the basis.  Every squared length is
+    scaled by P = lcm_i(d_i d_{i+1}): with N_i = -sum_{k>i} x_k lam_ki,
+    level i adds w_i (x_i d_{i+1} - N_i)^2 where w_i = P / (d_i d_{i+1}),
+    so the walk never leaves the integers.
 
     Returns ``(radius, leaves)`` with the leaves as ``(norm_sq, coeffs)``.
     Without ``shortest`` every leaf inside the radius is kept, the zero
@@ -389,15 +391,19 @@ def _enumerate(
     exactly the vectors at lambda_1^2.  Each candidate coefficient costs
     one node; more than ``budget`` nodes raise EnumerationBudgetExceeded.
     """
-    m = len(basis)
+    m = len(d) - 1
     x = [0] * m
-    bound = Fraction(radius)
+    P = 1
+    for i in range(m):
+        P = lcm(P, d[i] * d[i + 1])
+    w = [P // (d[i] * d[i + 1]) for i in range(m)]
+    bound = radius * P
     left = budget
     leaves: list[tuple[int, tuple[int, ...]]] = []
-    # per-level nonzero-mu column lists keep the center updates sparse
-    nz = [[j for j in range(i) if mu[i][j]] for i in range(m)]
+    # per-level nonzero-lam column lists keep the centre updates sparse
+    nz = [[j for j in range(i) if lam[i][j]] for i in range(m)]
 
-    def rec(i: int, rho: Fraction, acc: list[Fraction]) -> None:
+    def rec(i: int, rho: int, acc: list[int]) -> None:
         nonlocal bound, left
         if i < 0:
             if shortest:
@@ -406,32 +412,29 @@ def _enumerate(
                 if rho < bound:
                     bound = rho
                     leaves.clear()
-            leaves.append((int(rho), tuple(x)))
+            leaves.append((rho // P, tuple(x)))
             return
-        c = -acc[i]
-        t = (bound - rho) / B[i]
-        lo, hi = _coeff_interval(c, t)
+        N, q, wi = -acc[i], d[i + 1], w[i]
+        lo, hi = _coeff_interval(N, q, (bound - rho) // wi)
         for xi in range(lo, hi + 1):
             left -= 1
             if left < 0:
                 raise EnumerationBudgetExceeded(budget)
-            d = xi - c
-            rho2 = rho + d * d * B[i]
+            e = xi * q - N
+            rho2 = rho + wi * e * e
             if rho2 > bound:
                 continue
             x[i] = xi
+            acc2 = acc[:i]
             if xi:
-                acc2 = acc[:i]
-                mrow = mu[i]
+                lrow = lam[i]
                 for j in nz[i]:
-                    acc2[j] += xi * mrow[j]
-            else:
-                acc2 = acc[:i]
+                    acc2[j] += xi * lrow[j]
             rec(i - 1, rho2, acc2)
         x[i] = 0
 
-    rec(m - 1, Fraction(0), [Fraction(0)] * m)
-    return int(bound), leaves
+    rec(m - 1, 0, [0] * m)
+    return bound // P, leaves
 
 
 def _combine(basis: Sequence[IntVec], coeffs: Sequence[int], n: int) -> IntVec:
@@ -441,23 +444,6 @@ def _combine(basis: Sequence[IntVec], coeffs: Sequence[int], n: int) -> IntVec:
             for t in range(n):
                 v[t] += xi * col[t]
     return tuple(v)
-
-
-def _reduced_gso(
-    L: Lattice, delta
-) -> tuple[list[IntVec], list[list[Fraction]], list[Fraction]]:
-    """LLL basis of L with its Gram-Schmidt data (mu, B) as Fractions.
-
-    mu_ij = lam_ij / d_{j+1} and B_i = d_{i+1} / d_i.  Goes through the
-    public :func:`lll_reduce`, so LLL stays a layer of its own for callers
-    that time it, then reads the (lam, d) that LLL left cached on L instead
-    of computing a second Gram-Schmidt.
-    """
-    reduced = lll_reduce(L, delta)
-    _, lam, d = _lll(L, delta)
-    mu = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(len(reduced))]
-    B = [Fraction(d[i + 1], d[i]) for i in range(len(reduced))]
-    return reduced, mu, B
 
 
 @dataclass(frozen=True)
@@ -491,11 +477,14 @@ def shortest_vectors(
     """
     if L.rank == 0:
         raise ZeroRank("shortest vector of a rank-0 lattice")
-    reduced, mu, B = _reduced_gso(L, delta)
+    # through the public lll_reduce, so LLL stays a layer of its own for
+    # callers that time it; the walk then reads the GSO that LLL cached
+    reduced = lll_reduce(L, delta)
+    _, lam, d = _lll(L, delta)
     r0 = min(sum(e * e for e in col) for col in reduced)
-    lam, leaves = _enumerate(reduced, mu, B, r0, budget, shortest=True)
+    lam1, leaves = _enumerate(lam, d, r0, budget, shortest=True)
     found = sorted(_combine(reduced, coeffs, L.n) for _, coeffs in leaves)
-    return ShortVectorReport(lambda1_sq=lam, kissing=len(found), vectors=tuple(found))
+    return ShortVectorReport(lambda1_sq=lam1, kissing=len(found), vectors=tuple(found))
 
 
 def vectors_up_to(
@@ -506,8 +495,9 @@ def vectors_up_to(
         raise ValueError("radius must be >= 0")
     if L.rank == 0:
         return [(0,) * L.n]
-    reduced, mu, B = _reduced_gso(L, delta)
-    _, leaves = _enumerate(reduced, mu, B, R, budget, shortest=False)
+    reduced = lll_reduce(L, delta)
+    _, lam, d = _lll(L, delta)
+    _, leaves = _enumerate(lam, d, R, budget, shortest=False)
     out = sorted((norm, _combine(reduced, coeffs, L.n)) for norm, coeffs in leaves)
     return [v for _, v in out]
 
@@ -589,13 +579,6 @@ def lp_power_sum_cmp(entries: Sequence[int], p, threshold) -> int:
         if all_exact and lhs_lo == rhs:
             return 0
         prec *= 2
-
-
-def lattices_equal(L1: Lattice, L2: Lattice) -> bool:
-    """True iff the canonical HNF bases coincide."""
-    if L1.n != L2.n:
-        raise DimensionMismatch(f"{L1.n} != {L2.n}")
-    return L1 == L2
 
 
 def scale(L: Lattice, s: int) -> Lattice:

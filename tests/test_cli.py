@@ -48,6 +48,10 @@ def test_exit_2_on_malformed_and_missing_input(capsys, tmp_path):
     bad.write_text("0 10000000 Z\n")
     code, _, err = run(capsys, ["lattice-analyze", str(bad)])
     assert code == 2 and "one zero dimension" in err
+    # an entry past the interpreter's digit limit is named too long
+    bad.write_text("1 1 Z " + "7" * 5000 + "\n")
+    code, _, err = run(capsys, ["lattice-analyze", str(bad)])
+    assert code == 2 and "5000 digits is too long" in err
     # flags no command read are gone: verify --delta, construct --seed
     for argv in (
         ["verify", "cor25", "--delta", "1/2"],

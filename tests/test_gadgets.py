@@ -90,7 +90,7 @@ def test_thm22_hypotheses_pass_on_bundled_instance():
 
 def test_thm22_negative_control_zero_b():
     A, B, w = cor23_matrices()
-    g = Thm22Gadget(A=A, B=BinaryMatrix.zeros(3, 3), w=w, a=2, m=17)
+    g = Thm22Gadget(A=A, B=BinaryMatrix(3, (0,) * 3), w=w, a=2, m=17)
     rep = check_thm22_hypotheses(g)
     assert not rep.passed
     assert not rep.hypotheses[1].ok  # kernel is all of F2^3

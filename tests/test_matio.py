@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 import time
 
 import pytest
@@ -60,6 +61,23 @@ def test_parse_errors():
         parse_matrix("-1 1 Z")
 
 
+def test_parse_one_token_rule():
+    # int() alone reads 1_0 as 10, 0_1 as the F2 entry 1 and accepts
+    # non-ASCII digits; only [+-]?[0-9]+ is an entry
+    for text in ("1 1 Z 1_0", "1 1 F2 0_1", "1 1 Z \u0663", "1 1 Z +", "1 1 Z 1.0"):
+        with pytest.raises(ParseError, match="non-integer entry"):
+            parse_matrix(text)
+    with pytest.raises(ParseError, match="two integers"):
+        parse_matrix("1_0 1 Z " + "0 " * 10)
+    assert parse_matrix("1 2 Z +3 -04") == (1, 2, [(3,), (-4,)])
+    # past the interpreter's digit limit an entry is named too long, not
+    # a non-integer; at the limit it still parses
+    limit = sys.get_int_max_str_digits()
+    assert parse_matrix("1 1 Z -" + "9" * limit)[2] == [(-(10**limit - 1),)]
+    with pytest.raises(ParseError, match=f"{limit + 1} digits is too long \\(limit {limit}\\)"):
+        parse_matrix("1 2 Z 1 " + "9" * (limit + 1))
+
+
 def test_parse_refuses_one_zero_dimension():
     # no entries back the nonzero dimension, so it is refused before any
     # row or column is built, however large it claims to be
@@ -108,6 +126,9 @@ def test_tower_manifest(tmp_path):
         read_tower_manifest(str(bad))
     bad.write_text("lattice 3 1\nc1.txt\n")
     with pytest.raises(ParseError, match="header"):
+        read_tower_manifest(str(bad))
+    bad.write_text("tower 3 1_0\nc1.txt\n")
+    with pytest.raises(ParseError, match="header numbers"):
         read_tower_manifest(str(bad))
     bad.write_text("")
     with pytest.raises(ParseError, match="empty"):
