@@ -15,26 +15,31 @@ exact integer-lattice construction on top of that lift:
 * ``simplified_d``        -- span of the embedded minimum-weight codewords
 * ``construction_c_star`` -- 2^n Z^n plus nested intersections of scaled
                              Construction-A cosets; collapses to 2^(n-1) L_A
-* ``d_bar_member`` / ``d_bar_is_lattice`` -- the set sum
+* ``d_bar_member`` / ``d_bar_span`` / ``d_bar_is_lattice`` -- the set sum
   2^a Z^n + 2^(a-1) bar C_1 + ... + bar C_a, which is a lattice iff the
-  tower is Schur-closed; membership is decided by digit peeling.
+  tower is Schur-closed; membership is decided by digit peeling, the span
+  is generated by scaled coordinate products of level basis words, and
+  latticehood by counting cosets of 2^a Z^n in the span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from functools import reduce
+from itertools import combinations
 from typing import Sequence, Union
 
 from .errors import (
     LengthMismatch,
     NotFullRank,
     QuotientTooLarge,
+    RankTooLarge,
     ShapeMismatch,
     TowerViolation,
     WeightViolation,
 )
 from .gf2core import (
+    SWEEP_RANK_CAP,
     BinaryMatrix,
     BinaryVector,
     Code,
@@ -292,26 +297,43 @@ def d_bar_member(T: CodeTower, v: Sequence[int]):
 def d_bar_span(T: CodeTower) -> Lattice:
     """The lattice generated by the set sum (its Z-span L').
 
-    The embedding is not additive, so the span needs every embedded
-    codeword of every level, not just embedded generators; 2^a Z^n absorbs
-    the correction terms only one scaling step at a time.
+    The embedding is not additive, but for bits it expands by inclusion and
+    exclusion: bar(x_1 + ... + x_r) = sum over nonempty U of
+    (-2)^(|U|-1) bar(prod_U x_u), with products taken coordinate-wise.
+    This change of generators is triangular with +-1 on the diagonal, so
+    the embedded codewords of C_i span the same lattice as the monomials
+    2^(|S|-1) bar(prod_S b_s), S a nonempty subset of a basis of C_i.
+    Scaled by 2^(a-i), a product of more than i basis words lies in
+    2^a Z^n, so only subsets with |S| <= i are kept: sum_(r<=i) C(k_i, r)
+    generators per level instead of 2^(k_i) codewords.
     """
     n, a = T.n, T.a
     gens: list[IntVec] = _unit_columns(n, 2**a)
-    for idx, level in enumerate(T.levels):
-        f = 2 ** (a - (idx + 1))
-        for c in level.codewords():
-            if not c.is_zero():
-                gens.append(tuple(f * e for e in c.coords()))
+    for i, level in enumerate(T.levels, start=1):
+        # sum_(r<=i) C(k, r) < 2^k, so the sweep cap still bounds the generators
+        if level.dimension > SWEEP_RANK_CAP:
+            raise RankTooLarge(f"rank {level.dimension} > sweep cap {SWEEP_RANK_CAP}")
+        basis = level.basis()
+        for size in range(1, i + 1):
+            f = 2 ** (a - i + size - 1)
+            for S in combinations(basis, size):
+                p = reduce(schur_product, S)
+                if not p.is_zero():
+                    gens.append(tuple(f * e for e in p.coords()))
     return Lattice.from_generators(n, gens)
 
 
-def d_bar_is_lattice(T: CodeTower, cap: int = DBAR_COSET_CAP):
+def d_bar_is_lattice(T: CodeTower):
     """Decide whether the set sum equals its own Z-span.
 
-    The span L' contains 2^a Z^n, membership in the set is invariant under
-    2^a Z^n shifts, and the HNF digit expansion walks each coset of
-    L' / 2^a Z^n exactly once.  Returns ``(True, None)`` or
+    Digit peeling (``d_bar_member``) is unique, and membership is invariant
+    under 2^a Z^n shifts, so the set sum meets exactly 2^(sum_i dim C_i)
+    cosets of 2^a Z^n, all inside the span L'.  It is a lattice iff L' has
+    no other coset, that is iff |L' / 2^a Z^n| = prod_j 2^a / pivot_j equals
+    that count.  The quotient size is checked against ``DBAR_COSET_CAP``
+    first.  Only when the counts differ is the witness searched for: the
+    first coset in the order of the HNF digit expansion that the set
+    misses (see ``_first_missing_coset``).  Returns ``(True, None)`` or
     ``(False, witness)`` with a span vector outside the set.
     """
     n, a = T.n, T.a
@@ -326,16 +348,54 @@ def d_bar_is_lattice(T: CodeTower, cap: int = DBAR_COSET_CAP):
     count = 1
     for r in radii:
         count *= r
-        if count > cap:
-            raise QuotientTooLarge(f"quotient exceeds {cap} cosets")
-    for digits in iter_product(*[range(r) for r in radii]):
-        rep = [0] * n
-        for j, x in enumerate(digits):
-            if x:
-                col = L.basis[j]
-                for t in range(j, n):
-                    rep[t] += x * col[t]
-        rep = [e % mod for e in rep]
-        if d_bar_member(T, rep) is False:
-            return False, tuple(rep)
-    return True, None
+        if count > DBAR_COSET_CAP:
+            raise QuotientTooLarge(f"quotient exceeds {DBAR_COSET_CAP} cosets")
+    if count == 1 << sum(level.dimension for level in T.levels):
+        return True, None
+    return False, _first_missing_coset(T, L, radii)
+
+
+def _first_missing_coset(T: CodeTower, L: Lattice, radii: list[int]):
+    """First coset of L' / 2^a Z^n outside the set sum in the order of the
+    HNF digit expansion (digit 0 slowest), found by descending the digits.
+
+    The digits up to t fix coordinates 0..t of the representative mod 2^a
+    and leave prod_(j>t) radii[j] cosets below.  The set sum's members are
+    the vectors whose bit plane b lies in C_(a-b), so it meets
+    prod_b #{words of C_(a-b) that start with plane b's prefix} of them:
+    none if some prefix starts no word, else 2^(number of reduced basis
+    words of all levels that vanish on 0..t).  A subtree misses a coset iff
+    that count falls short.  Taking the first digit whose subtree misses
+    one, coordinate by coordinate, reaches the first missing coset of the
+    digit order without visiting the cosets before it, after at most
+    sum(radii) prefix tests.
+    """
+    n, a = T.n, T.a
+    mod = 2**a
+    firsts = [v.support()[0] for level in T.levels for v in level.basis()]
+    below = sum(r.bit_length() - 1 for r in radii)
+    rep = [0] * n
+    planes = [0] * a  # bit b of rep[0..t-1] mod 2^a, coordinate s at bit n-1-s
+    for t in range(n):
+        below -= radii[t].bit_length() - 1  # log2 of the cosets under coordinate t
+        short = sum(f > t for f in firsts) < below
+        col = L.basis[t]
+        for x in range(radii[t] - 1):  # the last digit left needs no test
+            e = (rep[t] + x * col[t]) % mod
+            if short or not all(
+                T.levels[a - 1 - b].has_prefix(
+                    BinaryVector(n, planes[b] | ((e >> b) & 1) << (n - 1 - t)), t + 1)
+                for b in range(a)
+            ):
+                break
+        else:
+            x = radii[t] - 1
+        for s in range(t, n):
+            rep[s] += x * col[s]
+        e = rep[t] % mod
+        for b in range(a):
+            planes[b] |= ((e >> b) & 1) << (n - 1 - t)
+    witness = tuple(e % mod for e in rep)
+    if d_bar_member(T, witness) is not False:
+        raise ArithmeticError("descent ended on a coset inside the set sum (bug)")
+    return witness

@@ -22,6 +22,7 @@ from math import gcd
 from typing import Optional, Sequence, Union
 
 from .constructions import (
+    C_STAR_CROSSCHECK_CAP,
     c_star_definitional,
     construction_a,
     d_bar_is_lattice,
@@ -88,6 +89,9 @@ MOD4_SWEEP_CAP = 20
 # Largest support the sign search takes: the meet-in-the-middle join then
 # holds at most 2^12 residue tuples of length n per half.
 SIGN_SUPPORT_CAP = 24
+# Random codes drawn by the cstar-collapse check; their lengths run up to
+# C_STAR_CROSSCHECK_CAP, the largest n the definitional route takes.
+CSTAR_TRIALS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -855,9 +859,7 @@ def golay_lp_check(p, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     )
 
 
-def verify_cstar_collapse(
-    C: Optional[Code] = None, trials: int = 20, seed: int = 0, max_n: int = 8
-) -> VerificationReport:
+def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> VerificationReport:
     """Check that the nested-intersection construction equals the scaled
     mod-2 lattice, either on one given code or on seeded random codes."""
     t0 = time.perf_counter()
@@ -866,8 +868,8 @@ def verify_cstar_collapse(
     else:
         rng = random.Random(seed)
         codes = []
-        while len(codes) < trials:
-            n = rng.randrange(1, max_n + 1)
+        while len(codes) < CSTAR_TRIALS:
+            n = rng.randrange(1, C_STAR_CROSSCHECK_CAP + 1)
             k = rng.randrange(1, n + 1)
             cols = [BinaryVector(n, rng.getrandbits(n)) for _ in range(k)]
             cand = Code(BinaryMatrix.from_columns(cols, n))
@@ -905,7 +907,7 @@ def verify_cstar_collapse(
     ]
     return VerificationReport(
         theorem="cstar-collapse",
-        params={"trials": len(codes), "seed": seed, "max_n": max_n},
+        params={"trials": len(codes), "seed": seed, "max_n": C_STAR_CROSSCHECK_CAP},
         conclusions=conclusions,
         exact_values={"codes": per_code},
         runtime_ms=_ms(t0),
@@ -914,7 +916,7 @@ def verify_cstar_collapse(
 
 def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
     """Check agreement between the generator-pair closure test and the
-    coset-walk lattice decision on a tower (default: the bundled
+    coset-count lattice decision on a tower (default: the bundled
     non-closed tower, whose span holds a vector the set sum misses)."""
     t0 = time.perf_counter()
     if T is None:

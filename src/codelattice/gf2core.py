@@ -386,6 +386,19 @@ class Code:
             raise LengthMismatch(f"{v.n} != {self.n}")
         return _reduce(v.bits, self._pivots) == 0
 
+    def has_prefix(self, v: BinaryVector, length: int) -> bool:
+        """Whether some codeword agrees with v on coordinates 0..length-1."""
+        if v.n != self.n:
+            raise LengthMismatch(f"{v.n} != {self.n}")
+        shift = self.n - length
+        bits = v.bits >> shift
+        while bits:  # reduce the prefix against the pivots that lead inside it
+            p = self._pivots.get(bits.bit_length() - 1 + shift)
+            if p is None:
+                return False
+            bits ^= p >> shift
+        return True
+
     def codewords(self) -> Iterator[BinaryVector]:
         """All 2^k codewords via a Gray-code walk (zero word first)."""
         r = self.dimension

@@ -155,7 +155,15 @@ def read_tower_manifest(path: str) -> tuple[int, list[str]]:
     return n, [os.path.join(base, f) for f in files]
 
 
-def _load_f2_levels(path: str) -> tuple[int, list[BinaryMatrix]]:
+def load_code_tower(path: str) -> CodeTower:
+    """Manifest of code generators C_1 .. C_a -> validated CodeTower."""
+    _, mats = load_matrix_tower(path)
+    return CodeTower([Code(M) for M in mats])
+
+
+def load_matrix_tower(path: str) -> tuple[int, list[BinaryMatrix]]:
+    """Manifest of F2 matrices -> (n, matrices): the generator blocks
+    K_0 .. K_a of Construction D, or the levels of ``load_code_tower``."""
     n, files = read_tower_manifest(path)
     mats = []
     for f in files:
@@ -166,17 +174,6 @@ def _load_f2_levels(path: str) -> tuple[int, list[BinaryMatrix]]:
             raise ParseError(f"{f}: {M.n} rows, manifest says {n}")
         mats.append(M)
     return n, mats
-
-
-def load_code_tower(path: str) -> CodeTower:
-    """Manifest of code generators C_1 .. C_a -> validated CodeTower."""
-    _, mats = _load_f2_levels(path)
-    return CodeTower([Code(M) for M in mats])
-
-
-def load_matrix_tower(path: str) -> tuple[int, list[BinaryMatrix]]:
-    """Manifest of generator blocks (K_0 .. K_a) for Construction-D input."""
-    return _load_f2_levels(path)
 
 
 # ---------------------------------------------------------------------------

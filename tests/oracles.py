@@ -2,12 +2,19 @@
 
 Everything here works from first principles on plain integer column lists:
 Gaussian elimination over Fraction, pseudo-inverse coefficient bounds, and
-box enumeration.  Deliberately no reuse of the package's HNF or GSO code.
+box enumeration.  Deliberately no reuse of the package's HNF or GSO code,
+except in the d-bar references at the end: they are the package's former
+all-codeword span and exhaustive coset walk, kept as they were so that the
+monomial span and the counting decision have an independent path to match.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+
+from codelattice.constructions import DBAR_COSET_CAP, d_bar_member
+from codelattice.errors import QuotientTooLarge
+from codelattice.zlattice import Lattice
 
 
 def frac_solve(A, rhs):
@@ -221,3 +228,48 @@ def frac_lll(cols, delta):
             mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
         k = max(k - 1, 1)
     return [tuple(c) for c in basis]
+
+
+def dbar_span_all_codewords(T):
+    """The Z-span of the d-bar set sum from every embedded codeword."""
+    n, a = T.n, T.a
+    gens = [tuple(2**a if t == i else 0 for t in range(n)) for i in range(n)]
+    for idx, level in enumerate(T.levels):
+        f = 2 ** (a - (idx + 1))
+        for c in level.codewords():
+            if not c.is_zero():
+                gens.append(tuple(f * e for e in c.coords()))
+    return Lattice.from_generators(n, gens)
+
+
+def dbar_walk_is_lattice(T):
+    """Decide d-bar latticehood by walking every coset of L' / 2^a Z^n.
+
+    Returns ``(True, None)`` or ``(False, witness)``, the first coset in
+    HNF digit order that digit peeling rejects.
+    """
+    n, a = T.n, T.a
+    L = dbar_span_all_codewords(T)
+    mod = 2**a
+    radii = []
+    for j in range(n):
+        p = L.basis[j][j]
+        if mod % p:
+            raise ArithmeticError("pivot does not divide 2^a (bug)")
+        radii.append(mod // p)
+    count = 1
+    for r in radii:
+        count *= r
+        if count > DBAR_COSET_CAP:
+            raise QuotientTooLarge(f"quotient exceeds {DBAR_COSET_CAP} cosets")
+    for digits in product(*[range(r) for r in radii]):
+        rep = [0] * n
+        for j, x in enumerate(digits):
+            if x:
+                col = L.basis[j]
+                for t in range(j, n):
+                    rep[t] += x * col[t]
+        rep = [e % mod for e in rep]
+        if d_bar_member(T, rep) is False:
+            return False, tuple(rep)
+    return True, None

@@ -172,7 +172,7 @@ def test_acceptance_5_mod2_lattice_laws():
 
 
 def test_acceptance_6_nested_intersection_collapse():
-    rep = verify_cstar_collapse(trials=20, seed=0, max_n=8)
+    rep = verify_cstar_collapse(seed=0)
     assert rep.passed
     assert len(rep.exact_values["codes"]) == 20
     print(

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations, product as iter_product
 
 import pytest
 
+from codelattice import constructions
 from codelattice.constructions import (
     DTowerInput,
     construction_a,
@@ -31,6 +33,7 @@ from codelattice.gf2core import (
     Code,
     CodeTower,
     complete_to_full_rank,
+    is_schur_closed_tower,
 )
 from codelattice.matio import nonclosed_tower
 from codelattice.zlattice import (
@@ -40,6 +43,9 @@ from codelattice.zlattice import (
     shortest_vectors,
     vectors_up_to,
 )
+import oracles
+from oracles import dbar_span_all_codewords, dbar_walk_is_lattice
+
 
 bv = BinaryVector.from_coords
 
@@ -280,6 +286,70 @@ def test_d_bar_is_lattice_nonclosed_tower():
     assert d_bar_member(T, v) is False
 
 
-def test_d_bar_is_lattice_coset_cap():
+def test_d_bar_is_lattice_coset_cap(monkeypatch):
+    monkeypatch.setattr(constructions, "DBAR_COSET_CAP", 2)
     with pytest.raises(QuotientTooLarge):
-        d_bar_is_lattice(nonclosed_tower(), cap=2)
+        d_bar_is_lattice(nonclosed_tower())
+
+
+def random_tower(rng, n, a):
+    """Nested C_1 >= ... >= C_a: each level adds random words to the next."""
+    words: list[BinaryVector] = []
+    levels = []
+    for _ in range(a):
+        words += [bv(tuple(rng.randrange(2) for _ in range(n))) for _ in range(rng.randrange(3))]
+        levels.append(Code(BinaryMatrix.from_columns(words, n=n)))
+    return CodeTower(levels[::-1])
+
+
+def test_d_bar_matches_all_codeword_span_and_full_walk():
+    rng = random.Random(2014)
+    decisions = set()
+    for _ in range(300):
+        T = random_tower(rng, rng.randint(1, 7), rng.randint(1, 3))
+        want = dbar_walk_is_lattice(T)
+        assert d_bar_span(T) == dbar_span_all_codewords(T)
+        assert d_bar_is_lattice(T) == want
+        assert want[0] == is_schur_closed_tower(T)[0]
+        decisions.add(want[0])
+    assert decisions == {True, False}
+
+
+def test_d_bar_closed_reed_muller_tower_walks_no_coset(monkeypatch):
+    # RM(2,4) > RM(1,4) from monomials of degree <= 2 and <= 1 evaluated on F2^4;
+    # its quotient by 4 Z^16 has 2^16 cosets, all of them in the set sum
+    points = list(iter_product((0, 1), repeat=4))
+    monomials = [()] + [(i,) for i in range(4)] + list(combinations(range(4), 2))
+    evals = [bv(tuple(int(all(x[i] for i in m)) for x in points)) for m in monomials]
+    T = CodeTower([Code.from_columns(evals), Code.from_columns(evals[:5])])
+    calls = []
+    member = constructions.d_bar_member
+    monkeypatch.setattr(
+        constructions, "d_bar_member", lambda *args: calls.append(1) or member(*args)
+    )
+    assert d_bar_is_lattice(T) == (True, None)
+    assert calls == []
+
+def test_d_bar_deep_witness_found_without_walking(monkeypatch):
+    # even-on-flat [16, 15] > the four linear functions of RM(1,4), with the
+    # 2-flat {x1 = x2 = 1} on coordinates 0..3: every coset the walk meets
+    # before a flat digit moves is in the set sum, so the first missing one
+    # is coset 8193 of the walk; the descent must find the same vector
+    points = sorted(iter_product((0, 1), repeat=4), key=lambda x: -(x[0] & x[1]))
+    flat = [p for p, x in enumerate(points) if x[0] & x[1]]
+    even = [BinaryVector.from_support(16, [i]) for i in range(16) if i not in flat]
+    even += [BinaryVector.from_support(16, [flat[0], f]) for f in flat[1:]]
+    linear = [bv(tuple(x[i] for x in points)) for i in range(4)]
+    T = CodeTower([Code.from_columns(even), Code.from_columns(linear)])
+    walked = []
+    monkeypatch.setattr(
+        oracles, "d_bar_member", lambda *args: walked.append(1) or d_bar_member(*args)
+    )
+    want = dbar_walk_is_lattice(T)
+    assert want[0] is False and len(walked) == 8193
+    calls = []
+    monkeypatch.setattr(
+        constructions, "d_bar_member", lambda *args: calls.append(1) or d_bar_member(*args)
+    )
+    assert d_bar_is_lattice(T) == want
+    assert len(calls) == 1  # the check of the witness itself

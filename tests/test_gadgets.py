@@ -377,7 +377,7 @@ def test_golay_lp_rejects_out_of_range_p():
 
 
 def test_verify_cstar_collapse():
-    rep = verify_cstar_collapse(trials=20, seed=0)
+    rep = verify_cstar_collapse(seed=0)
     assert rep.passed
     assert len(rep.exact_values["codes"]) == 20
     rep3 = Code(BinaryMatrix.from_columns([bv((1, 1, 1))]))

@@ -204,6 +204,20 @@ def test_code_codewords_match_direct_span():
         assert len(list(C.codewords())) == 1 << C.dimension
 
 
+def test_code_has_prefix_matches_codeword_prefixes():
+    rng = random.Random(17)
+    for _ in range(40):
+        n, k = rng.randrange(1, 9), rng.randrange(0, 5)
+        C = Code(rand_matrix(rng, n, k))
+        words = list(C.codewords())
+        for length in range(n + 1):
+            prefixes = {w.coords()[:length] for w in words}
+            for _ in range(8):
+                probe = rand_vec(rng, n)
+                assert C.has_prefix(probe, length) == (probe.coords()[:length] in prefixes)
+            assert C.has_prefix(words[-1], length)
+
+
 def test_code_equality_ignores_generator_choice():
     C1 = Code(BinaryMatrix.from_columns([bv((1, 1, 0)), bv((0, 1, 1))]))
     C2 = Code(BinaryMatrix.from_columns([bv((1, 0, 1)), bv((0, 1, 1)), bv((1, 1, 0))]))

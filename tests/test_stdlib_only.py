@@ -1,0 +1,26 @@
+"""The package imports nothing outside the Python standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "codelattice"
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "codelattice" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {name}")
+    assert foreign == []
