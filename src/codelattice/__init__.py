@@ -40,6 +40,7 @@ from .gf2core import (
     min_weight_codewords,
     rank,
     schur_product,
+    solve,
 )
 from .zlattice import (
     Determinant,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and verification PASS), 1 verification failure,
 2 parse/usage error, 3 a work cap refused the input (sweep rank > 28,
-coset quotient > 2^20, sign support > 24), 4 construction error,
-5 enumeration budget exhausted, 70 internal error (a bug, not a verdict).
+d-bar witness descent over > 2^20 digits, sign support > 24),
+4 construction error, 5 enumeration budget exhausted, 70 internal error
+(a bug, not a verdict).
 """
 
 from __future__ import annotations

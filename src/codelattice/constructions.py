@@ -66,10 +66,11 @@ __all__ = [
     "d_bar_member",
     "d_bar_span",
     "d_bar_is_lattice",
-    "DBAR_COSET_CAP",
+    "DBAR_DESCENT_CAP",
 ]
 
-DBAR_COSET_CAP = 1 << 20
+# Most digits the witness descent of a non-lattice set sum may test
+DBAR_DESCENT_CAP = 1 << 20
 
 C_STAR_AMBIENT_CAP = 32
 C_STAR_CROSSCHECK_CAP = 8
@@ -330,10 +331,11 @@ def d_bar_is_lattice(T: CodeTower):
     under 2^a Z^n shifts, so the set sum meets exactly 2^(sum_i dim C_i)
     cosets of 2^a Z^n, all inside the span L'.  It is a lattice iff L' has
     no other coset, that is iff |L' / 2^a Z^n| = prod_j 2^a / pivot_j equals
-    that count.  The quotient size is checked against ``DBAR_COSET_CAP``
-    first.  Only when the counts differ is the witness searched for: the
-    first coset in the order of the HNF digit expansion that the set
-    misses (see ``_first_missing_coset``).  Returns ``(True, None)`` or
+    that count, whatever the quotient's size.  Only when the counts differ
+    is the witness searched for: the first coset in the order of the HNF
+    digit expansion that the set misses (see ``_first_missing_coset``).
+    That descent tests at most sum_j 2^a / pivot_j digits, which must not
+    exceed ``DBAR_DESCENT_CAP``.  Returns ``(True, None)`` or
     ``(False, witness)`` with a span vector outside the set.
     """
     n, a = T.n, T.a
@@ -348,10 +350,13 @@ def d_bar_is_lattice(T: CodeTower):
     count = 1
     for r in radii:
         count *= r
-        if count > DBAR_COSET_CAP:
-            raise QuotientTooLarge(f"quotient exceeds {DBAR_COSET_CAP} cosets")
     if count == 1 << sum(level.dimension for level in T.levels):
         return True, None
+    digits = sum(radii)
+    if digits > DBAR_DESCENT_CAP:
+        raise QuotientTooLarge(
+            f"witness descent over {digits} digits exceeds cap {DBAR_DESCENT_CAP}"
+        )
     return False, _first_missing_coset(T, L, radii)
 
 

@@ -73,7 +73,8 @@ class WeightViolation(ToolkitError):
 
 
 class QuotientTooLarge(ToolkitError):
-    """Coset enumeration would exceed the configured cap."""
+    """The witness descent over the digits of a d-bar quotient would exceed
+    its cap (a set sum that is a lattice is decided without one)."""
 
 
 class SupportTooLarge(ToolkitError):

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .constructions import (
     C_STAR_CROSSCHECK_CAP,
@@ -49,6 +49,7 @@ from .gf2core import (
     kernel_basis,
     min_distance,
     min_weight_codewords,
+    solve,
 )
 from .matio import cor23_matrices, cor25_matrices, golay_code
 from .zlattice import (
@@ -85,7 +86,6 @@ __all__ = [
     "verify_dbar_schur",
 ]
 
-MOD4_SWEEP_CAP = 20
 # Largest support the sign search takes: the meet-in-the-middle join then
 # holds at most 2^12 residue tuples of length n per half.
 SIGN_SUPPORT_CAP = 24
@@ -189,8 +189,6 @@ class Thm22Gadget:
     w: BinaryVector
     a: int
     m: int
-    c_list: tuple[BinaryVector, ...] = ()
-    K0: Optional[BinaryMatrix] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -210,9 +208,6 @@ class Thm22Gadget:
     @property
     def n(self) -> int:
         return self.A.n + self.m * self.B.n
-
-    def level_matrix(self) -> BinaryMatrix:
-        return stack_with_replication(self.A, self.B, self.m)
 
 
 @dataclass(frozen=True)
@@ -261,9 +256,10 @@ def _int_image(M: BinaryMatrix, z: Sequence[int]) -> tuple[int, ...]:
 def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
     """The three finite conditions behind the scaled-tower counterexample.
 
-    Item 3 quantifies over all integer vectors congruent to w mod 2; the
-    image mod 4 depends only on the residues mod 2 of the halved offset,
-    so sweeping t in {0,1}^k is exhaustive.
+    Item 3 quantifies over all integer vectors y = w + 2t, t in Z^k, with
+    w lifted to {0,1}^k.  Over Z, B y = B w + 2 B t, so B y vanishes mod 4
+    iff B w is even and B t = (B w / 2) mod 2 over F2: one linear solve
+    decides it, and a solution t gives the witness y.
     """
     t0 = time.perf_counter()
     hyps: list[HypothesisResult] = []
@@ -288,19 +284,13 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
         )
     )
 
-    k = g.k
-    if k > MOD4_SWEEP_CAP:
-        raise ValueError(f"mod-4 sweep over 2^{k} offsets refused (cap {MOD4_SWEEP_CAP})")
-    brows = g.B.to_rows()
     wc = g.w.coords()
-    mod4_ok = True
-    mod4_witness = None
-    for bits in range(1 << k):
-        y = [wc[j] + 2 * ((bits >> j) & 1) for j in range(k)]
-        if all(sum(r[j] * y[j] for j in range(k)) % 4 == 0 for r in brows):
-            mod4_ok = False
-            mod4_witness = {"y": y}
-            break
+    bw = _int_image(g.B, wc)
+    t = None
+    if not any(e & 1 for e in bw):
+        t = solve(g.B, BinaryVector.from_coords([(e >> 1) & 1 for e in bw]))
+    mod4_ok = t is None
+    mod4_witness = None if mod4_ok else {"y": [e + 2 * x for e, x in zip(wc, t.coords())]}
     hyps.append(
         HypothesisResult(
             "mod 4: B-lift image of w-parity vectors never vanishes", mod4_ok, mod4_witness
@@ -309,7 +299,7 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
 
     return VerificationReport(
         theorem="thm22",
-        params={"a": g.a, "m": g.m, "k": k, "seed": g.seed},
+        params={"a": g.a, "m": g.m, "k": g.k, "seed": g.seed},
         hypotheses=hyps,
         exact_values={"Aw_weight": aw, "kernel_dim": len(kb), "n": g.n},
         runtime_ms=_ms(t0),
@@ -351,17 +341,16 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
         )
     )
 
-    kerA = kernel_basis(g.A)
-    if len(kerA) > MOD4_SWEEP_CAP:
-        raise ValueError(f"kernel sweep over 2^{len(kerA)} refused (cap {MOD4_SWEEP_CAP})")
+    # B maps ker(A) onto the code spanned by the images of its basis, so the
+    # lightest nonzero Bx is that code's minimum distance
+    kerA = BinaryMatrix.from_columns(kernel_basis(g.A), n=g.ell)
+    images = BinaryMatrix(g.B.n, [g.B.mul(v).bits for v in kerA.columns()])
+    img_code = Code(images)
     out_witness = None
-    cur = BinaryVector.zero(g.ell)
-    for t in range(1, 1 << len(kerA)):
-        cur = cur + kerA[(t & -t).bit_length() - 1]
-        bx = g.B.mul(cur)
-        if not bx.is_zero() and bx.weight <= dB:
-            out_witness = {"x": cur.coords(), "Bx_weight": bx.weight}
-            break
+    if img_code.dimension and min_distance(img_code) <= dB:
+        bx = min_weight_codewords(img_code)[0]
+        x = kerA.mul(solve(images, bx))
+        out_witness = {"x": x.coords(), "Bx_weight": bx.weight}
     hyps.append(
         HypothesisResult(
             "outside kernel: ||B x||_0 > d(C(B)) on ker(A) minus ker(B)",
@@ -423,7 +412,7 @@ def build_cor23(m: int = 17, seed: int = 0):
     if min_distance(code) != 16:
         raise ArithmeticError("stacked code missed its designed distance (bug)")
     lat = vladut_special_d(K0, [c1], Ka, a=2)
-    gadget = Thm22Gadget(A=A, B=B, w=w, a=2, m=m, c_list=(c1,), K0=K0, seed=seed)
+    gadget = Thm22Gadget(A=A, B=B, w=w, a=2, m=m, seed=seed)
     return gadget, lat, code
 
 

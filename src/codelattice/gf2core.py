@@ -26,6 +26,7 @@ __all__ = [
     "CodeTower",
     "rank",
     "kernel_basis",
+    "solve",
     "min_distance",
     "min_weight_codewords",
     "code_kissing_number",
@@ -296,34 +297,38 @@ def kernel_basis(M: BinaryMatrix) -> list[BinaryVector]:
     free column and 0 at every other free column) and sorted in ascending
     lexicographic order.  Empty list iff M has full column rank.
     """
-    n, k = M.n, M.k
-    rows = M.row_bits()
-    # forward elimination on rows, recording pivot columns
-    pivots: dict[int, int] = {}  # column index -> row bits
-    for r in rows:
-        while r:
-            j = k - 1 - (r.bit_length() - 1)  # leading column index
-            p = pivots.get(j)
-            if p is None:
-                pivots[j] = r
-                break
-            r ^= p
-    # back-substitute to reduced form
-    for j in sorted(pivots):
-        r = pivots[j]
-        for j2 in pivots:
-            if j2 != j and (pivots[j2] >> (k - 1 - j)) & 1:
-                pivots[j2] ^= r
-    free = [j for j in range(k) if j not in pivots]
+    k = M.k
+    # reduced echelon rows of M; bit h is column k-1-h, free unless it leads a row
+    rows = _reduced_echelon(M.row_bits())
+    leads = {r.bit_length() - 1 for r in rows}
     basis = []
-    for f in free:
-        bits = 1 << (k - 1 - f)
-        for j, r in pivots.items():
-            if (r >> (k - 1 - f)) & 1:
-                bits |= 1 << (k - 1 - j)
+    for f in range(k):
+        if f in leads:
+            continue
+        bits = 1 << f
+        for r in rows:
+            if (r >> f) & 1:
+                bits |= 1 << (r.bit_length() - 1)
         basis.append(BinaryVector(k, bits))
     basis.sort(key=lambda v: v.bits)
     return basis
+
+
+def solve(M: BinaryMatrix, y: BinaryVector) -> Optional[BinaryVector]:
+    """Some x with Mx = y over F2, or None when y is not in the column span.
+
+    Each column is tagged with its own unit vector below it, c << k | e_j,
+    so eliminating the tagged columns records which columns sum to each
+    pivot; reducing y << k then leaves M x + y above bit k and x below.
+    """
+    if y.n != M.n:
+        raise ShapeMismatch(f"vector length {y.n} != row count {M.n}")
+    k = M.k
+    pivots = _echelon(c << k | 1 << (k - 1 - j) for j, c in enumerate(M.cols))
+    r = _reduce(y.bits << k, pivots)
+    if r >> k:
+        return None
+    return BinaryVector(k, r)
 
 
 def complete_to_full_rank(M: BinaryMatrix, seed: int = 0) -> BinaryMatrix:
@@ -390,14 +395,7 @@ class Code:
         """Whether some codeword agrees with v on coordinates 0..length-1."""
         if v.n != self.n:
             raise LengthMismatch(f"{v.n} != {self.n}")
-        shift = self.n - length
-        bits = v.bits >> shift
-        while bits:  # reduce the prefix against the pivots that lead inside it
-            p = self._pivots.get(bits.bit_length() - 1 + shift)
-            if p is None:
-                return False
-            bits ^= p >> shift
-        return True
+        return _reduce(v.bits, self._pivots).bit_length() <= self.n - length
 
     def codewords(self) -> Iterator[BinaryVector]:
         """All 2^k codewords via a Gray-code walk (zero word first)."""

@@ -7,7 +7,8 @@ their stored bases are identical tuples.  One integral Gram-Schmidt (the
 integers d_i and lambda_ij of Cohen Alg. 2.6.7) drives both the
 fraction-free LLL and the enumeration that follows it: shortest vectors
 come from one plain Fincke-Pohst depth-first walk on those integers, with
-no pruning heuristics and an explicit node budget.  ``Fraction`` appears
+no pruning heuristics and an explicit node budget.  Its last d is det Gram,
+which gives the determinant of a lattice of lower rank.  ``Fraction`` appears
 only for the LLL parameter delta and the exact l_p comparisons; floating
 point appears nowhere.
 """
@@ -222,31 +223,13 @@ class Determinant:
         return f"sqrt({self.value})" if self.squared else str(self.value)
 
 
-def _int_det(M: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in M]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i]:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
-
-
 def determinant(L: Lattice) -> Determinant:
-    """det(L), exact.  Product of HNF pivots when L has full rank."""
+    """det(L), exact.
+
+    Product of HNF pivots when L has full rank.  Otherwise det(Gram) is the
+    last d of the integral Gram-Schmidt (the HNF columns are independent,
+    so its divisions are exact), and det(L) is its square root.
+    """
     if L.rank == 0:
         raise ZeroRank("determinant of a rank-0 lattice")
     if L.rank == L.n:
@@ -254,8 +237,7 @@ def determinant(L: Lattice) -> Determinant:
         for j, r in enumerate(L.pivots):
             d *= L.basis[j][r]
         return Determinant(d, squared=False)
-    g = [list(row) for row in L.gram()]
-    dg = _int_det(g)
+    dg = _integral_gso(L.gram())[1][-1]
     s = isqrt(dg)
     if s * s == dg:
         return Determinant(s, squared=False)

@@ -3,18 +3,24 @@
 Everything here works from first principles on plain integer column lists:
 Gaussian elimination over Fraction, pseudo-inverse coefficient bounds, and
 box enumeration.  Deliberately no reuse of the package's HNF or GSO code,
-except in the d-bar references at the end: they are the package's former
-all-codeword span and exhaustive coset walk, kept as they were so that the
-monomial span and the counting decision have an independent path to match.
+except in the references at the end: they are the package's former d-bar
+all-codeword span and exhaustive coset walk, and its former 2^k sweeps of
+the Thm 2.2 and Thm 2.4 gadget hypotheses, kept as they were so that the
+monomial span, the counting decision and the F2 solves that replaced them
+have an independent path to match.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from codelattice.constructions import DBAR_COSET_CAP, d_bar_member
+from codelattice.constructions import d_bar_member
 from codelattice.errors import QuotientTooLarge
+from codelattice.gf2core import BinaryVector
 from codelattice.zlattice import Lattice
+
+# Most cosets the exhaustive d-bar walk below visits
+WALK_COSET_CAP = 1 << 20
 
 
 def frac_solve(A, rhs):
@@ -260,8 +266,8 @@ def dbar_walk_is_lattice(T):
     count = 1
     for r in radii:
         count *= r
-        if count > DBAR_COSET_CAP:
-            raise QuotientTooLarge(f"quotient exceeds {DBAR_COSET_CAP} cosets")
+        if count > WALK_COSET_CAP:
+            raise QuotientTooLarge(f"quotient exceeds {WALK_COSET_CAP} cosets")
     for digits in product(*[range(r) for r in radii]):
         rep = [0] * n
         for j, x in enumerate(digits):
@@ -273,3 +279,40 @@ def dbar_walk_is_lattice(T):
         if d_bar_member(T, rep) is False:
             return False, tuple(rep)
     return True, None
+
+
+def thm22_mod4_sweep(g):
+    """Item 3 of the Thm 2.2 hypotheses by sweeping every offset t in {0,1}^k.
+
+    Returns ``(ok, witness)``: the first y = w + 2t, in the order of t's
+    bits, whose B-lift vanishes mod 4.
+    """
+    k = g.k
+    brows = g.B.to_rows()
+    wc = g.w.coords()
+    mod4_ok = True
+    mod4_witness = None
+    for bits in range(1 << k):
+        y = [wc[j] + 2 * ((bits >> j) & 1) for j in range(k)]
+        if all(sum(r[j] * y[j] for j in range(k)) % 4 == 0 for r in brows):
+            mod4_ok = False
+            mod4_witness = {"y": y}
+            break
+    return mod4_ok, mod4_witness
+
+
+def thm24_kernel_walk(g, kerA, dB):
+    """The Thm 2.4 "outside kernel" hypothesis by a Gray walk over ker(A).
+
+    ``kerA`` is a basis of ker(A) and ``dB`` the distance of C(B).  Returns
+    ``(ok, witness)``: the first x of the walk with 0 < wt(Bx) <= dB.
+    """
+    out_witness = None
+    cur = BinaryVector.zero(g.ell)
+    for t in range(1, 1 << len(kerA)):
+        cur = cur + kerA[(t & -t).bit_length() - 1]
+        bx = g.B.mul(cur)
+        if not bx.is_zero() and bx.weight <= dB:
+            out_witness = {"x": cur.coords(), "Bx_weight": bx.weight}
+            break
+    return out_witness is None, out_witness

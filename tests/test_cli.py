@@ -68,12 +68,19 @@ def test_exit_3_on_oversized_sweep(capsys, tmp_path):
     write_f2_matrix(p, BinaryMatrix.identity(29))
     code, _, err = run(capsys, ["code-info", p])
     assert code == 3 and "error:" in err
-    # seven levels of F2^3: the d-bar coset quotient is 2^21 > 2^20
+    # seven levels of F2^3: a quotient of 2^21 cosets, decided by the count alone
     write_f2_matrix(str(tmp_path / "f3.txt"), BinaryMatrix.identity(3))
     man = tmp_path / "tower7.txt"
     man.write_text("tower 3 7\n" + "f3.txt\n" * 7)
     code, _, err = run(capsys, ["construct", str(man), "--construction", "d-bar"])
-    assert code == 3 and "cosets" in err
+    assert code == 0 and "# is_lattice: True" in err
+    # 21 levels of the even [3, 2] code, not closed under products: the
+    # witness descent would test 2^21 + 2^21 + 2^20 digits > 2^20
+    write_f2_matrix(str(tmp_path / "even3.txt"), BinaryMatrix.from_rows([[1, 1], [1, 0], [0, 1]]))
+    man = tmp_path / "tower21.txt"
+    man.write_text("tower 3 21\n" + "even3.txt\n" * 21)
+    code, _, err = run(capsys, ["construct", str(man), "--construction", "d-bar"])
+    assert code == 3 and "5242880 digits" in err
 
 
 def test_exit_70_on_internal_error(capsys, monkeypatch):

@@ -287,9 +287,33 @@ def test_d_bar_is_lattice_nonclosed_tower():
 
 
 def test_d_bar_is_lattice_coset_cap(monkeypatch):
-    monkeypatch.setattr(constructions, "DBAR_COSET_CAP", 2)
+    # the cap bounds the witness descent only: a closed tower is decided
+    # by the count whatever the cap, a non-closed one is refused above it
+    monkeypatch.setattr(constructions, "DBAR_DESCENT_CAP", 2)
     with pytest.raises(QuotientTooLarge):
         d_bar_is_lattice(nonclosed_tower())
+    full = Code(BinaryMatrix.identity(2))
+    assert d_bar_is_lattice(CodeTower([full, full])) == (True, None)
+
+
+def test_d_bar_large_quotient_closed_tower_needs_no_walk():
+    # one level F2^21: 2^21 cosets of 2 Z^21, every one of them in the set
+    T = CodeTower([Code(BinaryMatrix.identity(21))])
+    assert d_bar_is_lattice(T) == (True, None)
+
+
+def test_d_bar_reed_muller_3_over_2_witness():
+    # RM(3,4) > RM(2,4), 2^27 cosets in the span: x0x1 * x2x3 = x0x1x2x3 is
+    # not in RM(3,4), so the tower is not closed and the descent must name
+    # a coset the set misses
+    points = list(iter_product((0, 1), repeat=4))
+    monomials = [m for r in range(4) for m in combinations(range(4), r)]
+    evals = [bv(tuple(int(all(x[i] for i in m)) for x in points)) for m in monomials]
+    T = CodeTower([Code.from_columns(evals), Code.from_columns(evals[:11])])
+    ok, wit = d_bar_is_lattice(T)
+    assert not ok and not is_schur_closed_tower(T)[0]
+    assert d_bar_span(T).contains(wit)
+    assert d_bar_member(T, wit) is False
 
 
 def random_tower(rng, n, a):

@@ -37,11 +37,14 @@ from codelattice.gf2core import (
     BinaryVector,
     Code,
     CodeTower,
+    kernel_basis,
     min_distance,
     min_weight_codewords,
 )
 from codelattice.matio import cor23_matrices, cor25_matrices
 from codelattice.zlattice import Lattice, adjugate_solve, vectors_up_to
+
+from oracles import thm22_mod4_sweep, thm24_kernel_walk
 
 bv = BinaryVector.from_coords
 
@@ -108,7 +111,7 @@ def test_thm22_negative_control_wrong_w():
 
 
 def test_thm22_mod4_sweep_covers_all_integer_offsets():
-    # the {0,1}^k sweep stands in for all of Z^k: spot-check random offsets
+    # the verdict on item 3 holds for every offset in Z^k: spot-check random ones
     g, _, _ = build_cor23()
     brows = g.B.to_rows()
     wc = g.w.coords()
@@ -118,6 +121,54 @@ def test_thm22_mod4_sweep_covers_all_integer_offsets():
         y = [wc[j] + 2 * t[j] for j in range(g.k)]
         imgs = [sum(r[j] * y[j] for j in range(g.k)) for r in brows]
         assert any(e % 4 != 0 for e in imgs)
+
+
+def rand_f2_matrix(rng, n, k, density):
+    return BinaryMatrix.from_rows(
+        [[int(rng.random() < density) for _ in range(k)] for _ in range(n)]
+    )
+
+
+def test_thm22_mod4_solve_matches_offset_sweep():
+    # sparse B makes B w even often, so both verdicts occur in numbers
+    rng = random.Random(2022)
+    verdicts = []
+    for _ in range(2000):
+        k = rng.randint(1, 7)
+        B = rand_f2_matrix(rng, rng.randint(1, 6), k, rng.choice((0.2, 0.4, 0.6)))
+        w = BinaryVector(k, rng.getrandbits(k))
+        g = Thm22Gadget(A=rand_f2_matrix(rng, 3, k, 0.5), B=B, w=w, a=2, m=17)
+        h = check_thm22_hypotheses(g).hypotheses[2]
+        assert h.ok == thm22_mod4_sweep(g)[0]
+        verdicts.append(h.ok)
+        if not h.ok:
+            y = h.witness["y"]
+            assert [e & 1 for e in y] == list(w.coords())
+            assert all(sum(r[j] * y[j] for j in range(k)) % 4 == 0 for r in B.to_rows())
+    assert 200 < verdicts.count(False) < 1800
+
+
+def test_thm24_outside_kernel_matches_kernel_walk():
+    rng = random.Random(2024)
+    verdicts = []
+    while len(verdicts) < 2000:
+        ell = rng.randint(1, 7)
+        A = rand_f2_matrix(rng, rng.randint(1, 5), ell, rng.choice((0.2, 0.5)))
+        B = rand_f2_matrix(rng, rng.randint(1, 6), ell, rng.choice((0.3, 0.5)))
+        if not any(A.cols) or not any(B.cols):
+            continue  # the zero code has no distance
+        g = Thm24Gadget(A=A, B=B, z=(1,) * ell, m=1)
+        rep = check_thm24_hypotheses(g)
+        h = rep.hypotheses[2]
+        dB = rep.exact_values["d_CB"]
+        assert h.ok == thm24_kernel_walk(g, kernel_basis(A), dB)[0]
+        verdicts.append(h.ok)
+        if not h.ok:
+            x = BinaryVector.from_coords(h.witness["x"])
+            bx = B.mul(x)
+            assert A.mul(x).is_zero() and not bx.is_zero()
+            assert bx.weight == h.witness["Bx_weight"] <= dB
+    assert 200 < verdicts.count(False) < 1800
 
 
 def test_build_cor23_instance_shape():

@@ -23,6 +23,7 @@ from codelattice.gf2core import (
     min_weight_codewords,
     rank,
     schur_product,
+    solve,
 )
 
 bv = BinaryVector.from_coords
@@ -161,6 +162,23 @@ def test_kernel_basis_sorted_and_reduced():
     M = BinaryMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
     ker = kernel_basis(M)
     assert [v.coords() for v in ker] == [(0, 0, 1, 1), (1, 1, 0, 0)]
+
+
+def test_solve_matches_brute_force():
+    rng = random.Random(27)
+    for _ in range(300):
+        n, k = rng.randrange(0, 6), rng.randrange(0, 6)
+        M = rand_matrix(rng, n, k)
+        images = {M.mul(BinaryVector(k, b)) for b in range(1 << k)}
+        for _ in range(4):
+            y = rand_vec(rng, n) if rng.random() < 0.5 else rng.choice(sorted(images))
+            x = solve(M, y)
+            if y in images:
+                assert x is not None and M.mul(x) == y
+            else:
+                assert x is None
+    with pytest.raises(ShapeMismatch):
+        solve(BinaryMatrix.identity(3), bv((1, 0)))
 
 
 def test_complete_to_full_rank():

@@ -119,6 +119,23 @@ def test_determinant_full_rank_matches_elimination():
         assert d.value == abs(frac_det(A))
 
 
+def test_determinant_lower_rank_matches_gram_elimination():
+    # det(L)^2 = det(Gram); small entries make perfect squares common enough
+    # that both the exact and the sqrt form occur many times
+    rng = random.Random(24)
+    forms = []
+    for _ in range(400):
+        n = rng.randrange(2, 7)
+        L, _ = rand_lattice(rng, n=n, k=rng.randrange(1, n), lo=-2, hi=2)
+        if L.rank in (0, n):
+            continue
+        d = determinant(L)
+        dg = frac_det([list(row) for row in L.gram()])
+        assert (d.value if d.squared else d.value * d.value) == dg
+        forms.append(d.squared)
+    assert forms.count(True) > 50 and forms.count(False) > 50
+
+
 def test_determinant_lower_rank():
     L = Lattice.from_generators(2, [(1, 1)])
     d = determinant(L)
