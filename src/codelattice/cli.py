@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from time import perf_counter
 from typing import Optional
 
 from .constructions import (
@@ -301,6 +302,7 @@ def _report_text(d: dict) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t = args.theorem
+    t0 = perf_counter()
     if t == "thm22":
         g, _, _ = build_cor23(args.m if args.m is not None else 17, args.seed)
         rep = check_thm22_hypotheses(g)
@@ -321,8 +323,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         T = load_code_tower(args.tower) if args.tower else None
         rep = verify_dbar_schur(T)
     else:  # golay-lp
-        rep = golay_lp_check(args.p, budget=args.budget)
-    d = rep.to_dict(include_timing=not args.no_timing)
+        rep = golay_lp_check(args.p)
+    ms = (perf_counter() - t0) * 1000.0
+    d = rep.to_dict()
+    if not args.no_timing:
+        d["runtime_ms"] = round(ms, 3)
     fmt = args.fmt or "json"
     if fmt == "json":
         _emit(_dump_json(d), args.out)
@@ -358,7 +363,7 @@ def main(argv=None) -> int:
     except HypothesesFail as e:
         print(f"error: {e}", file=sys.stderr)
         if e.report is not None:
-            print(_dump_json(e.report.to_dict(include_timing=False)), file=sys.stderr)
+            print(_dump_json(e.report.to_dict()), file=sys.stderr)
         return 1
     except (ToolkitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -160,17 +160,16 @@ def construction_d(inp: DTowerInput, strict: bool = True) -> Lattice:
     """Lattice generated by the scaled embedded blocks 2^(a-i) bar K_i.
 
     Strict mode validates the tower: the concatenated blocks must be a
-    basis of F2^n, each suffix block stack must have independent columns,
-    and d(C_i) >= 4^i for i >= 1.  Non-strict only checks shapes, which the
-    special instances below need (they may violate the distance bounds).
+    basis of F2^n (so every suffix block stack has independent columns),
+    no level C_i may be zero, and d(C_i) >= 4^i for i >= 1.  Non-strict
+    only checks shapes, which the special instances below need (they may
+    violate the distance bounds).
     """
     n, a = inp.n, inp.a
     if strict:
-        widths = [M.k for M in inp.matrices]
-        if sum(widths) != n:
-            raise TowerViolation(
-                f"blocks supply {sum(widths)} columns for ambient dimension {n}"
-            )
+        supplied = sum(M.k for M in inp.matrices)
+        if supplied != n:
+            raise TowerViolation(f"blocks supply {supplied} columns for ambient dimension {n}")
         full = inp.matrices[0]
         for M in inp.matrices[1:]:
             full = full.hstack(M)
@@ -178,8 +177,6 @@ def construction_d(inp: DTowerInput, strict: bool = True) -> Lattice:
             raise TowerViolation("concatenated blocks do not span F2^n")
         for i in range(1, a + 1):
             Ci = inp.level_code(i)
-            if Ci.dimension != sum(widths[i:]):
-                raise TowerViolation(f"columns of (K_{i} .. K_{a}) are dependent")
             if Ci.dimension == 0:
                 raise TowerViolation(f"level {i} is the zero code")
             if min_distance(Ci) < 4**i:

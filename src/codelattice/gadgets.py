@@ -15,7 +15,6 @@ tokens for the individual verification targets.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -57,7 +56,6 @@ from .zlattice import (
     IntVec,
     Lattice,
     adjugate_solve,
-    iroot,
     lp_norm,
     lp_power_sum_cmp,
     scale,
@@ -132,7 +130,6 @@ class VerificationReport:
     hypotheses: list[HypothesisResult] = field(default_factory=list)
     conclusions: list[ConclusionResult] = field(default_factory=list)
     exact_values: dict = field(default_factory=dict)
-    runtime_ms: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -140,7 +137,7 @@ class VerificationReport:
             c.ok for c in self.conclusions
         )
 
-    def to_dict(self, include_timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "theorem": self.theorem,
             "params": _plain(self.params),
@@ -158,13 +155,7 @@ class VerificationReport:
             if c.certificate is not None:
                 item["certificate"] = _plain(c.certificate)
             d["conclusions"].append(item)
-        if include_timing and self.runtime_ms is not None:
-            d["runtime_ms"] = self.runtime_ms
         return d
-
-
-def _ms(t0: float) -> float:
-    return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +252,6 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
     iff B w is even and B t = (B w / 2) mod 2 over F2: one linear solve
     decides it, and a solution t gives the witness y.
     """
-    t0 = time.perf_counter()
     hyps: list[HypothesisResult] = []
     need = 4**g.a
 
@@ -302,27 +292,24 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
         params={"a": g.a, "m": g.m, "k": g.k, "seed": g.seed},
         hypotheses=hyps,
         exact_values={"Aw_weight": aw, "kernel_dim": len(kb), "n": g.n},
-        runtime_ms=_ms(t0),
     )
 
 
 def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     """The four finite conditions behind the short-span counterexample."""
-    t0 = time.perf_counter()
     hyps: list[HypothesisResult] = []
 
     dA = min_distance(Code(g.A))
     dB = min_distance(Code(g.B))
-    bad = None
-    for j, col in enumerate(g.A.columns()):
-        if col.weight != dA:
-            bad = {"matrix": "A", "column": j, "weight": col.weight, "distance": dA}
-            break
-    if bad is None:
-        for j, col in enumerate(g.B.columns()):
-            if col.weight != dB:
-                bad = {"matrix": "B", "column": j, "weight": col.weight, "distance": dB}
-                break
+    bad = next(
+        (
+            {"matrix": name, "column": j, "weight": col.weight, "distance": dist}
+            for name, M, dist in (("A", g.A, dA), ("B", g.B, dB))
+            for j, col in enumerate(M.columns())
+            if col.weight != dist
+        ),
+        None,
+    )
     hyps.append(
         HypothesisResult(
             "columns: every generator column has minimum block weight", bad is None, bad
@@ -380,7 +367,6 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
             "A_image_of_z": list(a_img),
             "A_image_l2sq": sum(e * e for e in a_img),
         },
-        runtime_ms=_ms(t0),
     )
 
 
@@ -555,7 +541,6 @@ def verify_cor23(
     full_enum additionally enumerates every lattice vector of squared norm
     <= 16; running out of budget there is recorded, not a failure.
     """
-    t0 = time.perf_counter()
     g, lat, code = build_cor23(m, seed)
     hyp_report = check_thm22_hypotheses(g)
 
@@ -617,7 +602,6 @@ def verify_cor23(
         hypotheses=hyp_report.hypotheses,
         conclusions=conclusions,
         exact_values=exact,
-        runtime_ms=_ms(t0),
     )
 
 
@@ -648,7 +632,6 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     sum is strictly below the distance.  For p = 2 the exact lambda_1^2 is
     computed by enumeration as well.
     """
-    t0 = time.perf_counter()
     p = Fraction(p)
     hyp_report = check_thm24_hypotheses(g)
     if not hyp_report.passed:
@@ -726,7 +709,6 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
         hypotheses=hyp_report.hypotheses,
         conclusions=conclusions,
         exact_values=exact,
-        runtime_ms=_ms(t0),
     )
 
 
@@ -749,26 +731,16 @@ def verify_cor25(m: int = 4, p=2) -> VerificationReport:
     return rep
 
 
-def _strict_radius_sq(p: Fraction) -> int:
-    """Largest integer strictly below 8^(2/p) = 2^(6/p)."""
-    u, v = p.numerator, p.denominator
-    e = 6 * v
-    if e % u == 0:
-        return (1 << (e // u)) - 1
-    return iroot(1 << e, u)
-
-
-def golay_lp_check(p, budget: int = DEFAULT_BUDGET) -> VerificationReport:
+def golay_lp_check(p) -> VerificationReport:
     """Search the span of the extended Golay octad embeddings for a member
     whose p-power sum is strictly below the code distance 8.
 
-    Probes the pair vectors 2(e_i - e_j) first; if none is a member, falls
-    back to exact ball enumeration (l2 radius derived from the p bound,
-    sound since the l2 norm never exceeds the lp norm for p <= 2) and
-    reports inconclusive when the completed ball holds no witness.  At
-    p = 2 there is nothing to show and the report says so.
+    Probes the pair vectors 2(e_i - e_j) and takes the first member as the
+    witness: its p-power sum 2 * 2^p is below 8 for every p < 2.  The
+    bundled lattice holds all 276 of them, so a missing witness can only
+    mean a broken lattice and the report then says FAIL.  At p = 2 there
+    is nothing to show and the report says so.
     """
-    t0 = time.perf_counter()
     p = Fraction(p)
     if not 1 <= p <= 2:
         raise ValueError("p must lie in [1, 2]")
@@ -780,78 +752,50 @@ def golay_lp_check(p, budget: int = DEFAULT_BUDGET) -> VerificationReport:
         HypothesisResult("code kissing number is exactly 759", k0 == 759, {"observed": k0}),
     ]
     exact: dict = {"d": d, "kappa0": k0, "p": p}
-    params = {"p": p}
 
     if p == 2:
-        return VerificationReport(
-            theorem="golay-lp",
-            params=params,
-            hypotheses=hyps,
-            conclusions=[
-                ConclusionResult(
-                    "no strict witness is required at p = 2 (distance is attainable)",
-                    True,
-                )
-            ],
-            exact_values=exact,
-            runtime_ms=_ms(t0),
+        conclusion = ConclusionResult(
+            "no strict witness is required at p = 2 (distance is attainable)", True
         )
-
-    L = simplified_d(G)
-    n = L.n
-    witness = None
-    found = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = tuple(2 if t == i else (-2 if t == j else 0) for t in range(n))
-            if L.contains(v):
-                found += 1
-                if witness is None:
-                    witness = v
-    exact["pair_members_found"] = found
-    exact["pairs_probed"] = n * (n - 1) // 2
-
-    if witness is None:
-        radius = _strict_radius_sq(p)
-        exact["fallback_radius_sq"] = radius
-        ball = vectors_up_to(L, radius, budget)
-        for v in ball:
-            if any(v) and lp_power_sum_cmp(v, p, 8) < 0:
-                witness = v
-                break
-        if witness is None:
-            exact["status"] = "inconclusive: completed search found no witness"
-
-    ok = witness is not None
-    cert = None
-    if ok:
-        below = lp_power_sum_cmp(witness, p, 8) < 0
-        ok = ok and below and L.contains(witness)
-        cert = {
-            "vector": list(witness),
-            "l1": lp_norm(witness, 1),
-            "l2sq": sum(e * e for e in witness),
-        }
-        exact["witness_l1"] = lp_norm(witness, 1)
-    conclusions = [
-        ConclusionResult(
+    else:
+        L = simplified_d(G)
+        n = L.n
+        witness = None
+        found = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = tuple(2 if t == i else (-2 if t == j else 0) for t in range(n))
+                if L.contains(v):
+                    found += 1
+                    if witness is None:
+                        witness = v
+        exact["pair_members_found"] = found
+        exact["pairs_probed"] = n * (n - 1) // 2
+        ok = witness is not None
+        cert = None
+        if ok:
+            ok = lp_power_sum_cmp(witness, p, 8) < 0
+            cert = {
+                "vector": list(witness),
+                "l1": lp_norm(witness, 1),
+                "l2sq": sum(e * e for e in witness),
+            }
+            exact["witness_l1"] = lp_norm(witness, 1)
+        conclusion = ConclusionResult(
             "a nonzero member has p-power sum strictly below 8", ok, cert
         )
-    ]
     return VerificationReport(
         theorem="golay-lp",
-        params=params,
+        params={"p": p},
         hypotheses=hyps,
-        conclusions=conclusions,
+        conclusions=[conclusion],
         exact_values=exact,
-        runtime_ms=_ms(t0),
     )
 
 
 def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> VerificationReport:
     """Check that the nested-intersection construction equals the scaled
     mod-2 lattice, either on one given code or on seeded random codes."""
-    t0 = time.perf_counter()
     if C is not None:
         codes = [C]
     else:
@@ -899,7 +843,6 @@ def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> Verificati
         params={"trials": len(codes), "seed": seed, "max_n": C_STAR_CROSSCHECK_CAP},
         conclusions=conclusions,
         exact_values={"codes": per_code},
-        runtime_ms=_ms(t0),
     )
 
 
@@ -907,7 +850,6 @@ def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
     """Check agreement between the generator-pair closure test and the
     coset-count lattice decision on a tower (default: the bundled
     non-closed tower, whose span holds a vector the set sum misses)."""
-    t0 = time.perf_counter()
     if T is None:
         from .matio import nonclosed_tower
 
@@ -935,5 +877,4 @@ def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
         params={"n": T.n, "a": T.a},
         conclusions=conclusions,
         exact_values={"schur_closed": closed, "is_lattice": is_lat},
-        runtime_ms=_ms(t0),
     )

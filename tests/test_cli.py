@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from codelattice import cli
 from codelattice.cli import main
-from codelattice.gf2core import BinaryMatrix
+from codelattice.gf2core import BinaryMatrix, BinaryVector
 from codelattice.matio import data_path, read_matrix, write_f2_matrix, write_z_matrix
 from codelattice.zlattice import Lattice
 
@@ -81,6 +82,18 @@ def test_exit_3_on_oversized_sweep(capsys, tmp_path):
     man.write_text("tower 3 21\n" + "even3.txt\n" * 21)
     code, _, err = run(capsys, ["construct", str(man), "--construction", "d-bar"])
     assert code == 3 and "5242880 digits" in err
+    # one level, the even [30, 29] code: the span's generators stop at the sweep cap
+    even30 = [BinaryVector.from_support(30, (0, i)) for i in range(1, 30)]
+    write_f2_matrix(str(tmp_path / "even30.txt"), BinaryMatrix.from_columns(even30, 30))
+    man = tmp_path / "tower_even30.txt"
+    man.write_text("tower 30 1\neven30.txt\n")
+    for argv in (
+        ["construct", str(man), "--construction", "d-bar"],
+        ["verify", "dbar-schur", "--tower", str(man)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == "error: rank 29 > sweep cap 28\n"
 
 
 def test_exit_70_on_internal_error(capsys, monkeypatch):
@@ -274,6 +287,26 @@ def test_verify_text_format(capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith("verdict: PASS")
     assert "[pass] code parameters are exactly [18, 3, 9]" in out
+
+
+@pytest.mark.parametrize("target", cli.THEOREMS)
+def test_verify_runtime_is_timed_by_the_cli(capsys, target):
+    # the command line times the whole target and appends runtime_ms as the
+    # last key; --no-timing drops it and leaves the rest of the report alone
+    code, out, _ = run(capsys, ["verify", target, "--format", "json"])
+    assert code == 0
+    timed = json.loads(out)
+    assert list(timed)[-1] == "runtime_ms"
+    ms = timed.pop("runtime_ms")
+    assert isinstance(ms, float) and ms >= 0
+    code, out, _ = run(capsys, ["verify", target, "--format", "json", "--no-timing"])
+    assert code == 0 and json.loads(out) == timed
+    code, out, _ = run(capsys, ["verify", target, "--format", "text"])
+    assert code == 0
+    assert re.fullmatch(r"verdict: PASS \(\d+\.\d+ ms\)", out.splitlines()[-1])
+    code, out, _ = run(capsys, ["verify", target, "--format", "text", "--no-timing"])
+    assert code == 0 and out.splitlines()[-1] == "verdict: PASS"
+    assert " ms)" not in out
 
 
 def test_verify_dbar_schur_with_tower_flag(capsys):

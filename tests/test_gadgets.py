@@ -285,6 +285,43 @@ def test_ternary_sign_search_partial_hits_match_brute_force():
     assert wide > 0
 
 
+def test_ternary_sign_search_lower_rank_matches_brute_force():
+    # rank < n lattices spanned by up to three signed embedded codewords of
+    # C, where no adjugate exists and each pattern is tested for membership;
+    # every ternary vector of squared norm <= bound^2 is tested directly
+    rng = random.Random(67)
+    cases, partial = 0, 0
+    while cases < 30:
+        n = rng.randrange(3, 9)
+        cols = [BinaryVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, n))]
+        C = Code(BinaryMatrix.from_columns(cols, n=n))
+        words = [c for c in C.codewords() if not c.is_zero()]
+        if not words:
+            continue
+        picks = rng.sample(words, rng.randrange(1, min(len(words), 3) + 1))
+        L = Lattice.from_generators(
+            n, [tuple(rng.choice((-1, 1)) * e for e in c.coords()) for c in picks]
+        )
+        if L.rank == n:
+            continue
+        cases += 1
+        for bound in (2, 3):
+            found = ternary_sign_search(L, C, bound)
+            brute = sorted(
+                (
+                    v
+                    for v in itertools.product((-1, 0, 1), repeat=n)
+                    if 0 < sum(e * e for e in v) <= bound * bound and L.contains(v)
+                ),
+                key=lambda v: (sum(e * e for e in v), v),
+            )
+            assert found == brute
+        for c in words:
+            on = [v for v in found if [int(e != 0) for e in v] == list(c.coords())]
+            partial += 0 < len(on) < 1 << c.weight
+    assert partial > 0
+
+
 def test_sign_search_at_the_support_cap():
     # L = Z(1, ..., 1) + 4Z^24 over the length-24 repetition code: the only
     # ternary members are +-(1, ..., 1); a walk over all 2^24 patterns of
@@ -318,6 +355,13 @@ def test_thm24_negative_controls():
     B2 = BinaryMatrix.from_rows([[1, 1]])
     rep = check_thm24_hypotheses(Thm24Gadget(A=A2, B=B2, z=(1, -1), m=1))
     assert not rep.hypotheses[1].ok
+    # column weights: the first heavy column is reported, A's before B's
+    tri = BinaryMatrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # weights 1, 2, 3; d = 1
+    for A3, matrix in ((tri, "A"), (BinaryMatrix.identity(3), "B")):
+        rep = check_thm24_hypotheses(Thm24Gadget(A=A3, B=tri, z=(1, 0, 0), m=1))
+        assert rep.hypotheses[0].witness == {
+            "matrix": matrix, "column": 1, "weight": 2, "distance": 1
+        }
 
 
 def test_min_m_per_exponent():
@@ -463,7 +507,6 @@ def test_report_serialization():
         "hypotheses",
         "conclusions",
         "exact_values",
-        "runtime_ms",
     }
     for h in d["hypotheses"]:
         assert set(h) <= {"name", "pass", "witness"}
@@ -471,11 +514,10 @@ def test_report_serialization():
     for c in d["conclusions"]:
         assert set(c) <= {"claim", "pass", "certificate"}
     assert d["exact_values"]["p"] == "2"  # Fractions serialize as strings
-    bare = rep.to_dict(include_timing=False)
-    assert "runtime_ms" not in bare
+    assert "runtime_ms" not in d  # the command line times a report, the library does not
     import json
 
-    json.dumps(bare)  # everything JSON-safe
+    json.dumps(d)  # everything JSON-safe
 
     rep32 = verify_thm24(build_cor25(3), p=Fraction(3, 2))
     assert rep32.to_dict()["exact_values"]["p"] == "3/2"
