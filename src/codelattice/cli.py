@@ -1,10 +1,11 @@
 """Command-line surface: matrix I/O, constructions, analysis, verification.
 
 Exit codes: 0 success (and verification PASS), 1 verification failure,
-2 parse/usage error, 3 a work cap refused the input (sweep rank > 28,
-d-bar witness descent over > 2^20 digits, sign support > 24),
-4 construction error, 5 enumeration budget exhausted, 70 internal error
-(a bug, not a verdict).
+2 parse/usage error (a bad file or flag value, a flag the verify target does
+not read, an ``--out`` that cannot be written), 3 a work cap refused the
+input (sweep rank > 28, d-bar witness descent over > 2^20 digits, sign
+support > 24), 4 construction error, 5 enumeration budget exhausted,
+70 internal error (a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -55,24 +56,55 @@ from .matio import (
 )
 from .zlattice import DEFAULT_BUDGET, DEFAULT_DELTA, Lattice, determinant, shortest_vectors
 
-THEOREMS = (
-    "thm22",
-    "cor23",
-    "thm24",
-    "cor25",
-    "cstar-collapse",
-    "dbar-schur",
-    "golay-lp",
-)
 CONSTRUCTIONS = ("a", "d", "d-special", "simplified-d", "c-star", "d-bar")
 TEXT_VECTOR_CAP = 1000
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from e
+def _checked(parse, ok, need: str, default) -> dict:
+    """argparse keywords for a flag whose text is parsed, then refused unless ``ok``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
+
+    return dict(type=convert, default=default)
+
+
+_M17 = ("--m", _checked(int, lambda m: m >= 17, "an integer >= 17", 17))
+_M4 = ("--m", _checked(int, lambda m: m >= 1, "a positive integer", 4))
+_P = ("--p", _checked(Fraction, lambda p: p >= 1, "a rational >= 1", Fraction(2)))
+_P_GOLAY = ("--p", _checked(Fraction, lambda p: 1 <= p <= 2, "a rational in [1, 2]", Fraction(2)))
+_SEED = ("--seed", dict(type=int, default=0))
+_FULL_ENUM = ("--full-enum", dict(action="store_true"))
+_BUDGET = ("--budget", _checked(int, lambda b: b >= 1, "a positive integer", DEFAULT_BUDGET))
+_DELTA = (
+    "--delta",
+    _checked(Fraction, lambda q: Fraction(1, 4) < q < 1, "a rational in (1/4, 1)", DEFAULT_DELTA),
+)
+_TOWER = ("--tower", dict(help="tower manifest (default: bundled)"))
+
+# verify target -> (the flags it reads, run); each run looks its verifier up
+# as a module global at call time, so a patched or traced verifier is the one called
+THEOREMS = {
+    "thm22": ((_M17, _SEED), lambda a: check_thm22_hypotheses(build_cor23(a.m, a.seed)[0])),
+    "cor23": (
+        (_M17, _SEED, _FULL_ENUM, _BUDGET),
+        lambda a: verify_cor23(a.m, a.seed, full_enum=a.full_enum, budget=a.budget),
+    ),
+    "thm24": ((_M4, _P), lambda a: verify_thm24(build_cor25(a.m), a.p)),
+    "cor25": ((_M4, _P), lambda a: verify_cor25(a.m, a.p)),
+    "cstar-collapse": ((_SEED,), lambda a: verify_cstar_collapse(seed=a.seed)),
+    "dbar-schur": (
+        (_TOWER,),
+        lambda a: verify_dbar_schur(load_code_tower(a.tower) if a.tower else None),
+    ),
+    "golay-lp": ((_P_GOLAY,), lambda a: golay_lp_check(a.p)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, timing: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, flags=(), timing: bool = False) -> None:
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
         p.add_argument("--out", help="write the main output to this file")
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default=None)
         if timing:
@@ -104,36 +138,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("lattice-analyze", help="exact shortest vectors of a Z matrix")
     p_an.add_argument("path")
-    p_an.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_an.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA)
-    common(p_an)
+    common(p_an, (_BUDGET, _DELTA))
 
     p_ver = sub.add_parser("verify", help="run a verification target, exit 0 iff PASS")
-    p_ver.add_argument("theorem", choices=THEOREMS)
-    p_ver.add_argument("--m", type=int, default=None)
-    p_ver.add_argument("--p", type=_fraction, default=Fraction(2))
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_ver.add_argument("--full-enum", dest="full_enum", action="store_true")
-    p_ver.add_argument("--tower", help="tower manifest for dbar-schur (default: bundled)")
-    common(p_ver, timing=True)
+    # shared flags live on each target: a flag given to p_ver before the target
+    # would be overwritten by the target's default for the same dest
+    targets = p_ver.add_subparsers(dest="theorem", required=True)
+    for name, (flags, _) in THEOREMS.items():
+        common(targets.add_parser(name), flags, timing=True)
     return parser
-
-
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if getattr(args, "budget", 1) < 1:
-        parser.error("--budget must be positive")
-    if args.command == "lattice-analyze" and not Fraction(1, 4) < args.delta < 1:
-        parser.error("--delta must lie strictly between 1/4 and 1")
-    if args.command == "verify":
-        if args.p < 1:
-            parser.error("--p must be >= 1")
-        if args.theorem == "golay-lp" and args.p > 2:
-            parser.error("golay-lp requires 1 <= p <= 2")
-        if args.theorem in ("thm22", "cor23") and args.m is not None and args.m <= 16:
-            parser.error("thm22/cor23 require m > 16")
-        if args.theorem in ("thm24", "cor25") and args.m is not None and args.m < 1:
-            parser.error("thm24/cor25 require m >= 1")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -186,39 +199,41 @@ def _cmd_code_info(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     name = args.construction
     extras: dict = {}
+    if name in ("d", "d-special"):
+        _, blocks = load_matrix_tower(args.path)
+        depth = len(blocks) - 1
+    elif name == "d-bar":
+        T = load_code_tower(args.path)
+        depth = T.a
+    else:
+        C = _code_from_file(args.path)
+        depth = None
+    if args.a is not None and args.a != depth:
+        implied = f"a = {depth}" if depth is not None else "no depth a"
+        raise ParseError(f"{name} input implies {implied}, got --a {args.a}")
+
     if name == "a":
-        L = construction_a(_code_from_file(args.path))
+        L = construction_a(C)
     elif name == "simplified-d":
-        L = simplified_d(_code_from_file(args.path))
+        L = simplified_d(C)
     elif name == "c-star":
-        L = construction_c_star(_code_from_file(args.path))
+        L = construction_c_star(C)
     elif name == "d":
-        _, blocks = load_matrix_tower(args.path)
-        inp = DTowerInput(tuple(blocks))
-        if args.a is not None and args.a != inp.a:
-            raise ParseError(f"manifest implies a = {inp.a}, got --a {args.a}")
-        L = construction_d(inp, strict=True)
+        L = construction_d(DTowerInput(tuple(blocks)), strict=True)
     elif name == "d-special":
-        _, blocks = load_matrix_tower(args.path)
         if len(blocks) < 2:
             raise ParseError("d-special needs at least two blocks")
         mids = blocks[1:-1]
         for i, mid in enumerate(mids, start=1):
             if mid.k != 1:
                 raise ParseError(f"middle block {i} must be a single column")
-        a = len(blocks) - 1
-        if args.a is not None and args.a != a:
-            raise ParseError(f"manifest implies a = {a}, got --a {args.a}")
-        L = vladut_special_d(blocks[0], [m.column(0) for m in mids], blocks[-1], a)
-    elif name == "d-bar":
-        T = load_code_tower(args.path)
+        L = vladut_special_d(blocks[0], [m.column(0) for m in mids], blocks[-1], depth)
+    else:  # d-bar
         L = d_bar_span(T)
         ok, wit = d_bar_is_lattice(T)
         extras["is_lattice"] = ok
         if wit is not None:
             extras["witness"] = list(wit)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown construction {name}")
 
     det = determinant(L)
     matrix_text = format_z_matrix(L.n, L.basis)
@@ -301,29 +316,8 @@ def _report_text(d: dict) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    t = args.theorem
     t0 = perf_counter()
-    if t == "thm22":
-        g, _, _ = build_cor23(args.m if args.m is not None else 17, args.seed)
-        rep = check_thm22_hypotheses(g)
-    elif t == "cor23":
-        rep = verify_cor23(
-            args.m if args.m is not None else 17,
-            args.seed,
-            full_enum=args.full_enum,
-            budget=args.budget,
-        )
-    elif t == "thm24":
-        rep = verify_thm24(build_cor25(args.m if args.m is not None else 4), args.p)
-    elif t == "cor25":
-        rep = verify_cor25(args.m if args.m is not None else 4, args.p)
-    elif t == "cstar-collapse":
-        rep = verify_cstar_collapse(seed=args.seed)
-    elif t == "dbar-schur":
-        T = load_code_tower(args.tower) if args.tower else None
-        rep = verify_dbar_schur(T)
-    else:  # golay-lp
-        rep = golay_lp_check(args.p)
+    rep = THEOREMS[args.theorem][1](args)
     ms = (perf_counter() - t0) * 1000.0
     d = rep.to_dict()
     if not args.no_timing:
@@ -336,10 +330,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if rep.passed else 1
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "code-info": _cmd_code_info,
         "construct": _cmd_construct,
@@ -348,10 +343,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RankTooLarge, QuotientTooLarge, SupportTooLarge) as e:

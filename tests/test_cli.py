@@ -53,6 +53,10 @@ def test_exit_2_on_malformed_and_missing_input(capsys, tmp_path):
     bad.write_text("1 1 Z " + "7" * 5000 + "\n")
     code, _, err = run(capsys, ["lattice-analyze", str(bad)])
     assert code == 2 and "5000 digits is too long" in err
+    # an --out that cannot be written is a usage error, not an internal one
+    code, out, err = run(capsys, ["verify", "cor25", "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal" not in err
     # flags no command read are gone: verify --delta, construct --seed
     for argv in (
         ["verify", "cor25", "--delta", "1/2"],
@@ -62,6 +66,54 @@ def test_exit_2_on_malformed_and_missing_input(capsys, tmp_path):
             main(argv)
         assert ei.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the verify-only flags each target reads; every other pairing is refused
+VERIFY_FLAGS = {"--m": ["18"], "--p": ["1"], "--seed": ["1"], "--budget": ["5"],
+                "--full-enum": [], "--tower": ["x.txt"]}
+READS = {
+    "thm22": {"--m", "--seed"},
+    "cor23": {"--m", "--seed", "--full-enum", "--budget"},
+    "thm24": {"--m", "--p"},
+    "cor25": {"--m", "--p"},
+    "cstar-collapse": {"--seed"},
+    "dbar-schur": {"--tower"},
+    "golay-lp": {"--p"},
+}
+
+
+def test_verify_refuses_flags_the_target_does_not_read(capsys):
+    assert sum(map(len, READS.values())) == 13
+    assert {t: {flag for flag, _ in flags} for t, (flags, _) in cli.THEOREMS.items()} == READS
+    unread = [
+        ["verify", target, flag, *value]
+        for target in READS
+        for flag, value in VERIFY_FLAGS.items()
+        if flag not in READS[target]
+    ]
+    assert len(unread) == 7 * 6 - 13
+    for argv in unread + [
+        "verify cor25 --no-timing --full-enum --budget 1 --seed 9 --tower x".split(),
+        ["verify", "golay-lp", "--budget", "5"],
+        # shared flags follow the target; the verify parser itself has none
+        ["verify", "--no-timing", "cor25"],
+    ]:
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_built_once_keeps_no_value_between_calls(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "cor25", "--m", "0"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["verify", "cor23", "--m", "18", "--no-timing"])
+    assert code == 0 and json.loads(out)["params"]["m"] == 18
+    code, out, _ = run(capsys, ["verify", "cor25", "--no-timing"])
+    golden = Path(__file__).resolve().parent / "golden" / "verify-cor25.json"
+    assert code == 0 and out == golden.read_text(encoding="utf-8")
 
 
 def test_exit_3_on_oversized_sweep(capsys, tmp_path):
@@ -264,6 +316,28 @@ def test_construct_d_special_from_manifest(capsys, tmp_path):
         capsys, ["construct", str(man), "--construction", "d-special", "--a", "3"]
     )
     assert code == 2
+
+
+def test_construct_a_flag_checked_against_input_depth(capsys, tmp_path):
+    golay = data_path("golay24.txt")
+    nonclosed = data_path("tower_nonclosed.manifest.txt")
+    # constructions without a depth refuse any --a
+    for name in ("a", "simplified-d", "c-star"):
+        code, out, err = run(capsys, ["construct", golay, "--construction", name, "--a", "7"])
+        assert code == 2 and out == ""
+        assert err == f"error: {name} input implies no depth a, got --a 7\n"
+    # d-bar's depth is the number of levels in the manifest
+    code, _, err = run(capsys, ["construct", nonclosed, "--construction", "d-bar", "--a", "3"])
+    assert code == 2 and "implies a = 2, got --a 3" in err
+    code, _, _ = run(capsys, ["construct", nonclosed, "--construction", "d-bar", "--a", "2"])
+    assert code == 0
+    # the check runs before the tower is validated: wrong --a on a tower that
+    # construction d refuses (exit 4) is still a usage error
+    argv = _exit_4(tmp_path, None)
+    code, _, err = run(capsys, argv + ["--a", "2"])
+    assert code == 2 and "implies a = 1, got --a 2" in err
+    code, _, _ = run(capsys, argv + ["--a", "1"])
+    assert code == 4
 
 
 def test_verify_cor23_deterministic_output(capsys):
