@@ -500,6 +500,10 @@ def ternary_sign_search(L: Lattice, C: Code, bound: int) -> list[IntVec]:
     of codewords of weight <= bound^2.  The reduction property follows
     from checking the basis columns alone (mod-2 reduction is additive),
     and the search refuses to run when it fails.
+
+    The supports are read from one bit-sliced sweep (Code.light_words).
+    The search raises SupportTooLarge, naming the least such weight, iff
+    some codeword weighs more than SIGN_SUPPORT_CAP and at most bound^2.
     """
     if C.n != L.n:
         raise LengthMismatch(f"code length {C.n} != lattice dimension {L.n}")
@@ -512,13 +516,12 @@ def ternary_sign_search(L: Lattice, C: Code, bound: int) -> list[IntVec]:
     if bound <= 0 or C.dimension == 0:
         return []
     limit = bound * bound
-    out: list[IntVec] = []
-    for c in C.codewords():
-        w = c.weight
-        if w == 0 or w > limit:
-            continue
-        if w > SIGN_SUPPORT_CAP:
+    if limit > SIGN_SUPPORT_CAP:
+        w = C.least_weight_above(SIGN_SUPPORT_CAP)
+        if w is not None and w <= limit:
             raise SupportTooLarge(f"candidate support {w} exceeds {SIGN_SUPPORT_CAP}")
+    out: list[IntVec] = []
+    for c in C.light_words(min(limit, SIGN_SUPPORT_CAP)):
         out.extend(_patterns_in_lattice(L, c))
     out.sort(key=lambda v: (sum(e * e for e in v), v))
     return out

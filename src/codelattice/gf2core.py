@@ -7,9 +7,11 @@ needs no conversion.
 
 Codes are column-generated: ``Code(G)`` is the F2-span of the columns of G,
 its dimension is the F2-rank of G.  Distance, minimum-weight words and
-kissing number all read one cached sweep per code: a Gray-code walk over
-all 2^k codewords that keeps the minimum-weight words.  The sweep is
-hard-capped at rank 28 and refuses larger inputs with :class:`RankTooLarge`.
+kissing number all read one cached sweep per code, which weighs all 2^k
+codewords bit-sliced, up to 2^16 of them per big-integer pass (see
+:meth:`Code._min_weight_bits`).  The same sweep lists the light words that
+the ternary sign search needs.  It is hard-capped at rank 28 and refuses
+larger inputs with :class:`RankTooLarge`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ __all__ = [
 ]
 
 SWEEP_RANK_CAP = 28
+# The bit-sliced sweep weighs 2^c codewords per pass, c <= 16, with its n
+# coordinate ints of 2^c bits held together: n * 2^c <= 2^24 bits (2 MB)
+_CHUNK_RANK = 16
+_CHUNK_BITS = 1 << 24
 
 
 class BinaryVector:
@@ -353,6 +359,160 @@ def complete_to_full_rank(M: BinaryMatrix, seed: int = 0) -> BinaryMatrix:
     return BinaryMatrix(n, added)
 
 
+def _chunk_width(n: int, k: int) -> int:
+    """Widest chunk, at least 1, with c <= min(k, 16) and n * 2^c <= 2^24 bits."""
+    c = min(k, _CHUNK_RANK)
+    while c > 1 and n << c > _CHUNK_BITS:
+        c -= 1
+    return c
+
+
+def _add(planes: list[int], x: int) -> None:
+    """Add a 0/1 per position into bit-sliced counters, rippling the carry."""
+    for b, p in enumerate(planes):
+        planes[b] = p ^ x
+        x &= p
+        if not x:
+            return
+    planes.append(x)
+
+
+def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, list[int], int]]:
+    """Weigh the span of ``basis`` in 2^(k-c) chunks of 2^c words, c <= k.
+
+    With low = basis[:c] and high = basis[c:], chunk g holds the words
+    offset ^ (sum of low[j] over the bits j of i), for i < 2^c, where
+    offset runs over the span of high in Gray order from 0.  Each chunk
+    yields ``(offset, const, planes, full)``: the weight of word i is
+    const + sum_b (bit i of planes[b]) << b, and full = 2^(2^c) - 1.
+
+    Coordinate t of word i, over all i, is one 2^c-bit int: the XOR of the
+    patterns M_j (bit i of M_j is bit j of i) of the low words that set t,
+    complemented when the offset sets t.  A coordinate no high word sets
+    is never complemented, so those are summed once into the base planes;
+    one no low word sets adds the constant bit of the offset.  Only the
+    rest are added per chunk, n - k of them for a reduced echelon basis.
+    """
+    low, high = basis[:c], basis[c:]
+    c = len(low)
+    pattern = []
+    for j in range(c):
+        m = ((1 << (1 << j)) - 1) << (1 << j)
+        for b in range(j + 1, c):
+            m |= m << (1 << b)
+        pattern.append(m)
+    full = (1 << (1 << c)) - 1
+    touched = 0
+    for h in high:
+        touched |= h
+    base: list[int] = []
+    varying: list[tuple[int, int]] = []
+    constant = 0
+    for t in range(n):
+        x = 0
+        for j, w in enumerate(low):
+            if w >> t & 1:
+                x ^= pattern[j]
+        if not touched >> t & 1:
+            if x:
+                _add(base, x)
+        elif x:
+            varying.append((t, x))
+        else:
+            constant |= 1 << t
+    offset = 0
+    for g in range(1 << len(high)):
+        if g:
+            offset ^= high[(g & -g).bit_length() - 1]
+        planes = base.copy()
+        for t, x in varying:
+            _add(planes, x ^ full if offset >> t & 1 else x)
+        yield offset, (offset & constant).bit_count(), planes, full
+
+
+def _least(planes: list[int], cand: int, m: int, cap: int) -> tuple[int, int]:
+    """Least m + (planes value) over the positions in ``cand``, and where.
+
+    Reads the planes from the top: a bit of the minimum is 0 when some
+    candidate has it clear, and only those candidates stay.  Gives up (with
+    m > cap) as soon as the minimum is known to exceed ``cap``.
+    """
+    for b in range(len(planes) - 1, -1, -1):
+        if m > cap:
+            break
+        z = cand ^ cand & planes[b]
+        if z:
+            cand = z
+        else:
+            m += 1 << b
+    return m, cand
+
+
+def _at_most(planes: list[int], w: int, full: int) -> int:
+    """Mask of the positions whose planes value is <= w."""
+    if w < 0:
+        return 0
+    if w >> len(planes):
+        return full
+    lt, eq = 0, full
+    for b in range(len(planes) - 1, -1, -1):
+        p = eq & planes[b]
+        if w >> b & 1:
+            lt |= eq ^ p
+            eq = p
+        else:
+            eq ^= p
+    return lt | eq
+
+
+def _decoder(low: Sequence[int]):
+    """Map (offset, chunk mask) to the words at the mask's set bits.
+
+    Word i of a chunk is offset ^ T0[low half of i] ^ T1[high half of i],
+    with T0 and T1 the spans of the two halves of ``low`` (2^8 entries at
+    most), read off ``bin(mask)``.
+    """
+    h = len(low) // 2
+    t0, t1 = [0], [0]
+    for w in low[:h]:
+        t0 += [x ^ w for x in t0]
+    for w in low[h:]:
+        t1 += [x ^ w for x in t1]
+    lo = (1 << h) - 1
+
+    def words(offset: int, mask: int) -> list[int]:
+        s = bin(mask)
+        top = len(s) - 1
+        out = []
+        q = s.find("1", 2)
+        while q != -1:
+            i = top - q
+            out.append(offset ^ t0[i & lo] ^ t1[i >> h])
+            q = s.find("1", q + 1)
+        return out
+
+    return words
+
+
+def _min_weight_words(n: int, basis: Sequence[int], c: int) -> tuple[int, ...]:
+    """Sorted minimum-weight words of the span of ``basis`` (nonzero, independent).
+
+    Chunks of width min(c, k); the zero word is position 0 of chunk 0.
+    """
+    words = _decoder(basis[:c])
+    best = n + 1
+    found: list[int] = []
+    for offset, const, planes, full in _chunks(n, basis, c):
+        m, mask = _least(planes, full if offset else full ^ 1, const, best)
+        if m > best:
+            continue
+        if m < best:
+            best, found = m, []
+        found += words(offset, mask)
+    found.sort()
+    return tuple(found)
+
+
 class Code:
     """F2-linear code given as the span of generator-matrix columns."""
 
@@ -397,46 +557,67 @@ class Code:
             raise LengthMismatch(f"{v.n} != {self.n}")
         return _reduce(v.bits, self._pivots).bit_length() <= self.n - length
 
-    def codewords(self) -> Iterator[BinaryVector]:
-        """All 2^k codewords via a Gray-code walk (zero word first)."""
+    def _swept(self) -> tuple[tuple[int, ...], int]:
+        """The basis and chunk width of a sweep, refused past the rank cap."""
         r = self.dimension
         if r > SWEEP_RANK_CAP:
             raise RankTooLarge(f"rank {r} > sweep cap {SWEEP_RANK_CAP}")
-        basis = self._basis
+        return self._basis, _chunk_width(self.n, r)
+
+    def codewords(self) -> Iterator[BinaryVector]:
+        """All 2^k codewords via a Gray-code walk (zero word first)."""
+        basis, _ = self._swept()
         word = 0
         yield BinaryVector(self.n, 0)
-        for i in range(1, 1 << r):
+        for i in range(1, 1 << len(basis)):
             word ^= basis[(i & -i).bit_length() - 1]
             yield BinaryVector(self.n, word)
 
     def _min_weight_bits(self) -> tuple[int, ...]:
         """Sorted backing integers of the minimum-weight codewords.
 
-        The Gray-code sweep runs on the first call only; the tuple is
-        cached on the code, which is immutable, so it never goes stale.
+        A bit-sliced sweep weighs the 2^k codewords in 2^(k-c) chunks of
+        2^c, c = min(k, 16) cut down until n * 2^c <= 2^24 bits (see
+        _chunks).  Per chunk, a ripple-carry counter adds the at most n - k
+        coordinate ints that vary into ceil(log2(n+1)) weight planes, and
+        reading the planes from the top gives the chunk's least weight and
+        its positions.  The coordinate ints hold n * 2^c <= 2^24 bits
+        (2 MB) whatever k is, the planes a log2(n+1) share of that more.
+        At the rank-28 cap, a systematic [48, 28] code takes about
+        0.8 s (a one-word Gray walk about 40 s).
+
+        The sweep runs on the first call only; the tuple is cached on the
+        code, which is immutable, so it never goes stale.
         """
         if self._min_words is None:
-            r = self.dimension
-            if r == 0:
+            basis, c = self._swept()
+            if not basis:
                 raise ZeroCode("the zero code has no nonzero codeword")
-            if r > SWEEP_RANK_CAP:
-                raise RankTooLarge(f"rank {r} > sweep cap {SWEEP_RANK_CAP}")
-            basis = self._basis
-            word = 0
-            best = self.n + 1
-            found: list[int] = []
-            for i in range(1, 1 << r):
-                word ^= basis[(i & -i).bit_length() - 1]
-                w = word.bit_count()
-                if w > best:
-                    continue
-                if w < best:
-                    best = w
-                    found = []
-                found.append(word)
-            found.sort()
-            object.__setattr__(self, "_min_words", tuple(found))
+            found = _min_weight_words(self.n, basis, c)
+            object.__setattr__(self, "_min_words", found)
         return self._min_words
+
+    def light_words(self, limit: int) -> Iterator[BinaryVector]:
+        """The nonzero codewords of weight <= limit, one bit-sliced chunk at a time.
+
+        Each word is yielded once, in no fixed order; only one chunk's
+        words are held at a time.
+        """
+        basis, c = self._swept()
+        words = _decoder(basis[:c])
+        for offset, const, planes, full in _chunks(self.n, basis, c):
+            mask = _at_most(planes, limit - const, full)
+            for b in words(offset, mask if offset else mask & ~1):
+                yield BinaryVector(self.n, b)
+
+    def least_weight_above(self, w: int) -> Optional[int]:
+        """Least weight > w of a codeword, or None when none weighs more than w."""
+        best = self.n + 1
+        for offset, const, planes, full in _chunks(self.n, *self._swept()):
+            cand = full ^ _at_most(planes, w - const, full)
+            if cand:
+                best = min(best, _least(planes, cand, const, best)[0])
+        return best if best <= self.n else None
 
     def __eq__(self, other) -> bool:
         return (

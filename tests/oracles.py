@@ -7,7 +7,8 @@ except in the references at the end: they are the package's former d-bar
 all-codeword span and exhaustive coset walk, and its former 2^k sweeps of
 the Thm 2.2 and Thm 2.4 gadget hypotheses, kept as they were so that the
 monomial span, the counting decision and the F2 solves that replaced them
-have an independent path to match.
+have an independent path to match, and its former one-word Gray sweep for
+the minimum-weight words, which the bit-sliced sweep must match.
 """
 
 from fractions import Fraction
@@ -316,3 +317,26 @@ def thm24_kernel_walk(g, kerA, dB):
             out_witness = {"x": cur.coords(), "Bx_weight": bx.weight}
             break
     return out_witness is None, out_witness
+
+
+def min_weight_words_gray(code):
+    """Sorted backing ints of the minimum-weight words, one word per step.
+
+    The Gray walk over all 2^k codewords that ``Code._min_weight_bits``
+    ran before the bit-sliced sweep replaced it.
+    """
+    basis = code._basis
+    word = 0
+    best = code.n + 1
+    found = []
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        w = word.bit_count()
+        if w > best:
+            continue
+        if w < best:
+            best = w
+            found = []
+        found.append(word)
+    found.sort()
+    return tuple(found)

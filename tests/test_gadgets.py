@@ -226,6 +226,23 @@ def test_ternary_sign_search_guards():
         ternary_sign_search(construction_a(rep25), rep25, 5)
 
 
+def test_sign_search_refuses_iff_a_support_between_cap_and_bound():
+    # words of weight 25 and 26 (and 1): refused at bound 5 and 6, naming
+    # the lighter one; words of weight 26 and 27 lie beyond bound 5, so the
+    # search runs and finds only the weight-1 word's signs
+    n = SIGN_SUPPORT_CAP + 3
+    ones = lambda w, lead=0: bv((0,) * lead + (1,) * w + (0,) * (n - lead - w))
+    C = Code(BinaryMatrix.from_columns([ones(25), ones(26)]))
+    for bound in (5, 6):
+        with pytest.raises(SupportTooLarge, match="candidate support 25 exceeds 24"):
+            ternary_sign_search(construction_a(C), C, bound)
+    C = Code(BinaryMatrix.from_columns([ones(26), ones(1, n - 1)]))
+    e = (0,) * (n - 1)
+    assert ternary_sign_search(construction_a(C), C, 5) == [e + (-1,), e + (1,)]
+    with pytest.raises(SupportTooLarge, match="candidate support 26 exceeds 24"):
+        ternary_sign_search(construction_a(C), C, 6)
+
+
 def test_ternary_sign_search_matches_brute_force():
     # the meet-in-the-middle join over a support of size 12 against
     # membership of every pattern

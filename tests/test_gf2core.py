@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from codelattice.errors import (
     ShapeMismatch,
     ZeroCode,
 )
+from codelattice import gf2core
 from codelattice.gf2core import (
     BinaryMatrix,
     BinaryVector,
@@ -25,6 +28,7 @@ from codelattice.gf2core import (
     schur_product,
     solve,
 )
+from oracles import min_weight_words_gray
 
 bv = BinaryVector.from_coords
 
@@ -279,6 +283,112 @@ def test_min_distance_brute_force():
         min_weight_codewords(fresh).clear()
         assert min_weight_codewords(fresh) == words[:-1]
         assert code_kissing_number(fresh) == len(words) - 1
+
+
+def rand_code(rng, n, k):
+    """A seeded code of length n and rank exactly k."""
+    while True:
+        C = Code(BinaryMatrix(n, [rng.getrandbits(n) for _ in range(k)]))
+        if C.dimension == k:
+            return C
+
+
+def systematic_code(rng, n, k):
+    """[I_k; P] with random P and its rows shuffled, as code-construct draws them."""
+    rows = [1 << (k - 1 - i) for i in range(k)]
+    rows += [rng.getrandbits(k) for _ in range(n - k)]
+    rng.shuffle(rows)
+    return Code(BinaryMatrix.from_rows([[r >> (k - 1 - c) & 1 for c in range(k)] for r in rows]))
+
+
+def test_bit_sliced_sweep_matches_gray_oracle():
+    # every chunk width against the one-word Gray walk: ranks below, at and
+    # past the width (one, two and four chunks), length 1, all-zero
+    # coordinates, and code-construct's [48, 19-21] systematic codes
+    rng = random.Random(11)
+    sweep = gf2core._min_weight_words
+    for c in (1, 3, 8, 16):
+        for k in range(max(c - 1, 1), c + 3):
+            for zeros in (0, 3):
+                n = k + rng.randrange(0, 8)
+                C = rand_code(rng, n, k)
+                # spread the code over n + zeros coordinates, zeros of them never set
+                gaps = sorted(rng.sample(range(n + zeros), zeros))
+                cols = []
+                for col in C.gen.cols:
+                    for g in gaps:
+                        col = col >> g << 1 | col & ((1 << g) - 1)
+                    cols.append(col)
+                C = Code(BinaryMatrix(n + zeros, cols))
+                assert sweep(C.n, C._basis, c) == min_weight_words_gray(C)
+    one = Code(BinaryMatrix(1, (1,)))
+    for c in (1, 3, 8, 16):
+        assert sweep(1, one._basis, c) == (1,)
+    for k in (19, 20, 21):
+        C = systematic_code(random.Random(k), 48, k)
+        assert sweep(C.n, C._basis, 16) == min_weight_words_gray(C)
+
+
+def test_bit_sliced_sweep_finds_words_outside_chunk_zero():
+    # codes whose every minimum-weight word needs a high basis word, so
+    # chunk 0 (the span of the first c basis words) holds none of them
+    rng = random.Random(12)
+    for c in (1, 3, 8):
+        for _ in range(200):
+            C = rand_code(rng, c + 6, c + 2)
+            want = min_weight_words_gray(C)
+            chunk0 = Code(BinaryMatrix(C.n, C._basis[:c]))
+            if min_weight_words_gray(chunk0)[0].bit_count() > want[0].bit_count():
+                break
+        else:
+            pytest.fail(f"no code with its minimum words outside chunk 0 at width {c}")
+        assert gf2core._min_weight_words(C.n, C._basis, c) == want
+
+
+def test_sweep_memory_is_bounded_by_chunk_width():
+    # n * 2^c <= 2^24 bits: a [2048, 15] code sweeps in chunks of 2^13
+    # words, whose 2048 coordinate ints hold 2 MB together
+    assert gf2core._chunk_width(48, 24) == 16
+    assert gf2core._chunk_width(48, 5) == 5
+    assert gf2core._chunk_width(2048, 15) == 13
+    assert gf2core._chunk_width(1 << 30, 20) == 1
+    C = rand_code(random.Random(13), 2048, 15)
+    tracemalloc.start()
+    try:
+        got = C._min_weight_bits()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert got == min_weight_words_gray(C)
+
+
+def test_min_distance_rank_24_under_a_second():
+    # the one-word Gray walk took about 3 s on this code and found the
+    # same five words of weight 7
+    C = systematic_code(random.Random(24), 48, 24)
+    t0 = time.perf_counter()
+    d = min_distance(C)
+    assert time.perf_counter() - t0 < 1.0
+    assert (d, code_kissing_number(C)) == (7, 5)
+    assert all(C.contains(w) and w.weight == 7 for w in min_weight_codewords(C))
+
+
+def test_light_words_and_least_weight_above_match_codewords():
+    rng = random.Random(14)
+    for _ in range(40):
+        n, k = rng.randrange(1, 12), rng.randrange(0, 7)
+        C = Code(rand_matrix(rng, n, k))
+        weights = sorted(w.weight for w in C.codewords())
+        for limit in range(-1, n + 2):
+            want = sorted(w for w in C.codewords() if 0 < w.weight <= limit)
+            assert sorted(C.light_words(limit)) == want
+            above = [w for w in weights if w > limit]
+            assert C.least_weight_above(limit) == (above[0] if above else None)
+    with pytest.raises(RankTooLarge):
+        next(Code(BinaryMatrix.identity(29)).light_words(3))
+    with pytest.raises(RankTooLarge):
+        Code(BinaryMatrix.identity(29)).least_weight_above(3)
 
 
 def test_min_distance_rank_cap():
