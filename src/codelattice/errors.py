@@ -89,6 +89,11 @@ class ModTwoMismatch(ToolkitError):
 class EnumerationBudgetExceeded(ToolkitError):
     """Fincke-Pohst node budget ran out; the instance is too large.
 
+    A node is one candidate coefficient of the sign-symmetric walk, which
+    reaches each +-v pair once: at a fixed radius it takes (plain-walk
+    nodes + rank) / 2 of them, so a budget covers about twice the radius
+    work of the plain walk that visits v and -v apart.
+
     Never a wrong answer: callers either re-run with a larger budget or
     report the overflow.
     """

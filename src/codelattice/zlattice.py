@@ -6,11 +6,11 @@ left of each pivot reduced into [0, pivot)), so two lattices are equal iff
 their stored bases are identical tuples.  One integral Gram-Schmidt (the
 integers d_i and lambda_ij of Cohen Alg. 2.6.7) drives both the
 fraction-free LLL and the enumeration that follows it: shortest vectors
-come from one plain Fincke-Pohst depth-first walk on those integers, with
-no pruning heuristics and an explicit node budget.  Its last d is det Gram,
-which gives the determinant of a lattice of lower rank.  ``Fraction`` appears
-only for the LLL parameter delta and the exact l_p comparisons; floating
-point appears nowhere.
+come from one sign-symmetric Fincke-Pohst walk (each +-v pair reached once)
+on those integers, with no pruning and an explicit node budget.  Its last
+d is det Gram, which gives the determinant of a lattice of lower rank.
+``Fraction`` appears only for the LLL parameter delta and the exact l_p
+comparisons; floating point appears nowhere.
 """
 
 from __future__ import annotations
@@ -358,26 +358,23 @@ def _enumerate(
     budget: int,
     shortest: bool,
 ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """One depth-first walk over all coefficient vectors with norm^2 <= radius.
+    """One sign-symmetric depth-first walk over coefficient vectors with norm^2 <= radius.
 
-    Walks the integral GSO (lam, d) of the basis.  Every squared length is
-    scaled by P = lcm_i(d_i d_{i+1}): with N_i = -sum_{k>i} x_k lam_ki,
-    level i adds w_i (x_i d_{i+1} - N_i)^2 where w_i = P / (d_i d_{i+1}),
-    so the walk never leaves the integers.
+    Walks the integral GSO (lam, d) scaled by P = lcm_i(d_i d_{i+1}): with
+    N_i = -sum_{k>i} x_k lam_ki, level i adds w_i (x_i d_{i+1} - N_i)^2,
+    w_i = P / (d_i d_{i+1}), so the walk never leaves the integers.  While
+    ``sym`` (all x_k above level i zero) N_i = 0 and only x_i >= 0 is walked.
 
-    Returns ``(radius, leaves)`` with the leaves as ``(norm_sq, coeffs)``.
-    Without ``shortest`` every leaf inside the radius is kept, the zero
-    vector included.  With ``shortest`` the zero leaf is skipped and each
-    smaller nonzero leaf tightens the radius and drops the leaves kept so
-    far; the radius never falls below lambda_1^2, so the walk ends holding
-    exactly the vectors at lambda_1^2.  Each candidate coefficient costs
-    one node; more than ``budget`` nodes raise EnumerationBudgetExceeded.
+    Returns ``(radius, leaves)``, leaves as ``(norm_sq, coeffs)``; a leaf of
+    positive norm stands for v and -v.  Without ``shortest`` all leaves in
+    the radius are kept, zero once.  With it zero is skipped and a shorter
+    leaf tightens the radius, dropping the leaves kept so far.  A node is
+    one candidate coefficient, (plain-walk nodes + rank) / 2 at a fixed
+    radius; over ``budget`` nodes raise EnumerationBudgetExceeded.
     """
     m = len(d) - 1
     x = [0] * m
-    P = 1
-    for i in range(m):
-        P = lcm(P, d[i] * d[i + 1])
+    P = lcm(*(d[i] * d[i + 1] for i in range(m)))
     w = [P // (d[i] * d[i + 1]) for i in range(m)]
     bound = radius * P
     left = budget
@@ -385,7 +382,7 @@ def _enumerate(
     # per-level nonzero-lam column lists keep the centre updates sparse
     nz = [[j for j in range(i) if lam[i][j]] for i in range(m)]
 
-    def rec(i: int, rho: int, acc: list[int]) -> None:
+    def rec(i: int, rho: int, acc: list[int], sym: bool) -> None:
         nonlocal bound, left
         if i < 0:
             if shortest:
@@ -398,7 +395,7 @@ def _enumerate(
             return
         N, q, wi = -acc[i], d[i + 1], w[i]
         lo, hi = _coeff_interval(N, q, (bound - rho) // wi)
-        for xi in range(lo, hi + 1):
+        for xi in range(0 if sym else lo, hi + 1):
             left -= 1
             if left < 0:
                 raise EnumerationBudgetExceeded(budget)
@@ -412,20 +409,34 @@ def _enumerate(
                 lrow = lam[i]
                 for j in nz[i]:
                     acc2[j] += xi * lrow[j]
-            rec(i - 1, rho2, acc2)
+            rec(i - 1, rho2, acc2, sym and not xi)
         x[i] = 0
 
-    rec(m - 1, 0, [0] * m)
+    rec(m - 1, 0, [0] * m, True)
     return bound // P, leaves
 
 
-def _combine(basis: Sequence[IntVec], coeffs: Sequence[int], n: int) -> IntVec:
-    v = [0] * n
-    for xi, col in zip(coeffs, basis):
-        if xi:
-            for t in range(n):
-                v[t] += xi * col[t]
-    return tuple(v)
+def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[IntVec]]:
+    """``(radius, vectors)`` sorted by norm, then value; ``R=None`` asks for the shortest.
+
+    LLL goes through the public lll_reduce, a layer of its own for callers that time it.
+    """
+    reduced = lll_reduce(L, delta)
+    _, lam, d = _lll(L, delta)
+    shortest = R is None
+    r0 = min(sum(e * e for e in col) for col in reduced) if shortest else R
+    R, leaves = _enumerate(lam, d, r0, budget, shortest)
+    out = []
+    for norm, coeffs in leaves:
+        v = [0] * L.n
+        for xi, col in zip(coeffs, reduced):
+            if xi:
+                v = [a + xi * b for a, b in zip(v, col)]
+        out.append((norm, tuple(v)))
+        if norm:
+            out.append((norm, tuple(-e for e in v)))
+    out.sort()
+    return R, [v for _, v in out]
 
 
 @dataclass(frozen=True)
@@ -459,13 +470,7 @@ def shortest_vectors(
     """
     if L.rank == 0:
         raise ZeroRank("shortest vector of a rank-0 lattice")
-    # through the public lll_reduce, so LLL stays a layer of its own for
-    # callers that time it; the walk then reads the GSO that LLL cached
-    reduced = lll_reduce(L, delta)
-    _, lam, d = _lll(L, delta)
-    r0 = min(sum(e * e for e in col) for col in reduced)
-    lam1, leaves = _enumerate(lam, d, r0, budget, shortest=True)
-    found = sorted(_combine(reduced, coeffs, L.n) for _, coeffs in leaves)
+    lam1, found = _vectors(L, None, budget, delta)
     return ShortVectorReport(lambda1_sq=lam1, kissing=len(found), vectors=tuple(found))
 
 
@@ -475,13 +480,7 @@ def vectors_up_to(
     """All lattice vectors with squared norm <= R (zero vector included)."""
     if R < 0:
         raise ValueError("radius must be >= 0")
-    if L.rank == 0:
-        return [(0,) * L.n]
-    reduced = lll_reduce(L, delta)
-    _, lam, d = _lll(L, delta)
-    _, leaves = _enumerate(lam, d, R, budget, shortest=False)
-    out = sorted((norm, _combine(reduced, coeffs, L.n)) for norm, coeffs in leaves)
-    return [v for _, v in out]
+    return _vectors(L, R, budget, delta)[1]
 
 
 # ---------------------------------------------------------------------------

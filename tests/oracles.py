@@ -7,18 +7,20 @@ except in the references at the end: they are the package's former d-bar
 all-codeword span and exhaustive coset walk, and its former 2^k sweeps of
 the Thm 2.2 and Thm 2.4 gadget hypotheses, kept as they were so that the
 monomial span, the counting decision and the F2 solves that replaced them
-have an independent path to match, and its former one-word Gray sweep for
-the minimum-weight words, which the bit-sliced sweep must match.
+have an independent path to match, its former one-word Gray sweep for
+the minimum-weight words, which the bit-sliced sweep must match, and its
+former plain Fincke-Pohst walk, whose leaves and node count the
+sign-symmetric walk must match.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 from codelattice.constructions import d_bar_member
 from codelattice.errors import QuotientTooLarge
 from codelattice.gf2core import BinaryVector
-from codelattice.zlattice import Lattice
+from codelattice.zlattice import Lattice, _coeff_interval
 
 # Most cosets the exhaustive d-bar walk below visits
 WALK_COSET_CAP = 1 << 20
@@ -340,3 +342,54 @@ def min_weight_words_gray(code):
         found.append(word)
     found.sort()
     return tuple(found)
+
+
+def fincke_pohst_plain(lam, d, radius, shortest):
+    """``(radius, leaves, nodes)`` of the plain Fincke-Pohst walk.
+
+    The walk ``zlattice._enumerate`` ran before it became sign-symmetric:
+    every coefficient interval is walked in full, so each nonzero vector is
+    reached twice, once as v and once as -v.  ``nodes`` counts one per
+    candidate coefficient, the unit the package's budget counts.
+    """
+    m = len(d) - 1
+    x = [0] * m
+    P = 1
+    for i in range(m):
+        P = lcm(P, d[i] * d[i + 1])
+    w = [P // (d[i] * d[i + 1]) for i in range(m)]
+    bound = radius * P
+    nodes = 0
+    leaves = []
+    nz = [[j for j in range(i) if lam[i][j]] for i in range(m)]
+
+    def rec(i, rho, acc):
+        nonlocal bound, nodes
+        if i < 0:
+            if shortest:
+                if not rho:
+                    return
+                if rho < bound:
+                    bound = rho
+                    leaves.clear()
+            leaves.append((rho // P, tuple(x)))
+            return
+        N, q, wi = -acc[i], d[i + 1], w[i]
+        lo, hi = _coeff_interval(N, q, (bound - rho) // wi)
+        for xi in range(lo, hi + 1):
+            nodes += 1
+            e = xi * q - N
+            rho2 = rho + wi * e * e
+            if rho2 > bound:
+                continue
+            x[i] = xi
+            acc2 = acc[:i]
+            if xi:
+                lrow = lam[i]
+                for j in nz[i]:
+                    acc2[j] += xi * lrow[j]
+            rec(i - 1, rho2, acc2)
+        x[i] = 0
+
+    rec(m - 1, 0, [0] * m)
+    return bound // P, leaves, nodes

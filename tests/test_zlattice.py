@@ -10,10 +10,12 @@ from codelattice.errors import (
     EnumerationBudgetExceeded,
     ZeroRank,
 )
+from codelattice.gadgets import build_cor23
 from codelattice.matio import golay_code
 from codelattice.zlattice import (
     DEFAULT_DELTA,
     _coeff_interval,
+    _enumerate,
     _lll,
     Determinant,
     GeneratingSet,
@@ -31,7 +33,14 @@ from codelattice.zlattice import (
     vectors_up_to,
 )
 
-from oracles import box_member, box_vectors, frac_det, frac_lll, reduce_columns
+from oracles import (
+    box_member,
+    box_vectors,
+    fincke_pohst_plain,
+    frac_det,
+    frac_lll,
+    reduce_columns,
+)
 
 
 def rand_lattice(rng, n=None, k=None, lo=-4, hi=4):
@@ -39,6 +48,25 @@ def rand_lattice(rng, n=None, k=None, lo=-4, hi=4):
     k = k if k is not None else rng.randrange(1, n + 2)
     cols = [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(k)]
     return Lattice.from_generators(n, cols), cols
+
+
+def least_budget(run):
+    """Smallest budget on which ``run(budget)`` finishes, by bisection."""
+
+    def finishes(budget):
+        try:
+            run(budget)
+        except EnumerationBudgetExceeded:
+            return False
+        return True
+
+    lo, hi = 0, 1  # run fails at lo and finishes at hi
+    while not finishes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
+    return hi
 
 
 def test_hnf_canonical_shape():
@@ -299,26 +327,59 @@ def test_enumeration_budget_bounds_one_walk():
     # lambda_1^2 = 4, so the shortest-vector walk is the radius-4 walk and
     # must finish on exactly the same number of nodes
     L = construction_a(golay_code())
-
-    def finishes(budget):
-        try:
-            vectors_up_to(L, 4, budget=budget)
-        except EnumerationBudgetExceeded:
-            return False
-        return True
-
-    lo, hi = 0, 1  # vectors_up_to fails at lo and finishes at hi
-    while not finishes(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
-    assert hi == 16684
+    hi = least_budget(lambda budget: vectors_up_to(L, 4, budget=budget))
+    # nodes of the sign-symmetric walk: (16684 plain-walk nodes + rank 24) / 2
+    assert hi == 8354
     rep = shortest_vectors(L, budget=hi)
     assert (rep.lambda1_sq, rep.kissing) == (4, 48)
     with pytest.raises(EnumerationBudgetExceeded) as ei:
         shortest_vectors(L, budget=hi - 1)
     assert ei.value.budget == hi - 1
+
+
+def _with_mirrors(leaves):
+    out = []
+    for norm, coeffs in leaves:
+        out.append((norm, coeffs))
+        if norm:
+            out.append((norm, tuple(-x for x in coeffs)))
+    return sorted(out)
+
+
+def test_sign_symmetric_walk_matches_plain_oracle():
+    rng = random.Random(41)
+    fixed = []  # (lattice, radius) pairs walked at a fixed radius
+    while len(fixed) < 30:
+        L, _ = rand_lattice(rng, n=rng.randrange(1, 7), lo=-4, hi=4)
+        if L.rank:
+            fixed.append((L, rng.randrange(0, 40)))
+    fixed.append((construction_a(golay_code()), 4))
+    fixed.append((build_cor23(seed=0)[1], 16))
+    for L, R in fixed:
+        _, lam, d = _lll(L, DEFAULT_DELTA)
+        radius, leaves = _enumerate(lam, d, R, 10**9, shortest=False)
+        ref_radius, ref_leaves, plain = fincke_pohst_plain(lam, d, R, shortest=False)
+        assert radius == ref_radius == R
+        assert _with_mirrors(leaves) == sorted(ref_leaves)
+        assert sum(not norm for norm, _ in leaves) == 1  # zero leaf, once
+        nodes = least_budget(lambda budget: _enumerate(lam, d, R, budget, shortest=False))
+        assert nodes == (plain + L.rank) // 2
+    assert plain == 4811 and nodes == 2439  # cor23 seed 0 at R = 16
+    # at delta = 26/100 the shortest walk starts above lambda_1^2 and
+    # tightens its radius on the way down
+    tightened = 0
+    while tightened < 10:
+        n = rng.randrange(4, 7)
+        L, _ = rand_lattice(rng, n=n, k=n, lo=-4, hi=4)
+        if L.rank < n:
+            continue
+        reduced, lam, d = _lll(L, Fraction(26, 100))
+        r0 = min(sum(e * e for e in c) for c in reduced)
+        lam1, leaves = _enumerate(lam, d, r0, 10**9, shortest=True)
+        ref_lam1, ref_leaves, _ = fincke_pohst_plain(lam, d, r0, shortest=True)
+        assert lam1 == ref_lam1
+        assert _with_mirrors(leaves) == sorted(ref_leaves)
+        tightened += lam1 < r0
 
 
 def test_coeff_interval_closed_form():
