@@ -109,13 +109,17 @@ def _unit_columns(n: int, factor: int) -> list[IntVec]:
 
 
 def construction_a(C: Code) -> Lattice:
-    """bar C + 2 Z^n, generated by embedded generators and 2 e_i.
+    """bar C + 2 Z^n, generated by the 2 e_j and then the embedded reduced
+    echelon basis of C.  In that order the HNF is linear: a reduced word w
+    replaces the pivot 2 e_r at its leading row r, and the even rest
+    2w - 2 e_r is cleared by the pivots 2 e_t, which stay (see _xgcd).
+    Reduced words vanish on each other's leading rows, so no entry exceeds
+    2 and the canonical reduction has nothing to do.
 
     Membership law (cross-checked by tests): v is a member iff its mod-2
     reduction is a codeword.
     """
-    gens = [c.coords() for c in C.gen.columns()]
-    gens.extend(_unit_columns(C.n, 2))
+    gens = _unit_columns(C.n, 2) + [c.coords() for c in C.basis()]
     return Lattice.from_generators(C.n, gens)
 
 
@@ -224,10 +228,10 @@ def simplified_d(C: Code) -> Lattice:
 
 
 def _l_a_scaled_by(C: Code, e: int) -> Lattice:
-    """2^e * L_A(C) generated directly from scaled codeword embeddings."""
+    """2^e * L_A(C) from 2^(e+1) e_j, then the scaled codeword embeddings."""
     f = 2**e
-    gens = [tuple(f * x for x in c.coords()) for c in C.codewords() if not c.is_zero()]
-    gens.extend(_unit_columns(C.n, 2 * f))
+    gens = _unit_columns(C.n, 2 * f)
+    gens += [tuple(f * x for x in c.coords()) for c in C.codewords() if not c.is_zero()]
     return Lattice.from_generators(C.n, gens)
 
 
@@ -238,19 +242,16 @@ def c_star_definitional(C: Code) -> Lattice:
     which as a set equals the scaled Construction-A lattice 2^(n-i) L_A(C).
     The terms are therefore nested, so the n-fold intersection collapses to
     the first term; the nesting is verified here by explicit membership of
-    every basis vector, not assumed.
+    every basis vector, not assumed; term 1 already holds the 2^n Z^n summand.
     """
     n = C.n
     if n > C_STAR_CROSSCHECK_CAP:
         raise ValueError(f"definitional route capped at n = {C_STAR_CROSSCHECK_CAP}")
     terms = [_l_a_scaled_by(C, n - i) for i in range(1, n + 1)]
-    for i in range(len(terms) - 1):
-        for col in terms[i].basis:
-            if not terms[i + 1].contains(col):
-                raise ArithmeticError("term nesting violated (bug)")
-    first = terms[0]
-    gens = list(first.basis) + _unit_columns(n, 2**n)
-    return Lattice.from_generators(n, gens)
+    for inner, outer in zip(terms, terms[1:]):
+        if not all(outer.contains(col) for col in inner.basis):
+            raise ArithmeticError("term nesting violated (bug)")
+    return terms[0]
 
 
 def construction_c_star(C: Code) -> Lattice:
@@ -259,9 +260,8 @@ def construction_c_star(C: Code) -> Lattice:
     if n > C_STAR_AMBIENT_CAP:
         raise ValueError(f"ambient dimension {n} > cap {C_STAR_AMBIENT_CAP}")
     collapsed = scale(construction_a(C), 2 ** (n - 1))
-    if n <= C_STAR_CROSSCHECK_CAP:
-        if c_star_definitional(C) != collapsed:
-            raise ArithmeticError("intersection form disagrees with collapse (bug)")
+    if n <= C_STAR_CROSSCHECK_CAP and c_star_definitional(C) != collapsed:
+        raise ArithmeticError("intersection form disagrees with collapse (bug)")
     return collapsed
 
 

@@ -68,7 +68,10 @@ class GeneratingSet:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g; (|a|, +-1, 0)
+    when a divides b, so an HNF pivot that divides the new entry stays."""
+    if a and b % a == 0:
+        return (a, 1, 0) if a > 0 else (-a, -1, 0)
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -563,10 +566,12 @@ def lp_power_sum_cmp(entries: Sequence[int], p, threshold) -> int:
 
 
 def scale(L: Lattice, s: int) -> Lattice:
-    """The lattice s*L for a positive integer s."""
+    """The lattice s*L for a positive integer s, with no HNF pass: s times
+    a canonical HNF is canonical, with positive pivots s*p in the same rows
+    and each entry s*h left of a pivot in [0, s*p)."""
     if s < 1:
         raise ValueError("scale factor must be a positive integer")
-    return Lattice.from_generators(L.n, [tuple(s * e for e in col) for col in L.basis])
+    return Lattice(L.n, tuple(tuple(s * e for e in col) for col in L.basis), L.pivots)
 
 
 def adjugate_solve(L: Lattice, v: Sequence[int]) -> tuple[int, list[int]]:

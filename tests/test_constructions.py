@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product as iter_product
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from codelattice import constructions
 from codelattice.constructions import (
     DTowerInput,
+    c_star_definitional,
     construction_a,
     construction_a_member,
     construction_c_star,
@@ -99,6 +101,50 @@ def test_construction_a_membership_law():
             assert construction_a_member(C, v) == L.contains(v)
     with pytest.raises(LengthMismatch):
         construction_a_member(rand_code(rng, 3, 1), (1, 0))
+
+
+def units(n, f):
+    return [tuple(f if t == j else 0 for t in range(n)) for j in range(n)]
+
+
+def test_construction_a_of_a_dense_64_32_code_is_fast():
+    # these dense generators listed before the units blow the HNF's entries
+    # up (about 10 s); units first, then the reduced basis, keep them <= 2
+    rng = random.Random(6432)
+    C = rand_code(rng, 64, 32)
+    assert C.dimension == 32
+    t0 = time.perf_counter()
+    L = construction_a(C)
+    assert time.perf_counter() - t0 < 2.0
+    assert determinant(L).value == 2 ** (64 - 32)
+    leading = {w.support()[0] for w in C.basis()}
+    assert {r for j, r in enumerate(L.pivots) if L.basis[j][r] == 1} == leading
+    assert all(L.basis[j][r] == 2 for j, r in enumerate(L.pivots) if r not in leading)
+    assert all(L.contains(w.coords()) for w in C.basis())
+    assert all(C.contains(mod2_reduction(col)) for col in L.basis)
+
+
+def test_construction_a_matches_generators_before_units():
+    # the reference lists the generator columns first and 2 e_j last
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randrange(1, 21)
+        C = rand_code(rng, n, rng.randrange(1, n + 2))
+        ref = Lattice.from_generators(n, [c.coords() for c in C.gen.columns()] + units(n, 2))
+        L = construction_a(C)
+        assert (L.basis, L.pivots) == (ref.basis, ref.pivots)
+
+
+def test_spanning_blocks_do_not_put_2Zn_in_construction_d():
+    # K_0 | K_1 spans F2^4, yet no 2 e_j lies in the lattice: a modulus 2^a
+    # for the HNF of construction_d would give a wrong basis
+    K0 = BinaryMatrix.from_columns([bv((0, 1, 1, 1)), bv((1, 1, 0, 0))])
+    K1 = BinaryMatrix.from_columns([bv((1, 0, 0, 1)), bv((1, 0, 1, 0))])
+    L = construction_d(DTowerInput((K0, K1)), strict=False)
+    assert [L.basis[j][r] for j, r in enumerate(L.pivots)] == [1, 2, 1, 6]
+    assert determinant(L).value == 12
+    assert not any(L.contains(e) for e in units(4, 2))
+    assert vladut_special_d(K0, [], K1, 1) == L
 
 
 def test_dtower_input_validation():
@@ -207,6 +253,20 @@ def test_c_star_collapse_small_cases():
         base = shortest_vectors(construction_a(C))
         assert rep.lambda1_sq == 4 ** (n - 1) * base.lambda1_sq
         assert rep.kissing == base.kissing
+
+
+def test_c_star_definitional_already_holds_2nZn():
+    # term 1 lists 2^n e_j among its generators, so adding them again
+    # leaves the basis as it is
+    rng = random.Random(34)
+    for _ in range(12):
+        n = rng.randrange(1, 7)
+        C = rand_code(rng, n, rng.randrange(1, n + 1))
+        D = c_star_definitional(C)
+        ref = Lattice.from_generators(n, list(D.basis) + units(n, 2**n))
+        assert (D.basis, D.pivots) == (ref.basis, ref.pivots)
+        scaled = [tuple(2 ** (n - 1) * e for e in col) for col in construction_a(C).basis]
+        assert D == Lattice.from_generators(n, scaled)
 
 
 def test_c_star_ambient_cap():

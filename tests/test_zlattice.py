@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from codelattice.zlattice import (
     _coeff_interval,
     _enumerate,
     _lll,
+    _xgcd,
     Determinant,
     GeneratingSet,
     Lattice,
@@ -483,6 +485,24 @@ def test_scale_and_equality():
     # lattices of different ambient dimension are simply unequal
     assert S == scale(L, 2) and S != L
     assert L != Lattice.from_generators(3, [(1, 0, 0), (0, 0, 3)])
+    # a scaled canonical HNF is already canonical
+    rng = random.Random(47)
+    for _ in range(40):
+        L, _ = rand_lattice(rng)
+        s = rng.randrange(1, 9)
+        ref = Lattice.from_generators(L.n, [tuple(s * e for e in col) for col in L.basis])
+        S = scale(L, s)
+        assert (S.basis, S.pivots) == (ref.basis, ref.pivots)
+
+
+def test_xgcd_keeps_a_divisor_first():
+    rng = random.Random(48)
+    for _ in range(2000):
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        g, x, y = _xgcd(a, b)
+        assert g == math.gcd(a, b) and a * x + b * y == g
+        if a and b % a == 0:
+            assert (g, x, y) == (abs(a), 1 if a > 0 else -1, 0)
 
 
 def test_adjugate_solve():
