@@ -7,8 +7,13 @@ their stored bases are identical tuples.  One integral Gram-Schmidt (the
 integers d_i and lambda_ij of Cohen Alg. 2.6.7) drives both the
 fraction-free LLL and the enumeration that follows it: shortest vectors
 come from one sign-symmetric Fincke-Pohst walk (each +-v pair reached once)
-on those integers, with no pruning and an explicit node budget.  Its last
-d is det Gram, which gives the determinant of a lattice of lower rank.
+on those integers, with no pruning and an explicit node budget.  The GSO
+is built with the columns in ascending-norm order, where the multiples of
+unit vectors that fill q-ary bases come first and keep lambda sparse, and
+is then moved back to HNF order by LLL's own swap update; the GSO of an
+ordered basis is unique, so LLL starts from exactly the integers of the
+dense loop in HNF order.  Its last d is det Gram, which does not depend on
+the column order and gives the determinant of a lattice of lower rank.
 ``Fraction`` appears only for the LLL parameter delta and the exact l_p
 comparisons; floating point appears nowhere.
 """
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -159,10 +163,24 @@ class Lattice:
         return len(self.basis)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Exact Gram matrix of the basis columns (cached)."""
+        """Exact Gram matrix of the basis columns (cached).
+
+        Built row by row of the basis: each coordinate adds the products of
+        its nonzero entries into the lower triangle, so a column that is a
+        multiple of a unit vector costs one product per coordinate it meets.
+        """
         if self._gram is None:
-            b = self.basis
-            g = tuple(tuple(sum(map(mul, bi, bj)) for bj in b) for bi in b)
+            low = [[0] * (j + 1) for j in range(self.rank)]
+            for row in zip(*self.basis):
+                nz = [(j, x) for j, x in enumerate(row) if x]
+                for a, (j, x) in enumerate(nz, 1):
+                    lj = low[j]
+                    for i, y in nz[:a]:
+                        lj[i] += x * y
+            g = tuple(
+                tuple(low[j] + [low[i][j] for i in range(j + 1, self.rank)])
+                for j in range(self.rank)
+            )
             object.__setattr__(self, "_gram", g)
         return self._gram
 
@@ -231,7 +249,9 @@ def determinant(L: Lattice) -> Determinant:
 
     Product of HNF pivots when L has full rank.  Otherwise det(Gram) is the
     last d of the integral Gram-Schmidt (the HNF columns are independent,
-    so its divisions are exact), and det(L) is its square root.
+    so its divisions are exact), and det(L) is its square root.  det Gram
+    does not depend on the column order, so the norm-ordered GSO serves as
+    it is, with no swaps back to HNF order.
     """
     if L.rank == 0:
         raise ZeroRank("determinant of a rank-0 lattice")
@@ -240,7 +260,7 @@ def determinant(L: Lattice) -> Determinant:
         for j, r in enumerate(L.pivots):
             d *= L.basis[j][r]
         return Determinant(d, squared=False)
-    dg = _integral_gso(L.gram())[1][-1]
+    dg = _norm_ordered_gso(L.gram())[2][-1]
     s = isqrt(dg)
     if s * s == dg:
         return Determinant(s, squared=False)
@@ -251,27 +271,82 @@ def determinant(L: Lattice) -> Determinant:
 # fraction-free Gram-Schmidt and LLL (Cohen, Alg. 2.6.7)
 # ---------------------------------------------------------------------------
 
-def _integral_gso(G: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Integral Gram-Schmidt data (lam, d) from the Gram matrix of independent columns.
+def _norm_ordered_gso(G: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int]]:
+    """``(order, lam, d)``: the integral GSO of the columns taken in ascending-norm order.
 
-    ``d[0] = 1``, ``d[i+1] = det Gram(b_0..b_i) > 0`` and, for j < i,
+    ``order`` lists the columns by norm, ties kept in their given order;
+    ``lam`` and ``d`` belong to the columns in that order.  ``d[0] = 1``,
+    ``d[i+1] = det Gram(b_0..b_i) > 0`` and, for j < i,
     ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.  All are
-    integers and every division below is exact.
+    integers and every division below is exact.  Cohen's recurrence
+    u <- (d_{i+1} u - lam_ki lam_ji) / d_i skips the zero products: over a
+    run i = s..e-1 of them u_i / d_i is constant, so the run is the one
+    exact step u <- u d_e / d_s.  Short columns first keeps lam sparse on
+    q-ary bases, whose multiples of unit vectors are mutually orthogonal.
     """
     m = len(G)
+    order = sorted(range(m), key=lambda j: G[j][j])
     d = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
+    nz: list[list[int]] = []  # per row, the columns i with lam[k][i] != 0
     for k in range(m):
-        gk, lk = G[k], lam[k]
+        gk, lk, nk = G[order[k]], lam[k], []
         for j in range(k + 1):
-            u = gk[j]
+            u, s = gk[order[j]], 0
             lj = lam[j]
-            for i in range(j):
-                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            for i in nz[j] if j < k else nk:
+                if lk[i]:
+                    if i > s:
+                        u = u * d[i] // d[s]
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+                    s = i + 1
+            if j > s:
+                u = u * d[j] // d[s]
             if j < k:
                 lk[j] = u
+                if u:
+                    nk.append(j)
             else:
                 d[k + 1] = u
+        nz.append(nk)
+    return order, lam, d
+
+
+def _swap(lam: list[list[int]], d: list[int], k: int) -> None:
+    """Update the integral GSO in place for swapping columns k-1 and k (Cohen SWAPI).
+
+    lam[k][k-1] is unchanged; a later row with lam_ik = lam_i,k-1 = 0 keeps
+    both zero and is skipped.
+    """
+    lk, lprev = lam[k], lam[k - 1]
+    lk[:k - 1], lprev[:k - 1] = lprev[:k - 1], lk[:k - 1]
+    lkk = lk[k - 1]
+    dk, dk1 = d[k], d[k + 1]
+    dnew = (d[k - 1] * dk1 + lkk * lkk) // dk
+    for li in lam[k + 1:]:
+        t, a = li[k], li[k - 1]
+        if t or a:
+            li[k] = (dk1 * a - lkk * t) // dk
+            li[k - 1] = (dnew * t + lkk * li[k]) // dk1
+    d[k] = dnew
+
+
+def _integral_gso(G: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integral GSO data (lam, d) of independent columns in their given order.
+
+    Built in ascending-norm order by :func:`_norm_ordered_gso`, then column
+    t = 0, 1, ... is moved left to place t by adjacent swaps, one
+    :func:`_swap` per inversion of the order.  The GSO of an ordered basis
+    is unique and every swap update is exact, so the integers equal those
+    of Cohen's dense loop run on the given order.
+    """
+    order, lam, d = _norm_ordered_gso(G)
+    for t in range(len(order)):
+        k = order.index(t)
+        while k > t:
+            _swap(lam, d, k)
+            order[k - 1], order[k] = order[k], order[k - 1]
+            k -= 1
     return lam, d
 
 
@@ -280,8 +355,11 @@ def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[i
 
     Fraction-free LLL on the integers of :func:`_integral_gso`: size-reduce
     b_k against b_{k-1} .. b_0, then test the Lovasz condition, swap and
-    step back on failure.  The result is cached on L for the last delta
-    used; callers must not modify the returned lists.
+    step back on failure.  The input stays in HNF order: the GSO is built
+    in norm order and swapped back by the same :func:`_swap`, so the
+    integers and every decision are those of the dense loop on HNF order.
+    The result is cached on L for the last delta used; callers must not
+    modify the returned lists.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -309,21 +387,11 @@ def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[i
         basis[k] = bk
         # Lovasz: B_k >= (delta - mu^2) B_{k-1}, multiplied by d_k d_{k-1} q_delta
         lkk = lk[k - 1]
-        dk, dk1 = d[k], d[k + 1]
-        if dq * (dk1 * d[k - 1] + lkk * lkk) >= dp * dk * dk:
+        if dq * (d[k + 1] * d[k - 1] + lkk * lkk) >= dp * d[k] * d[k]:
             k += 1
             continue
         basis[k - 1], basis[k] = bk, basis[k - 1]
-        lprev = lam[k - 1]
-        for j in range(k - 1):
-            lprev[j], lk[j] = lk[j], lprev[j]
-        dnew = (d[k - 1] * dk1 + lkk * lkk) // dk
-        for i in range(k + 1, m):
-            li = lam[i]
-            t = li[k]
-            li[k] = (dk1 * li[k - 1] - lkk * t) // dk
-            li[k - 1] = (dnew * t + lkk * li[k]) // dk1
-        d[k] = dnew
+        _swap(lam, d, k)
         k = max(k - 1, 1)
     result = (tuple(map(tuple, basis)), lam, d)
     object.__setattr__(L, "_reduction", (delta,) + result)

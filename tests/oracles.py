@@ -8,9 +8,10 @@ all-codeword span and exhaustive coset walk, and its former 2^k sweeps of
 the Thm 2.2 and Thm 2.4 gadget hypotheses, kept as they were so that the
 monomial span, the counting decision and the F2 solves that replaced them
 have an independent path to match, its former one-word Gray sweep for
-the minimum-weight words, which the bit-sliced sweep must match, and its
+the minimum-weight words, which the bit-sliced sweep must match, its
 former plain Fincke-Pohst walk, whose leaves and node count the
-sign-symmetric walk must match.
+sign-symmetric walk must match, and its former dense integral GSO loop,
+whose integers the norm-ordered GSO must match exactly.
 """
 
 from fractions import Fraction
@@ -393,3 +394,26 @@ def fincke_pohst_plain(lam, d, radius, shortest):
 
     rec(m - 1, 0, [0] * m)
     return bound // P, leaves, nodes
+
+
+def integral_gso_dense(G):
+    """Integral GSO ``(lam, d)`` of Cohen Alg. 2.6.7 by the dense loop.
+
+    The package's former ``_integral_gso``: every product lam_ki lam_ji is
+    taken, zero or not, on the columns in their given order.
+    """
+    m = len(G)
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        gk, lk = G[k], lam[k]
+        for j in range(k + 1):
+            u = gk[j]
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            else:
+                d[k + 1] = u
+    return lam, d

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -12,12 +13,15 @@ from codelattice.errors import (
     ZeroRank,
 )
 from codelattice.gadgets import build_cor23
+from codelattice.gf2core import BinaryMatrix, Code
 from codelattice.matio import golay_code
 from codelattice.zlattice import (
     DEFAULT_DELTA,
     _coeff_interval,
     _enumerate,
+    _integral_gso,
     _lll,
+    _norm_ordered_gso,
     _xgcd,
     Determinant,
     GeneratingSet,
@@ -41,6 +45,7 @@ from oracles import (
     fincke_pohst_plain,
     frac_det,
     frac_lll,
+    integral_gso_dense,
     reduce_columns,
 )
 
@@ -246,6 +251,71 @@ def test_lll_integral_gso_matches_oracle():
                     assert Fraction(d[i + 1], d[i]) == B[i]
                     for j in range(i):
                         assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+
+
+def dense_gram(L):
+    return tuple(tuple(sum(map(mul, bi, bj)) for bj in L.basis) for bi in L.basis)
+
+
+def test_gram_matches_dense_product():
+    rng = random.Random(42)
+    assert Lattice.from_generators(3, []).gram() == ()
+    hollow = 0  # lattices with a coordinate where every column is zero
+    for _ in range(200):
+        L, _ = rand_lattice(rng, n=rng.randrange(1, 8), lo=-3, hi=3)
+        hollow += any(not any(row) for row in zip(*L.basis)) and L.rank > 0
+        assert L.gram() == dense_gram(L)
+    assert hollow > 20
+    # entries above 2^64, both from the HNF and from a scaled basis
+    for _ in range(20):
+        L, _ = rand_lattice(rng, n=rng.randrange(1, 6), lo=-(2**70), hi=2**70)
+        assert L.gram() == dense_gram(L)
+        L2 = scale(rand_lattice(rng, n=4)[0], 2**65 + 3)
+        assert L2.gram() == dense_gram(L2)
+
+
+def units(n, q):
+    return [tuple(q if t == j else 0 for t in range(n)) for j in range(n)]
+
+
+def test_gso_matches_dense_oracle():
+    # the norm-ordered GSO swapped back to HNF order must give exactly the
+    # integers of the dense loop on HNF order
+    rng = random.Random(43)
+    lattices = []
+    for rank in range(1, 11):
+        for _ in range(4):
+            lattices.append(rand_lattice_of_rank(rng, rank))  # entries in [-9, 9]
+        for _ in range(4):
+            # entries in {-1, 0, 1}: many columns share a norm
+            n = rank + rng.randrange(3)
+            while True:
+                L, _ = rand_lattice(rng, n=n, k=rank, lo=-1, hi=1)
+                if L.rank == rank:
+                    lattices.append(L)
+                    break
+    assert sum(L.rank < L.n for L in lattices) > 30
+    ties = [L for L in lattices if len({L.gram()[i][i] for i in range(L.rank)}) < L.rank]
+    assert len(ties) > 10
+    # some tied case is also reordered, so the swap-back meets ties
+    assert any(_norm_ordered_gso(L.gram())[0] != sorted(range(L.rank)) for L in ties)
+    lattices.append(Lattice.from_generators(9, units(9, 5)))  # q * I
+    lattices.append(construction_a(golay_code()))
+    while True:
+        C = Code(BinaryMatrix(48, [rng.getrandbits(48) for _ in range(24)]))
+        if C.dimension == 24:
+            lattices.append(construction_a(C))
+            break
+    lattices += [build_cor23(seed=s)[1] for s in range(3)]
+    for L in lattices:
+        G = L.gram()
+        assert _integral_gso(G) == integral_gso_dense(G)
+    # cor23 seed 0: the 4 e_j columns come first and are mutually
+    # orthogonal, so the norm-ordered lam is sparse where HNF order is dense
+    G = lattices[-3].gram()
+    nonzero = lambda lam: sum(map(bool, (x for row in lam for x in row)))
+    assert nonzero(_norm_ordered_gso(G)[1]) == 158
+    assert nonzero(_integral_gso(G)[0]) == 1973
 
 
 def test_lll_delta_validation():
