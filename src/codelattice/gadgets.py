@@ -470,12 +470,11 @@ def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
         return tuple(v)
 
     if L.rank == L.n:
-        D, x_plus = adjugate_solve(L, c.coords())
-        cols2 = []
-        for i in support:
-            e = tuple(1 if t == i else 0 for t in range(n))
-            _, col = adjugate_solve(L, e)
-            cols2.append([2 * x for x in col])
+        solves = [adjugate_solve(L, tuple(int(t == i) for t in range(n))) for i in support]
+        D = solves[0][0]
+        # X is linear in v and c is the sum of its unit vectors
+        x_plus = [sum(xs) for xs in zip(*(col for _, col in solves))]
+        cols2 = [[2 * x for x in col] for _, col in solves]
         g = gcd(D, *x_plus, *(x for col in cols2 for x in col))
         Dg = D // g
         hits = _sign_walk(

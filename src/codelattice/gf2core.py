@@ -75,10 +75,6 @@ class BinaryVector:
         return cls(len(coords), bits)
 
     @classmethod
-    def zero(cls, n: int) -> "BinaryVector":
-        return cls(n, 0)
-
-    @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "BinaryVector":
         bits = 0
         for i in support:

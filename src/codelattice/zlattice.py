@@ -3,17 +3,20 @@
 Everything here is exact.  Bases are kept in a canonical column Hermite
 normal form (pivot rows strictly increasing, pivots positive, entries to the
 left of each pivot reduced into [0, pivot)), so two lattices are equal iff
-their stored bases are identical tuples.  One integral Gram-Schmidt (the
-integers d_i and lambda_ij of Cohen Alg. 2.6.7) drives both the
-fraction-free LLL and the enumeration that follows it: shortest vectors
-come from one sign-symmetric Fincke-Pohst walk (each +-v pair reached once)
-on those integers, with no pruning and an explicit node budget.  The GSO
-is built with the columns in ascending-norm order, where the multiples of
-unit vectors that fill q-ary bases come first and keep lambda sparse, and
-is then moved back to HNF order by LLL's own swap update; the GSO of an
-ordered basis is unique, so LLL starts from exactly the integers of the
-dense loop in HNF order.  Its last d is det Gram, which does not depend on
-the column order and gives the determinant of a lattice of lower rank.
+their stored bases are identical tuples.  Membership, the adjugate solve
+and the HNF's own canonical step share one top-down reduction by those
+columns, which leaves a canonical residue of v + L for any rank.  One
+integral Gram-Schmidt (the integers d_i and lambda_ij of Cohen Alg. 2.6.7)
+drives both the fraction-free LLL and the enumeration that follows it:
+shortest vectors come from one sign-symmetric Fincke-Pohst walk (each +-v
+pair reached once) on those integers, with no pruning and an explicit node
+budget.  The GSO is built with the columns in ascending-norm order, where
+the multiples of unit vectors that fill q-ary bases come first and keep
+lambda sparse, and is then moved back to HNF order by LLL's own swap
+update; the GSO of an ordered basis is unique, so LLL starts from exactly
+the integers of the dense loop in HNF order.  Its last d is det Gram,
+which does not depend on the column order and gives the determinant of a
+lattice of lower rank.
 ``Fraction`` appears only for the LLL parameter delta and the exact l_p
 comparisons; floating point appears nowhere.
 """
@@ -89,16 +92,45 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _residue(
+    basis: Sequence[Sequence[int]], pivots: Sequence[int], v: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """``(q, w)``: v reduced top-down by HNF columns, w = v - sum_j q_j basis[j].
+
+    Each column, in pivot order, floors w's pivot-row entry into [0, pivot)
+    by subtracting q_j times itself in place, skipping its zero entries.
+    It is zero above its pivot row, so no later column touches a reduced
+    row: w is the same for all of v + L, at any rank, and v is in L iff w = 0.
+    """
+    w = list(v)
+    n = len(w)
+    q = [0] * len(pivots)
+    for j, r in enumerate(pivots):
+        if w[r]:
+            col = basis[j]
+            k = w[r] // col[r]
+            if k:
+                q[j] = k
+                for t in range(r, n):
+                    c = col[t]
+                    if c:
+                        w[t] -= k * c
+    return q, w
+
+
 def _hnf_columns(n: int, columns: Iterable[Sequence[int]]) -> tuple[tuple[IntVec, ...], tuple[int, ...]]:
     """Canonical column HNF of the integer span of ``columns``.
 
-    Returns (basis, pivot_rows).  Zero columns are dropped; the basis is in
-    echelon order with positive pivots and entries left of each pivot
-    reduced into [0, pivot).
+    Returns (basis, pivot_rows).  Zero columns are dropped and a column of
+    another length raises DimensionMismatch.  Pivots are made positive, then
+    each column becomes its :func:`_residue` against the later columns, so
+    entries left of each pivot lie in [0, pivot).
     """
     piv: dict[int, list[int]] = {}  # pivot row -> column
     for col in columns:
         v = list(col)
+        if len(v) != n:
+            raise DimensionMismatch(f"column length {len(v)} != ambient {n}")
         r = 0
         while r < n:
             if v[r] == 0:
@@ -120,18 +152,8 @@ def _hnf_columns(n: int, columns: Iterable[Sequence[int]]) -> tuple[tuple[IntVec
     for j, r in enumerate(order):
         if basis[j][r] < 0:
             basis[j] = [-e for e in basis[j]]
-    # canonical reduction: in each pivot row, entries of earlier columns
-    # land in [0, pivot).  Processing pivot rows top-down is safe because
-    # reducing by column j only touches rows >= its pivot row.
-    for j in range(len(order)):
-        pj = order[j]
-        d = basis[j][pj]
-        for i in range(j):
-            q = basis[i][pj] // d
-            if q:
-                bj = basis[j]
-                basis[i] = [basis[i][t] - q * bj[t] for t in range(n)]
-    return tuple(tuple(c) for c in basis), tuple(order)
+    basis = [_residue(basis[i + 1:], order[i + 1:], basis[i])[1] for i in range(len(order))]
+    return tuple(map(tuple, basis)), tuple(order)
 
 
 class Lattice:
@@ -185,24 +207,10 @@ class Lattice:
         return self._gram
 
     def contains(self, v: Sequence[int]) -> bool:
+        """Exact membership: v lies in L iff its :func:`_residue` is zero."""
         if len(v) != self.n:
             raise DimensionMismatch(f"vector length {len(v)} != ambient {self.n}")
-        w = list(v)
-        row_of = {r: j for j, r in enumerate(self.pivots)}
-        for r in range(self.n):
-            if w[r] == 0:
-                continue
-            j = row_of.get(r)
-            if j is None:
-                return False
-            d = self.basis[j][r]
-            if w[r] % d:
-                return False
-            q = w[r] // d
-            col = self.basis[j]
-            for t in range(r, self.n):
-                w[t] -= q * col[t]
-        return True
+        return not any(_residue(self.basis, self.pivots, v)[1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,7 +232,7 @@ def hnf(G: GeneratingSet) -> Lattice:
 
 
 def contains(L: Lattice, v: Sequence[int]) -> bool:
-    """Exact membership through HNF back-substitution."""
+    """Exact membership: v reduced top-down by the HNF basis leaves zero."""
     return L.contains(v)
 
 
@@ -645,26 +653,17 @@ def scale(L: Lattice, s: int) -> Lattice:
 def adjugate_solve(L: Lattice, v: Sequence[int]) -> tuple[int, list[int]]:
     """For full-rank L: (D, X) with H X = D v, D = det(L), X integral.
 
-    Since X = D * H^{-1} v, the vector v lies in L iff every X_i is
-    divisible by D.  This turns batches of membership tests into residue
-    sums mod D, which the sign-pattern search joins meet-in-the-middle.
+    X is the quotient list of the :func:`_residue` of D v, which is zero as
+    D Z^n lies in L.  Since X = D * H^{-1} v, v lies in L iff D divides
+    every X_i: batches of membership tests become residue sums mod D,
+    which the sign-pattern search joins meet-in-the-middle.
     """
     if L.rank != L.n:
         raise ZeroRank("adjugate solve needs a full-rank lattice")
     if len(v) != L.n:
         raise DimensionMismatch(f"vector length {len(v)} != ambient {L.n}")
-    n = L.n
     D = determinant(L).value
-    X = [0] * n
-    for r in range(n):
-        acc = D * v[r]
-        for c in range(r):
-            h = L.basis[c][r]
-            if h and X[c]:
-                acc -= h * X[c]
-        d = L.basis[r][r]
-        q, rem = divmod(acc, d)
-        if rem:
-            raise ArithmeticError("adjugate solve lost integrality (bug)")
-        X[r] = q
+    X, w = _residue(L.basis, L.pivots, [D * x for x in v])
+    if any(w):
+        raise ArithmeticError("adjugate solve lost integrality (bug)")
     return D, X

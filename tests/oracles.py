@@ -312,7 +312,7 @@ def thm24_kernel_walk(g, kerA, dB):
     ``(ok, witness)``: the first x of the walk with 0 < wt(Bx) <= dB.
     """
     out_witness = None
-    cur = BinaryVector.zero(g.ell)
+    cur = BinaryVector(g.ell, 0)
     for t in range(1, 1 << len(kerA)):
         cur = cur + kerA[(t & -t).bit_length() - 1]
         bx = g.B.mul(cur)

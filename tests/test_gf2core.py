@@ -48,7 +48,7 @@ def test_vector_basics():
     assert v.weight == 2
     assert v.support() == (0, 2)
     assert v[0] == 1 and v[1] == 0 and v[2] == 1
-    assert BinaryVector.zero(3).is_zero()
+    assert BinaryVector(3, 0).is_zero()
     assert not v.is_zero()
     assert BinaryVector.from_support(5, [1, 3]).coords() == (0, 1, 0, 1, 0)
 
@@ -102,7 +102,7 @@ def test_matrix_mul_matches_column_xor():
         n, k = rng.randrange(1, 8), rng.randrange(1, 8)
         M = rand_matrix(rng, n, k)
         x = rand_vec(rng, k)
-        acc = BinaryVector.zero(n)
+        acc = BinaryVector(n, 0)
         for j in x.support():
             acc = acc + M.column(j)
         assert M.mul(x) == acc
@@ -210,7 +210,7 @@ def test_code_codewords_match_direct_span():
         C = Code(M)
         direct = set()
         for mask in range(1 << k):
-            w = BinaryVector.zero(n)
+            w = BinaryVector(n, 0)
             for j in range(k):
                 if (mask >> j) & 1:
                     w = w + M.column(j)
@@ -260,7 +260,7 @@ def test_min_distance_brute_force():
             continue
         span = set()
         for mask in range(1 << k):
-            w = BinaryVector.zero(n)
+            w = BinaryVector(n, 0)
             for j in range(k):
                 if (mask >> j) & 1:
                     w = w + M.column(j)
@@ -279,7 +279,7 @@ def test_min_distance_brute_force():
         assert min_weight_codewords(fresh) == words
         assert min_distance(fresh) == min(weights)
         # callers own the returned list: mutating it leaves the cache intact
-        words.append(BinaryVector.zero(n))
+        words.append(BinaryVector(n, 0))
         min_weight_codewords(fresh).clear()
         assert min_weight_codewords(fresh) == words[:-1]
         assert code_kissing_number(fresh) == len(words) - 1

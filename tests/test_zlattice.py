@@ -22,6 +22,7 @@ from codelattice.zlattice import (
     _integral_gso,
     _lll,
     _norm_ordered_gso,
+    _residue,
     _xgcd,
     Determinant,
     GeneratingSet,
@@ -114,6 +115,9 @@ def test_hnf_invariant_under_generator_changes():
 def test_generating_set_validation():
     with pytest.raises(DimensionMismatch):
         GeneratingSet(3, ((1, 0),))
+    for n, col in ((3, (1, 2)), (2, (1, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            Lattice.from_generators(n, [col])
     G = GeneratingSet(2, ((1, 0), (0, 2)))
     assert hnf(G).basis == ((1, 0), (0, 2))
 
@@ -137,6 +141,34 @@ def test_membership_matches_oracle():
             assert L.contains(v) == box_member(cols, v)
     with pytest.raises(DimensionMismatch):
         Lattice.from_generators(2, [(1, 0)]).contains((1, 0, 0))
+
+
+def test_residue_is_canonical():
+    # v and v + u (u in L) leave the same residue, whose pivot-row entries
+    # lie in [0, pivot); the quotients rebuild v - w, and a zero residue
+    # means membership, for every rank 0..n
+    rng = random.Random(23)
+    ranks = set()
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        L, _ = rand_lattice(rng, n=n, k=rng.randrange(0, n + 2))
+        ranks.add((L.rank, L.n))
+        cols = [list(c) for c in L.basis]
+        for _ in range(8):
+            v = [rng.randint(-9, 9) for _ in range(n)]
+            coeffs = [rng.randint(-5, 5) for _ in cols]
+            u = [sum(a * col[t] for a, col in zip(coeffs, cols)) for t in range(n)]
+            q, w = _residue(L.basis, L.pivots, v)
+            assert _residue(L.basis, L.pivots, [a + b for a, b in zip(v, u)])[1] == w
+            for col, r in zip(L.basis, L.pivots):
+                assert 0 <= w[r] < col[r]
+            assert [a - b for a, b in zip(v, w)] == [
+                sum(k * col[t] for k, col in zip(q, cols)) for t in range(n)
+            ]
+            assert (not any(w)) == box_member(cols, v)
+    assert any(r == 0 for r, _ in ranks)
+    assert any(0 < r < n for r, n in ranks)
+    assert any(r == n for r, n in ranks)
 
 
 def test_determinant_full_rank_matches_elimination():
@@ -577,16 +609,26 @@ def test_xgcd_keeps_a_divisor_first():
 
 def test_adjugate_solve():
     rng = random.Random(29)
-    done = 0
-    while done < 15:
+    cases = []
+    while len(cases) < 15:
         n = rng.randrange(1, 5)
         L, _ = rand_lattice(rng, n=n, k=n + 1)
-        if L.rank != n:
-            continue
-        done += 1
+        if L.rank == n:
+            cases.append((L, [[rng.randint(-8, 8) for _ in range(n)] for _ in range(10)]))
+    # q-ary bases: cor23 seed 0 on the unit vectors of a light word's
+    # support and on the word itself, and 4 I_6 plus two random columns
+    _, L, C = build_cor23(seed=0)
+    word = next(C.light_words(16))
+    units = [[int(t == i) for t in range(L.n)] for i in word.support()]
+    cases.append((L, units + [list(word.coords())]))
+    gens = [tuple(4 * (t == i) for t in range(6)) for i in range(6)]
+    gens += [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(2)]
+    vs = [[rng.randint(-8, 8) for _ in range(6)] for _ in range(10)]
+    cases.append((Lattice.from_generators(6, gens), vs))
+    for L, vs in cases:
+        n = L.n
         D = determinant(L).value
-        for _ in range(10):
-            v = [rng.randint(-8, 8) for _ in range(n)]
+        for v in vs:
             D2, X = adjugate_solve(L, v)
             assert D2 == D
             # H X = D v, columns of H are the basis
