@@ -5,8 +5,11 @@ additive: over Z,
 
     bar(c + c') = bar c + bar c' - 2 * bar(c o c')
 
-with ``o`` the coordinate-wise product.  Everything in this module is an
-exact integer-lattice construction on top of that lift:
+with ``o`` the coordinate-wise product.  Every generator made here from
+code words, the unit columns 2^e e_j included, is a scaled lift 2^e bar(w)
+from the one helper ``_lift``, which like ``embed`` reads
+``BinaryVector.coords``.  Everything in this module is an exact
+integer-lattice construction on top of that lift:
 
 * ``construction_a``      -- bar C + 2 Z^n, equivalently {z : z mod 2 in C}
 * ``construction_d``      -- scaled generator blocks 2^(a-i) bar K_i of a tower
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     LengthMismatch,
@@ -85,7 +88,7 @@ def embed(x: Union[BinaryVector, BinaryMatrix]):
     if isinstance(x, BinaryVector):
         return x.coords()
     if isinstance(x, BinaryMatrix):
-        return [c.coords() for c in x.columns()]
+        return _lift(1, x.columns())
     raise TypeError(f"cannot embed {type(x).__name__}")
 
 
@@ -104,8 +107,9 @@ def mod2_reduction(v: Sequence[int]) -> BinaryVector:
     return BinaryVector.from_coords([e & 1 for e in v])
 
 
-def _unit_columns(n: int, factor: int) -> list[IntVec]:
-    return [tuple(factor if t == i else 0 for t in range(n)) for i in range(n)]
+def _lift(factor: int, words: Iterable[BinaryVector]) -> list[IntVec]:
+    """factor * bar(w) for each word w: the one lift of code words to Z^n."""
+    return [tuple([factor * e for e in w.coords()]) for w in words]
 
 
 def construction_a(C: Code) -> Lattice:
@@ -119,7 +123,7 @@ def construction_a(C: Code) -> Lattice:
     Membership law (cross-checked by tests): v is a member iff its mod-2
     reduction is a codeword.
     """
-    gens = _unit_columns(C.n, 2) + [c.coords() for c in C.basis()]
+    gens = _lift(2, BinaryMatrix.identity(C.n).columns()) + _lift(1, C.basis())
     return Lattice.from_generators(C.n, gens)
 
 
@@ -152,12 +156,13 @@ class DTowerInput:
     def a(self) -> int:
         return len(self.matrices) - 1
 
+    def _stack(self, i: int = 0) -> BinaryMatrix:
+        """The blocks K_i .. K_a side by side."""
+        return BinaryMatrix(self.n, [col for M in self.matrices[i:] for col in M.cols])
+
     def level_code(self, i: int) -> Code:
         """C_i, the span of blocks K_i .. K_a (C_0 is the full space)."""
-        stack = self.matrices[i]
-        for M in self.matrices[i + 1 :]:
-            stack = stack.hstack(M)
-        return Code(stack)
+        return Code(self._stack(i))
 
 
 def construction_d(inp: DTowerInput, strict: bool = True) -> Lattice:
@@ -174,10 +179,7 @@ def construction_d(inp: DTowerInput, strict: bool = True) -> Lattice:
         supplied = sum(M.k for M in inp.matrices)
         if supplied != n:
             raise TowerViolation(f"blocks supply {supplied} columns for ambient dimension {n}")
-        full = inp.matrices[0]
-        for M in inp.matrices[1:]:
-            full = full.hstack(M)
-        if rank(full) != n:
+        if rank(inp._stack()) != n:
             raise TowerViolation("concatenated blocks do not span F2^n")
         for i in range(1, a + 1):
             Ci = inp.level_code(i)
@@ -185,11 +187,7 @@ def construction_d(inp: DTowerInput, strict: bool = True) -> Lattice:
                 raise TowerViolation(f"level {i} is the zero code")
             if min_distance(Ci) < 4**i:
                 raise TowerViolation(f"d(C_{i}) < 4^{i}")
-    gens: list[IntVec] = []
-    for i, M in enumerate(inp.matrices):
-        f = 2 ** (a - i)
-        for col in M.columns():
-            gens.append(tuple(f * e for e in col.coords()))
+    gens = [g for i, M in enumerate(inp.matrices) for g in _lift(2 ** (a - i), M.columns())]
     return Lattice.from_generators(n, gens)
 
 
@@ -215,23 +213,22 @@ def vladut_special_d(
     total = K0.k + len(c_list) + Ka.k
     if total != n:
         raise NotFullRank(f"{total} columns for ambient dimension {n}")
-    blocks = (K0, *[BinaryMatrix(n, (c.bits,)) for c in c_list], Ka)
-    if rank(BinaryMatrix(n, [col for M in blocks for col in M.cols])) != n:
+    inp = DTowerInput((K0, *[BinaryMatrix(n, (c.bits,)) for c in c_list], Ka))
+    if rank(inp._stack()) != n:
         raise NotFullRank("(K_0 | c_1 | ... | K_a) is singular over F2")
-    return construction_d(DTowerInput(blocks), strict=False)
+    return construction_d(inp, strict=False)
 
 
 def simplified_d(C: Code) -> Lattice:
     """Lattice generated by the embedded minimum-weight codewords bar S_C."""
-    S = min_weight_codewords(C)
-    return Lattice.from_generators(C.n, [c.coords() for c in S])
+    return Lattice.from_generators(C.n, _lift(1, min_weight_codewords(C)))
 
 
 def _l_a_scaled_by(C: Code, e: int) -> Lattice:
     """2^e * L_A(C) from 2^(e+1) e_j, then the scaled codeword embeddings."""
     f = 2**e
-    gens = _unit_columns(C.n, 2 * f)
-    gens += [tuple(f * x for x in c.coords()) for c in C.codewords() if not c.is_zero()]
+    gens = _lift(2 * f, BinaryMatrix.identity(C.n).columns())
+    gens += _lift(f, [c for c in C.codewords() if not c.is_zero()])
     return Lattice.from_generators(C.n, gens)
 
 
@@ -245,8 +242,8 @@ def c_star_definitional(C: Code) -> Lattice:
     every basis vector, not assumed; term 1 already holds the 2^n Z^n summand.
     """
     n = C.n
-    if n > C_STAR_CROSSCHECK_CAP:
-        raise ValueError(f"definitional route capped at n = {C_STAR_CROSSCHECK_CAP}")
+    if not 0 < n <= C_STAR_CROSSCHECK_CAP:
+        raise ValueError(f"definitional route takes 1 <= n <= {C_STAR_CROSSCHECK_CAP}, got {n}")
     terms = [_l_a_scaled_by(C, n - i) for i in range(1, n + 1)]
     for inner, outer in zip(terms, terms[1:]):
         if not all(outer.contains(col) for col in inner.basis):
@@ -257,8 +254,8 @@ def c_star_definitional(C: Code) -> Lattice:
 def construction_c_star(C: Code) -> Lattice:
     """2^(n-1) * L_A(C), with the definitional route cross-checked for small n."""
     n = C.n
-    if n > C_STAR_AMBIENT_CAP:
-        raise ValueError(f"ambient dimension {n} > cap {C_STAR_AMBIENT_CAP}")
+    if not 0 < n <= C_STAR_AMBIENT_CAP:
+        raise ValueError(f"C* takes ambient dimension 1 <= n <= {C_STAR_AMBIENT_CAP}, got {n}")
     collapsed = scale(construction_a(C), 2 ** (n - 1))
     if n <= C_STAR_CROSSCHECK_CAP and c_star_definitional(C) != collapsed:
         raise ArithmeticError("intersection form disagrees with collapse (bug)")
@@ -286,8 +283,7 @@ def d_bar_member(T: CodeTower, v: Sequence[int]):
         c = mod2_reduction(cur)
         if not T.levels[idx].contains(c):
             return False
-        coords = c.coords()
-        cur = [(cur[t] - coords[t]) // 2 for t in range(n)]
+        cur = [e >> 1 for e in cur]  # (e - (e mod 2)) / 2, negative e included
         peeled.append(c)
     return tuple(peeled) + (tuple(cur),)
 
@@ -306,18 +302,15 @@ def d_bar_span(T: CodeTower) -> Lattice:
     generators per level instead of 2^(k_i) codewords.
     """
     n, a = T.n, T.a
-    gens: list[IntVec] = _unit_columns(n, 2**a)
+    gens = _lift(2**a, BinaryMatrix.identity(n).columns())
     for i, level in enumerate(T.levels, start=1):
         # sum_(r<=i) C(k, r) < 2^k, so the sweep cap still bounds the generators
         if level.dimension > SWEEP_RANK_CAP:
             raise RankTooLarge(f"rank {level.dimension} > sweep cap {SWEEP_RANK_CAP}")
         basis = level.basis()
         for size in range(1, i + 1):
-            f = 2 ** (a - i + size - 1)
-            for S in combinations(basis, size):
-                p = reduce(schur_product, S)
-                if not p.is_zero():
-                    gens.append(tuple(f * e for e in p.coords()))
+            products = (reduce(schur_product, S) for S in combinations(basis, size))
+            gens += _lift(2 ** (a - i + size - 1), [p for p in products if not p.is_zero()])
     return Lattice.from_generators(n, gens)
 
 

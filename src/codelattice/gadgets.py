@@ -25,6 +25,7 @@ from .constructions import (
     c_star_definitional,
     construction_a,
     d_bar_is_lattice,
+    embed,
     mod2_reduction,
     simplified_d,
     vladut_special_d,
@@ -100,7 +101,7 @@ CSTAR_TRIALS = 20
 def _plain(x):
     """Recursively convert report payloads to JSON-safe values."""
     if isinstance(x, BinaryVector):
-        return list(x.coords())
+        return list(embed(x))
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (tuple, list)):
@@ -271,17 +272,17 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
         HypothesisResult(
             "kernel: ker(B) = {0, w}",
             kernel_ok,
-            None if kernel_ok else {"kernel_basis": [v.coords() for v in kb]},
+            None if kernel_ok else {"kernel_basis": [embed(v) for v in kb]},
         )
     )
 
-    wc = g.w.coords()
+    wc = embed(g.w)
     bw = _int_image(g.B, wc)
     t = None
     if not any(e & 1 for e in bw):
         t = solve(g.B, BinaryVector.from_coords([(e >> 1) & 1 for e in bw]))
     mod4_ok = t is None
-    mod4_witness = None if mod4_ok else {"y": [e + 2 * x for e, x in zip(wc, t.coords())]}
+    mod4_witness = None if mod4_ok else {"y": [e + 2 * x for e, x in zip(wc, embed(t))]}
     hyps.append(
         HypothesisResult(
             "mod 4: B-lift image of w-parity vectors never vanishes", mod4_ok, mod4_witness
@@ -321,7 +322,7 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     incl_witness = None
     for v in kerB:
         if not g.A.mul(v).is_zero():
-            incl_witness = {"x": v.coords()}
+            incl_witness = {"x": embed(v)}
             break
     hyps.append(
         HypothesisResult(
@@ -338,7 +339,7 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     if img_code.dimension and min_distance(img_code) <= dB:
         bx = min_weight_codewords(img_code)[0]
         x = kerA.mul(solve(images, bx))
-        out_witness = {"x": x.coords(), "Bx_weight": bx.weight}
+        out_witness = {"x": embed(x), "Bx_weight": bx.weight}
     hyps.append(
         HypothesisResult(
             "outside kernel: ||B x||_0 > d(C(B)) on ker(A) minus ker(B)",
@@ -470,7 +471,7 @@ def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
         return tuple(v)
 
     if L.rank == L.n:
-        solves = [adjugate_solve(L, tuple(int(t == i) for t in range(n))) for i in support]
+        solves = [adjugate_solve(L, embed(BinaryVector.from_support(n, (i,)))) for i in support]
         D = solves[0][0]
         # X is linear in v and c is the sum of its unit vectors
         x_plus = [sum(xs) for xs in zip(*(col for _, col in solves))]
@@ -567,12 +568,12 @@ def verify_cor23(
     )
 
     S = min_weight_codewords(code)
-    embedded_in = [c for c in S if lat.contains(c.coords())]
+    embedded_in = [c for c in S if lat.contains(embed(c))]
     conclusions.append(
         ConclusionResult(
             "no embedded minimum-weight codeword lies in the lattice",
             len(embedded_in) == 0,
-            {"checked": len(S), "violations": [c.coords() for c in embedded_in]},
+            {"checked": len(S), "violations": [embed(c) for c in embedded_in]},
         )
     )
 
@@ -820,7 +821,7 @@ def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> Verificati
         n = code.n
         lattice_a = construction_a(code)
         if c_star_definitional(code) != scale(lattice_a, 2 ** (n - 1)):
-            eq_witness = {"n": n, "generators": [c.coords() for c in code.basis()]}
+            eq_witness = {"n": n, "generators": [embed(c) for c in code.basis()]}
         d, lam = min_distance(code), shortest_vectors(lattice_a).lambda1_sq
         all_lambda &= lam == min(d, 4)
         per_code.append({"n": n, "dim": code.dimension, "d": d, "lambda1_sq_A": lam})
@@ -858,8 +859,8 @@ def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
         level, c, cp = schur_witness
         cert["schur_witness"] = {
             "level": level,
-            "c": c.coords(),
-            "c_prime": cp.coords(),
+            "c": embed(c),
+            "c_prime": embed(cp),
         }
     if span_witness is not None:
         cert["span_witness"] = list(span_witness)

@@ -44,6 +44,7 @@ SWEEP_RANK_CAP = 28
 # coordinate ints of 2^c bits held together: n * 2^c <= 2^24 bits (2 MB)
 _CHUNK_RANK = 16
 _CHUNK_BITS = 1 << 24
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # digit characters to bit values
 
 
 class BinaryVector:
@@ -95,8 +96,9 @@ class BinaryVector:
         return tuple(i for i in range(n) if (self.bits >> (n - 1 - i)) & 1)
 
     def coords(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple((self.bits >> (n - 1 - i)) & 1 for i in range(n))
+        # the one read of the bit layout as integers: the digits of bits under
+        # a leading 1, which keeps leading zeros (and n = 0), then dropped
+        return tuple(bin(self.bits | 1 << self.n)[3:].encode().translate(_DIGITS))
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:

@@ -10,8 +10,10 @@ monomial span, the counting decision and the F2 solves that replaced them
 have an independent path to match, its former one-word Gray sweep for
 the minimum-weight words, which the bit-sliced sweep must match, its
 former plain Fincke-Pohst walk, whose leaves and node count the
-sign-symmetric walk must match, and its former dense integral GSO loop,
-whose integers the norm-ordered GSO must match exactly.
+sign-symmetric walk must match, its former dense integral GSO loop,
+whose integers the norm-ordered GSO must match exactly, and its former
+per-coordinate shift loop of ``BinaryVector.coords``, which the one read
+of the bit layout must match.
 """
 
 from fractions import Fraction
@@ -417,3 +419,9 @@ def integral_gso_dense(G):
             else:
                 d[k + 1] = u
     return lam, d
+
+
+def coords_shift_loop(v):
+    """``v.coords()`` as the package first computed it: one shift per coordinate."""
+    n = v.n
+    return tuple((v.bits >> (n - 1 - i)) & 1 for i in range(n))

@@ -243,6 +243,14 @@ def test_documented_exit_codes(capsys, tmp_path, monkeypatch, expected):
     assert ("error:" in err) == (expected != 0)
 
 
+def test_construct_c_star_of_length_0_code_exits_4(capsys, tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("0 0 F2\n")
+    code, out, err = run(capsys, ["construct", str(p), "--construction", "c-star"])
+    assert (code, out) == (4, "")
+    assert err == "error: C* takes ambient dimension 1 <= n <= 32, got 0\n"
+
+
 def test_construct_a_round_trip(capsys, tmp_path):
     src = str(tmp_path / "rep3.txt")
     write_f2_matrix(src, BinaryMatrix.from_rows([[1], [1], [1]]))

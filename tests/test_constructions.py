@@ -61,6 +61,9 @@ def test_embed_shapes():
     assert embed(bv((1, 0, 1))) == (1, 0, 1)
     M = BinaryMatrix.from_columns([bv((1, 1)), bv((0, 1))])
     assert embed(M) == [(1, 1), (0, 1)]
+    assert embed(BinaryVector(0, 0)) == ()
+    assert embed(BinaryMatrix(0, ())) == []
+    assert embed(BinaryMatrix(0, (0, 0))) == [(), ()]
 
 
 def test_embed_is_not_additive_but_identity_holds():
@@ -275,6 +278,14 @@ def test_c_star_ambient_cap():
         construction_c_star(C)
 
 
+def test_c_star_refuses_length_0():
+    # the scale 2^(n-1) is no integer at n = 0: both routes refuse up front
+    C = Code(BinaryMatrix(0, ()))
+    for route in (construction_c_star, c_star_definitional):
+        with pytest.raises(ValueError, match="1 <= n <="):
+            route(C)
+
+
 def test_d_bar_member_traces():
     T = nonclosed_tower()
     assert d_bar_member(T, (1, 2, 2, 1)) is False
@@ -304,6 +315,48 @@ def test_d_bar_member_reconstructs():
         assert recon == v
         assert T.levels[1].contains(c2) and T.levels[0].contains(c1)
     assert hits > 0
+
+
+def _random_word(rng, code):
+    return sum((b for b in code.basis() if rng.randrange(2)), BinaryVector(code.n, 0))
+
+
+def test_d_bar_member_peels_negative_entries():
+    # each peel halves v - (v mod 2) as e >> 1, negative e included: shifting
+    # v by 2^a z with negative entries in z keeps the verdict, and every
+    # decomposition rebuilds its input exactly
+    points = list(iter_product((0, 1), repeat=4))
+    monomials = [()] + [(i,) for i in range(4)] + list(combinations(range(4), 2))
+    evals = [bv(tuple(int(all(x[i] for i in m)) for x in points)) for m in monomials]
+    reed_muller = CodeTower([Code.from_columns(evals), Code.from_columns(evals[:5])])
+    rng = random.Random(61)
+    for T in (nonclosed_tower(), reed_muller):
+        n, a = T.n, T.a
+        verdicts, negative = set(), False
+        for _ in range(150):
+            words = [_random_word(rng, level) for level in T.levels]  # c_1 .. c_a
+            tail = tuple(rng.randint(-6, 6) for _ in range(n))
+            member = tuple(
+                2**a * tail[t] + sum(2 ** (a - i) * embed(c)[t] for i, c in enumerate(words, 1))
+                for t in range(n)
+            )
+            assert d_bar_member(T, member) == (*words[::-1], tail)
+            noise = tuple(rng.randint(-9, 9) for _ in range(n))
+            for v in (member, noise):
+                z = (-rng.randint(1, 4),) + tuple(rng.randint(-4, 4) for _ in range(n - 1))
+                shifted = tuple(e - 2**a * s for e, s in zip(v, z))
+                negative |= min(shifted) < 0
+                dv, ds = d_bar_member(T, v), d_bar_member(T, shifted)
+                assert (dv is False) == (ds is False)
+                verdicts.add(dv is False)
+                for u, dec in ((v, dv), (shifted, ds)):
+                    if dec is not False:
+                        *cs, rest = dec  # c_a, ..., c_1, tail
+                        recon = [2**a * e for e in rest]
+                        for k, c in enumerate(cs):
+                            recon = [r + 2**k * e for r, e in zip(recon, embed(c))]
+                        assert tuple(recon) == u
+        assert verdicts == {True, False} and negative
 
 
 def test_d_bar_span_contains_all_embeddings():

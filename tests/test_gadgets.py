@@ -498,6 +498,11 @@ def test_verify_cstar_collapse():
     assert single.exact_values["codes"][0]["d"] == 3
 
 
+def test_verify_cstar_collapse_refuses_length_0():
+    with pytest.raises(ValueError, match="1 <= n <="):
+        verify_cstar_collapse(C=Code(BinaryMatrix(0, ())))
+
+
 def test_verify_dbar_schur_default_and_closed():
     rep = verify_dbar_schur()
     assert rep.passed

@@ -28,7 +28,7 @@ from codelattice.gf2core import (
     schur_product,
     solve,
 )
-from oracles import min_weight_words_gray
+from oracles import coords_shift_loop, min_weight_words_gray
 
 bv = BinaryVector.from_coords
 
@@ -51,6 +51,18 @@ def test_vector_basics():
     assert BinaryVector(3, 0).is_zero()
     assert not v.is_zero()
     assert BinaryVector.from_support(5, [1, 3]).coords() == (0, 1, 0, 1, 0)
+
+
+def test_coords_matches_shift_loop():
+    # the digits of bits under a leading 1 must give the same int tuple as
+    # one shift per coordinate, leading zeros and n = 0 included
+    rng = random.Random(16)
+    for n in range(71):
+        for bits in (0, (1 << n) - 1, 1 << n >> 1, rng.getrandbits(n), rng.getrandbits(n)):
+            v = BinaryVector(n, bits)
+            got = v.coords()
+            assert got == coords_shift_loop(v)
+            assert all(type(e) is int for e in got)
 
 
 def test_vector_add_is_xor():
