@@ -85,9 +85,8 @@ __all__ = [
     "verify_dbar_schur",
 ]
 
-# Largest support the sign search takes.  On a full-rank lattice the join
-# then holds at most 2^12 residue tuples of length n per half; a lower rank
-# tests all 2^w sign patterns of a support, over 120 s at w = 24.
+# Largest support the sign search takes: its join then holds at most 2^12
+# key tuples of length n per half.
 SIGN_SUPPORT_CAP = 24
 # Random codes drawn by the cstar-collapse check; their lengths run up to
 # C_STAR_CROSSCHECK_CAP, the largest n the definitional route takes.
@@ -414,17 +413,17 @@ def build_cor25(m: int = 4) -> Thm24Gadget:
 # ternary sign-pattern search
 # ---------------------------------------------------------------------------
 
-def _sign_walk(D: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
+def _sign_walk(Q: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
     """The sign patterns of a support that are lattice members, ascending.
 
     Bit b of pattern S set means coordinate support[b] carries -1 instead
-    of +1, which shifts the adjugate residues by cols2[b] = 2 *
-    adjugate(e_support[b]) mod D.  So S is a member iff x_plus -
-    sum_{b in S} cols2[b] = 0 mod D.  Meet in the middle (Horowitz-Sahni):
+    of +1, which shifts the membership key by cols2[b], twice the key of
+    e_support[b] mod Q.  So S is a member iff x_plus - sum_{b in S} cols2[b]
+    = 0 mod Q.  Meet in the middle (Horowitz-Sahni):
     write S = lo | hi << h over the w = len(cols2) support bits, h = w // 2;
-    the condition becomes x_plus - sum_lo = sum_hi mod D.  A dict maps each
-    low-half residue tuple to its masks and each high-half sum is looked up
-    once, so a support costs 2^h + 2^(w-h) residue tuples instead of 2^w
+    the condition becomes x_plus - sum_lo = sum_hi mod Q.  A dict maps each
+    low-half key tuple to its masks and each high-half sum is looked up
+    once, so a support costs 2^h + 2^(w-h) key tuples instead of 2^w
     patterns.  High masks ascend and each dict entry lists its low masks in
     ascending order, so the hits come out sorted.
     """
@@ -435,11 +434,11 @@ def _sign_walk(D: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
         # bit j set are the earlier ones plus column j
         sums = [start]
         for col in cols:
-            sums += [tuple((a + c) % D for a, c in zip(s, col)) for s in sums]
+            sums += [tuple((a + c) % Q for a, c in zip(s, col)) for s in sums]
         return sums
 
     lows: dict[IntVec, list[int]] = {}
-    neg_low = [tuple(-c % D for c in col) for col in cols2[:h]]
+    neg_low = [tuple(-c % Q for c in col) for col in cols2[:h]]
     for lo, r in enumerate(subset_sums(x_plus, neg_low)):
         lows.setdefault(r, []).append(lo)
     zero = (0,) * len(x_plus)
@@ -453,42 +452,43 @@ def _sign_walk(D: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
 def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
     """All sign assignments on supp(c) that are members of L, in pattern order.
 
-    Full-rank lattices join adjugate residues meet-in-the-middle
-    (_sign_walk).  D, the residues and the columns are first divided by
-    their common gcd g: every residue is an integer combination of them,
-    so it vanishes mod D exactly when its quotient by g vanishes mod D/g,
-    and the table keys shrink (on cor23 the modulus drops from a 128-bit
-    D to 2).  Lower ranks, where no adjugate exists, test each pattern
-    for membership.
+    The key of e_i is its adjugate solve (D, X, w): X, then w off the pivot
+    rows.  Keys are linear, so a pattern's key is a signed sum of them and
+    _sign_walk joins them meet-in-the-middle mod one Q = (D/g) M.  g is the
+    gcd of D and the X parts, which every pattern's X is an integer
+    combination of, so D | X exactly when (D/g) | X/g (on cor23 the modulus
+    drops from a 128-bit D to 2); X/g is scaled by M.  w is scaled by D/g,
+    and M exceeds the sum of |w_i| on every row, so a ternary pattern's w
+    vanishes mod M only when it is zero.  At full rank w is empty and M = 1.
     """
+    if L.rank == 0:
+        return []
     support = c.support()
-    n = L.n
+    n, r = L.n, L.rank
+    pivots = set(L.pivots)
+    off = [t for t in range(n) if t not in pivots]
+    keys = []
+    for i in support:
+        D, X, w = adjugate_solve(L, embed(BinaryVector.from_support(n, (i,))))
+        keys.append(X + [w[t] for t in off])
+    # the key of c is the sum of its unit vectors' keys
+    plus = [sum(xs) for xs in zip(*keys)]
+    cols2 = [[2 * x for x in key] for key in keys]
+    g = gcd(D, *plus[:r], *(x for col in cols2 for x in col[:r]))
+    Dg = D // g
+    M = 1 + max((sum(abs(key[t]) for key in keys) for t in range(r, n)), default=0)
+    Q = Dg * M
 
-    def build(p: int) -> IntVec:
+    def mod_q(key: list[int]) -> IntVec:
+        return tuple([x // g * M % Q for x in key[:r]] + [x * Dg % Q for x in key[r:]])
+
+    hits = _sign_walk(Q, mod_q(plus), tuple(map(mod_q, cols2)))
+    out = []
+    for p in hits:
         v = [0] * n
         for b, i in enumerate(support):
             v[i] = -1 if (p >> b) & 1 else 1
-        return tuple(v)
-
-    if L.rank == L.n:
-        solves = [adjugate_solve(L, embed(BinaryVector.from_support(n, (i,)))) for i in support]
-        D = solves[0][0]
-        # X is linear in v and c is the sum of its unit vectors
-        x_plus = [sum(xs) for xs in zip(*(col for _, col in solves))]
-        cols2 = [[2 * x for x in col] for _, col in solves]
-        g = gcd(D, *x_plus, *(x for col in cols2 for x in col))
-        Dg = D // g
-        hits = _sign_walk(
-            Dg,
-            tuple(x // g % Dg for x in x_plus),
-            tuple(tuple(x // g % Dg for x in col) for col in cols2),
-        )
-        return [build(p) for p in hits]
-    out = []
-    for p in range(1 << len(support)):
-        v = build(p)
-        if L.contains(v):
-            out.append(v)
+        out.append(tuple(v))
     return out
 
 
@@ -505,8 +505,6 @@ def ternary_sign_search(L: Lattice, C: Code, bound: int) -> list[IntVec]:
     The supports are read from one bit-sliced sweep (Code.light_words).
     The search raises SupportTooLarge, naming the least such weight, iff
     some codeword weighs more than SIGN_SUPPORT_CAP and at most bound^2.
-    That cap bounds the work only on a full-rank L: below full rank each
-    support of weight w costs 2^w membership tests (_patterns_in_lattice).
     """
     if C.n != L.n:
         raise LengthMismatch(f"code length {C.n} != lattice dimension {L.n}")
@@ -611,9 +609,13 @@ def verify_cor23(
     )
 
 
-def _minimum_replication(dA: int, dB: int, a_img: Sequence[int], p: Fraction) -> int:
+def _minimum_replication(rep: VerificationReport, p: Fraction) -> int:
+    """min_m read off a thm24 hypothesis report; HypothesesFail unless it passed."""
+    if not rep.passed:
+        raise HypothesesFail("gadget fails its hypotheses", report=rep)
+    dA, dB = rep.exact_values["d_CA"], rep.exact_values["d_CB"]
     m = dA
-    while lp_power_sum_cmp(a_img, p, dA + m * dB) >= 0:
+    while lp_power_sum_cmp(rep.exact_values["A_image_of_z"], p, dA + m * dB) >= 0:
         m += 1
     return m
 
@@ -621,14 +623,7 @@ def _minimum_replication(dA: int, dB: int, a_img: Sequence[int], p: Fraction) ->
 def min_m(g: Thm24Gadget, p=2) -> int:
     """Smallest replication count m with m >= d(C(A)) and
     d(C(A)) + m * d(C(B)) strictly above the p-power sum of the A-lift of z."""
-    p = Fraction(p)
-    rep = check_thm24_hypotheses(g)
-    if not rep.passed:
-        raise HypothesesFail("gadget fails its hypotheses", report=rep)
-    dA = rep.exact_values["d_CA"]
-    dB = rep.exact_values["d_CB"]
-    a_img = rep.exact_values["A_image_of_z"]
-    return _minimum_replication(dA, dB, a_img, p)
+    return _minimum_replication(check_thm24_hypotheses(g), Fraction(p))
 
 
 def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
@@ -640,12 +635,8 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     """
     p = Fraction(p)
     hyp_report = check_thm24_hypotheses(g)
-    if not hyp_report.passed:
-        raise HypothesesFail("gadget fails its hypotheses", report=hyp_report)
-    dA = hyp_report.exact_values["d_CA"]
-    dB = hyp_report.exact_values["d_CB"]
-    a_img = hyp_report.exact_values["A_image_of_z"]
-    mm = _minimum_replication(dA, dB, a_img, p)
+    mm = _minimum_replication(hyp_report, p)
+    dA, dB = hyp_report.exact_values["d_CA"], hyp_report.exact_values["d_CB"]
     if g.m < mm:
         raise HypothesesFail(f"replication m = {g.m} below minimum {mm}", report=hyp_report)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -650,20 +650,22 @@ def scale(L: Lattice, s: int) -> Lattice:
     return Lattice(L.n, tuple(tuple(s * e for e in col) for col in L.basis), L.pivots)
 
 
-def adjugate_solve(L: Lattice, v: Sequence[int]) -> tuple[int, list[int]]:
-    """For full-rank L: (D, X) with H X = D v, D = det(L), X integral.
+def adjugate_solve(L: Lattice, v: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(D, X, w) with H X + w = D v, D the product of the HNF pivots.
 
-    X is the quotient list of the :func:`_residue` of D v, which is zero as
-    D Z^n lies in L.  Since X = D * H^{-1} v, v lies in L iff D divides
-    every X_i: batches of membership tests become residue sums mod D,
-    which the sign-pattern search joins meet-in-the-middle.
+    (X, w) is the :func:`_residue` of D v.  On the pivot rows H is lower
+    triangular with det D, so X = adj(H_I) v_I there and w is zero on
+    them.  X and w are linear in v, and v lies in L iff D divides every
+    X_i and w = 0: batches of membership tests become sums of these keys,
+    which the sign-pattern search joins meet-in-the-middle.  At full rank
+    D = det(L) and w = 0.
     """
-    if L.rank != L.n:
-        raise ZeroRank("adjugate solve needs a full-rank lattice")
+    if L.rank == 0:
+        raise ZeroRank("adjugate solve of a rank-0 lattice")
     if len(v) != L.n:
         raise DimensionMismatch(f"vector length {len(v)} != ambient {L.n}")
-    D = determinant(L).value
+    D = prod(col[r] for col, r in zip(L.basis, L.pivots))
     X, w = _residue(L.basis, L.pivots, [D * x for x in v])
-    if any(w):
+    if any(w[r] for r in L.pivots):
         raise ArithmeticError("adjugate solve lost integrality (bug)")
-    return D, X
+    return D, X, w

@@ -257,7 +257,7 @@ def test_ternary_sign_search_matches_brute_force():
 
 def _reduced_modulus(L, c):
     """D / g for the sign search on supp(c): the order of the residues it joins."""
-    D, x_plus = adjugate_solve(L, c.coords())
+    D, x_plus, _ = adjugate_solve(L, c.coords())
     units = [tuple(int(t == i) for t in range(L.n)) for i in c.support()]
     cols = [adjugate_solve(L, e)[1] for e in units]
     return D // gcd(D, *x_plus, *(2 * x for col in cols for x in col))
@@ -304,10 +304,11 @@ def test_ternary_sign_search_partial_hits_match_brute_force():
 
 def test_ternary_sign_search_lower_rank_matches_brute_force():
     # rank < n lattices spanned by up to three signed embedded codewords of
-    # C, where no adjugate exists and each pattern is tested for membership;
-    # every ternary vector of squared norm <= bound^2 is tested directly
+    # C, each scaled by 1, 2 or 3 (so the pivot product D exceeds 1 and the
+    # off-pivot entries w of the adjugate keys exceed 1 in size); every
+    # ternary vector of squared norm <= bound^2 is tested directly
     rng = random.Random(67)
-    cases, partial = 0, 0
+    cases, partial, big_d, big_w = 0, 0, False, False
     while cases < 30:
         n = rng.randrange(3, 9)
         cols = [BinaryVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, n))]
@@ -316,12 +317,21 @@ def test_ternary_sign_search_lower_rank_matches_brute_force():
         if not words:
             continue
         picks = rng.sample(words, rng.randrange(1, min(len(words), 3) + 1))
+        scales = [rng.choice((1, 2, 3)) for _ in picks]
         L = Lattice.from_generators(
-            n, [tuple(rng.choice((-1, 1)) * e for e in c.coords()) for c in picks]
+            n,
+            [
+                tuple(s * rng.choice((-1, 1)) * e for e in c.coords())
+                for c, s in zip(picks, scales)
+            ],
         )
         if L.rank == n:
             continue
         cases += 1
+        for i in range(n):
+            D, _, w = adjugate_solve(L, tuple(int(t == i) for t in range(n)))
+            big_d |= D > 1
+            big_w |= max(map(abs, w)) > 1
         for bound in (2, 3):
             found = ternary_sign_search(L, C, bound)
             brute = sorted(
@@ -337,20 +347,24 @@ def test_ternary_sign_search_lower_rank_matches_brute_force():
             on = [v for v in found if [int(e != 0) for e in v] == list(c.coords())]
             partial += 0 < len(on) < 1 << c.weight
     assert partial > 0
+    assert big_d and big_w
 
 
 def test_sign_search_at_the_support_cap():
-    # L = Z(1, ..., 1) + 4Z^24 over the length-24 repetition code: the only
-    # ternary members are +-(1, ..., 1); a walk over all 2^24 patterns of
-    # the cap-sized support would not finish in time
+    # the length-24 repetition code over L = Z(1, ..., 1) + 4Z^24 and over
+    # the rank-1 L = Z(1, ..., 1): the only ternary members are
+    # +-(1, ..., 1); a walk over all 2^24 patterns of the cap-sized support
+    # would not finish in time.  A rank-0 L holds none.
     n = SIGN_SUPPORT_CAP
     rep = Code(BinaryMatrix.from_columns([bv((1,) * n)]))
     four = [tuple(4 * (t == i) for t in range(n)) for i in range(n)]
-    L = Lattice.from_generators(n, [(1,) * n] + four)
-    t0 = time.perf_counter()
-    found = ternary_sign_search(L, rep, 5)
-    assert time.perf_counter() - t0 < 1.0
-    assert found == [(-1,) * n, (1,) * n]
+    for gens in ([(1,) * n] + four, [(1,) * n]):
+        L = Lattice.from_generators(n, gens)
+        t0 = time.perf_counter()
+        found = ternary_sign_search(L, rep, 5)
+        assert time.perf_counter() - t0 < 1.0
+        assert found == [(-1,) * n, (1,) * n]
+    assert ternary_sign_search(Lattice.from_generators(n, []), rep, 5) == []
 
 
 def test_thm24_hypotheses_pass_on_bundled_instance():

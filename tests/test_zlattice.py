@@ -625,17 +625,39 @@ def test_adjugate_solve():
     gens += [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(2)]
     vs = [[rng.randint(-8, 8) for _ in range(6)] for _ in range(10)]
     cases.append((Lattice.from_generators(6, gens), vs))
+    # below full rank: random vectors, members, and members plus a unit
+    # vector, so that both sides of the membership law occur
+    below = 0
+    while below < 15:
+        n = rng.randrange(2, 6)
+        L, cols = rand_lattice(rng, n=n, k=rng.randrange(1, n))
+        if L.rank in (0, n):
+            continue
+        below += 1
+        vs = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(5)]
+        for _ in range(5):
+            ks = [rng.randint(-3, 3) for _ in cols]
+            m = [sum(k * c[t] for k, c in zip(ks, cols)) for t in range(n)]
+            i = rng.randrange(n)
+            vs += [m, [x + (t == i) for t, x in enumerate(m)]]
+        cases.append((L, vs))
+    members = 0
     for L, vs in cases:
         n = L.n
-        D = determinant(L).value
         for v in vs:
-            D2, X = adjugate_solve(L, v)
-            assert D2 == D
-            # H X = D v, columns of H are the basis
+            D, X, w = adjugate_solve(L, v)
+            assert D == math.prod(col[r] for col, r in zip(L.basis, L.pivots))
+            if L.rank == n:
+                assert D == determinant(L).value and not any(w)
+            # H X + w = D v, columns of H are the basis; w is zero on the pivot rows
             for r in range(n):
-                assert sum(L.basis[j][r] * X[j] for j in range(n)) == D * v[r]
-            assert L.contains(v) == all(x % D == 0 for x in X)
+                assert sum(L.basis[j][r] * X[j] for j in range(L.rank)) + w[r] == D * v[r]
+            assert not any(w[r] for r in L.pivots)
+            member = L.contains(v)
+            assert member == (all(x % D == 0 for x in X) and not any(w))
+            members += member and L.rank < n
+    assert members > 0
     with pytest.raises(ZeroRank):
-        adjugate_solve(Lattice.from_generators(2, [(1, 1)]), (1, 1))
+        adjugate_solve(Lattice.from_generators(2, []), (1, 1))
     with pytest.raises(DimensionMismatch):
         adjugate_solve(Lattice.from_generators(1, [(1,)]), (1, 2))
