@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
 from typing import Optional
 
@@ -157,8 +158,33 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2)
+def _dump_json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    With ``indent`` json.dumps runs CPython's pure-Python encoder, so the
+    layout is written here: strings go to the C quoting routine json.dumps
+    itself uses, ints to ``str`` (``type(x) is int`` keeps True printing
+    as true), and any other scalar to json.dumps.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [
+            f"{_quote(k if isinstance(k, str) else json.dumps(k))}: {_dump_json(v, inner)}"
+            for k, v in obj.items()
+        ]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [str(v) if type(v) is int else _dump_json(v, inner) for v in obj]
+        ends = "[]"
+    elif type(obj) is int:
+        return str(obj)
+    elif isinstance(obj, str):
+        return _quote(obj)
+    else:
+        return json.dumps(obj)
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
 def _code_from_file(path: str) -> Code:

@@ -86,7 +86,8 @@ __all__ = [
 ]
 
 # Largest support the sign search takes: its join then holds at most 2^12
-# key tuples of length n per half.
+# packed keys per half, each an int of n*W bits, W = (Q-1).bit_length() + 1
+# (134 bits at cor23's n = 67, Q = 2).
 SIGN_SUPPORT_CAP = 24
 # Random codes drawn by the cstar-collapse check; their lengths run up to
 # C_STAR_CROSSCHECK_CAP, the largest n the definitional route takes.
@@ -422,29 +423,47 @@ def _sign_walk(Q: int, x_plus: IntVec, cols2: tuple[IntVec, ...]) -> list[int]:
     = 0 mod Q.  Meet in the middle (Horowitz-Sahni):
     write S = lo | hi << h over the w = len(cols2) support bits, h = w // 2;
     the condition becomes x_plus - sum_lo = sum_hi mod Q.  A dict maps each
-    low-half key tuple to its masks and each high-half sum is looked up
-    once, so a support costs 2^h + 2^(w-h) key tuples instead of 2^w
-    patterns.  High masks ascend and each dict entry lists its low masks in
-    ascending order, so the hits come out sorted.
-    """
-    h = len(cols2) // 2
+    low-half key to its masks and each high-half sum is looked up once, so
+    a support costs 2^h + 2^(w-h) keys instead of 2^w patterns.  High masks
+    ascend and each dict entry lists its low masks in ascending order, so
+    the hits come out sorted.
 
-    def subset_sums(start: IntVec, cols) -> list[IntVec]:
+    Each key is packed into one int: its entry t, a residue in [0, Q),
+    fills the field of bits [tW, tW + W), W = B + 1, where 2^B >= Q.  A
+    subset-sum step is then one SWAR modular add, all fields at once: a
+    field of a + c stays below 2Q <= 2^W, so no carry crosses fields;
+    adding 2^B - Q to every field sets bit B of exactly the fields that
+    reached Q, and Q is taken off those.  Equal keys are equal ints, so the
+    join hashes ints instead of n-tuples.
+    """
+    B = (Q - 1).bit_length()
+    W = B + 1
+    n = len(x_plus)
+    ones = ((1 << W * n) - 1) // ((1 << W) - 1)  # bit 0 of every field
+    bias = ones * ((1 << B) - Q)
+
+    def pack(key) -> int:
+        p = 0
+        for x in reversed(key):
+            p = p << W | x
+        return p
+
+    def subset_sums(start: int, cols: list[int]) -> list[int]:
         # sums[mask]: start plus the columns picked by mask; the sums with
         # bit j set are the earlier ones plus column j
         sums = [start]
-        for col in cols:
-            sums += [tuple((a + c) % Q for a, c in zip(s, col)) for s in sums]
+        for c in cols:
+            sums += [(s := a + c) - ((s + bias) >> B & ones) * Q for a in sums]
         return sums
 
-    lows: dict[IntVec, list[int]] = {}
-    neg_low = [tuple(-c % Q for c in col) for col in cols2[:h]]
-    for lo, r in enumerate(subset_sums(x_plus, neg_low)):
+    h = len(cols2) // 2
+    lows: dict[int, list[int]] = {}
+    neg_low = [pack([-x % Q for x in col]) for col in cols2[:h]]
+    for lo, r in enumerate(subset_sums(pack(x_plus), neg_low)):
         lows.setdefault(r, []).append(lo)
-    zero = (0,) * len(x_plus)
     return [
         lo | hi << h
-        for hi, s in enumerate(subset_sums(zero, cols2[h:]))
+        for hi, s in enumerate(subset_sums(0, [pack(col) for col in cols2[h:]]))
         for lo in lows.get(s, ())
     ]
 
@@ -460,6 +479,8 @@ def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
     drops from a 128-bit D to 2); X/g is scaled by M.  w is scaled by D/g,
     and M exceeds the sum of |w_i| on every row, so a ternary pattern's w
     vanishes mod M only when it is zero.  At full rank w is empty and M = 1.
+    The n residues of each key mod Q are handed to _sign_walk, which packs
+    them into one int, one field per residue, and sums keys by SWAR adds.
     """
     if L.rank == 0:
         return []

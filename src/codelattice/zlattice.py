@@ -473,6 +473,7 @@ def _enumerate(
             leaves.append((rho // P, tuple(x)))
             return
         N, q, wi = -acc[i], d[i + 1], w[i]
+        lrow, cols = lam[i], nz[i]
         lo, hi = _coeff_interval(N, q, (bound - rho) // wi)
         for xi in range(0 if sym else lo, hi + 1):
             left -= 1
@@ -483,12 +484,14 @@ def _enumerate(
             if rho2 > bound:
                 continue
             x[i] = xi
-            acc2 = acc[:i]
             if xi:
-                lrow = lam[i]
-                for j in nz[i]:
+                acc2 = acc[:i]
+                for j in cols:
                     acc2[j] += xi * lrow[j]
-            rec(i - 1, rho2, acc2, sym and not xi)
+                rec(i - 1, rho2, acc2, False)
+            else:
+                # levels below i only read acc[:i] and copy before they write
+                rec(i - 1, rho2, acc, sym)
         x[i] = 0
 
     rec(m - 1, 0, [0] * m, True)

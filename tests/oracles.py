@@ -13,7 +13,8 @@ former plain Fincke-Pohst walk, whose leaves and node count the
 sign-symmetric walk must match, its former dense integral GSO loop,
 whose integers the norm-ordered GSO must match exactly, and its former
 per-coordinate shift loop of ``BinaryVector.coords``, which the one read
-of the bit layout must match.
+of the bit layout must match, and its former tuple-keyed sign walk, which
+the packed-int walk must match.
 """
 
 from fractions import Fraction
@@ -425,3 +426,32 @@ def coords_shift_loop(v):
     """``v.coords()`` as the package first computed it: one shift per coordinate."""
     n = v.n
     return tuple((v.bits >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def sign_walk_tuples(Q, x_plus, cols2):
+    """The sign patterns S with x_plus - sum_{b in S} cols2[b] = 0 mod Q, ascending.
+
+    ``gadgets._sign_walk`` as it was before its keys were packed into ints:
+    the same Horowitz-Sahni join, with every subset sum a tuple of residues
+    mod Q.
+    """
+    h = len(cols2) // 2
+
+    def subset_sums(start, cols):
+        # sums[mask]: start plus the columns picked by mask; the sums with
+        # bit j set are the earlier ones plus column j
+        sums = [start]
+        for col in cols:
+            sums += [tuple((a + c) % Q for a, c in zip(s, col)) for s in sums]
+        return sums
+
+    lows = {}
+    neg_low = [tuple(-c % Q for c in col) for col in cols2[:h]]
+    for lo, r in enumerate(subset_sums(x_plus, neg_low)):
+        lows.setdefault(r, []).append(lo)
+    zero = (0,) * len(x_plus)
+    return [
+        lo | hi << h
+        for hi, s in enumerate(subset_sums(zero, cols2[h:]))
+        for lo in lows.get(s, ())
+    ]

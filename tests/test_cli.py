@@ -449,3 +449,20 @@ def test_custom_delta_accepted(capsys, tmp_path):
     assert code1 == code2 == 0
     # same exact answers whatever the reduction quality
     assert json.loads(out1) == json.loads(out2)
+
+def test_dump_json_matches_indented_json_dumps():
+    # the scalars the C encoder spells differently from str(), int keys,
+    # empty and nested containers, tuples, non-ASCII text and huge ints
+    cases = [
+        True,
+        None,
+        -7,
+        "a\"b\\c\né☃",
+        [],
+        {},
+        [[], {}, [[]], [True, False, None, 0, 1]],
+        {"x": (1, -2, 3), 4: "four", True: [False], None: {}, "nested": {"k": [{"a": 1}]}},
+        [10**40, -(10**40), (2, (3, (4,)))],
+    ]
+    for obj in cases:
+        assert cli._dump_json(obj) == json.dumps(obj, indent=2)

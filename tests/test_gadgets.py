@@ -18,6 +18,7 @@ from codelattice.gadgets import (
     SIGN_SUPPORT_CAP,
     Thm22Gadget,
     Thm24Gadget,
+    _sign_walk,
     build_cor23,
     build_cor25,
     check_thm22_hypotheses,
@@ -44,7 +45,7 @@ from codelattice.gf2core import (
 from codelattice.matio import cor23_matrices, cor25_matrices
 from codelattice.zlattice import Lattice, adjugate_solve, vectors_up_to
 
-from oracles import thm22_mod4_sweep, thm24_kernel_walk
+from oracles import sign_walk_tuples, thm22_mod4_sweep, thm24_kernel_walk
 
 bv = BinaryVector.from_coords
 
@@ -348,6 +349,46 @@ def test_ternary_sign_search_lower_rank_matches_brute_force():
             partial += 0 < len(on) < 1 << c.weight
     assert partial > 0
     assert big_d and big_w
+
+
+def _sign_walk_brute(Q, x_plus, cols2):
+    """Every pattern S with x_plus - sum_{b in S} cols2[b] = 0 mod Q, one by one."""
+    return [
+        S
+        for S in range(1 << len(cols2))
+        if all(
+            (x - sum(col[t] for b, col in enumerate(cols2) if S >> b & 1)) % Q == 0
+            for t, x in enumerate(x_plus)
+        )
+    ]
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 6, 255, 256, 2**64 + 13])
+def test_packed_sign_walk_matches_tuple_walk_and_brute_force(Q):
+    # random residue keys with a planted hit S0 (x_plus is the sum of the
+    # columns S0 picks), so an empty answer cannot pass; the last Q makes
+    # each packed field wider than a machine word.  The brute force runs
+    # on short keys (at Q = 1 every pattern is a hit), the tuple walk also
+    # on keys of cor23's length 67.
+    rng = random.Random(Q)
+    for w in (1, 2, 7, 16):
+        for n in (1, 3, 67):
+            cols2 = tuple(tuple(rng.randrange(Q) for _ in range(n)) for _ in range(w))
+            S0 = rng.getrandbits(w)
+            x_plus = tuple(
+                sum(col[t] for b, col in enumerate(cols2) if S0 >> b & 1) % Q
+                for t in range(n)
+            )
+            got = _sign_walk(Q, x_plus, cols2)
+            assert S0 in got
+            assert got == sign_walk_tuples(Q, x_plus, cols2)
+            if Q == 1:
+                assert got == list(range(1 << w))
+            elif n == 1 or (n == 3 and w < 16):
+                assert got == _sign_walk_brute(Q, x_plus, cols2)
+            # a random x_plus: mostly no hit once Q^n is large
+            x_rand = tuple(rng.randrange(Q) for _ in range(n))
+            assert _sign_walk(Q, x_rand, cols2) == sign_walk_tuples(Q, x_rand, cols2)
 
 
 def test_sign_search_at_the_support_cap():
