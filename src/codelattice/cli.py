@@ -39,7 +39,7 @@ from .errors import (
 )
 from .gf2core import Code, min_distance, min_weight_codewords
 from .gadgets import (
-    build_cor23,
+    Thm22Gadget,
     build_cor25,
     check_thm22_hypotheses,
     golay_lp_check,
@@ -50,6 +50,7 @@ from .gadgets import (
     verify_thm24,
 )
 from .matio import (
+    cor23_matrices,
     format_z_matrix,
     load_code_tower,
     load_matrix_tower,
@@ -92,7 +93,10 @@ _TOWER = ("--tower", dict(help="tower manifest (default: bundled)"))
 # verify target -> (the flags it reads, run); each run looks its verifier up
 # as a module global at call time, so a patched or traced verifier is the one called
 THEOREMS = {
-    "thm22": ((_M17, _SEED), lambda a: check_thm22_hypotheses(build_cor23(a.m, a.seed)[0])),
+    "thm22": (
+        (_M17, _SEED),
+        lambda a: check_thm22_hypotheses(Thm22Gadget(*cor23_matrices(), a=2, m=a.m, seed=a.seed)),
+    ),
     "cor23": (
         (_M17, _SEED, _FULL_ENUM, _BUDGET),
         lambda a: verify_cor23(a.m, a.seed, full_enum=a.full_enum, budget=a.budget),

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -337,10 +338,7 @@ def d_bar_is_lattice(T: CodeTower):
         if mod % p:
             raise ArithmeticError("pivot does not divide 2^a (bug)")
         radii.append(mod // p)
-    count = 1
-    for r in radii:
-        count *= r
-    if count == 1 << sum(level.dimension for level in T.levels):
+    if prod(radii) == 1 << sum(level.dimension for level in T.levels):
         return True, None
     digits = sum(radii)
     if digits > DBAR_DESCENT_CAP:

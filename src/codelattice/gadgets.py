@@ -169,7 +169,8 @@ def stack_with_replication(top: BinaryMatrix, bottom: BinaryMatrix, m: int) -> B
     ||stack x||_0 = ||top x||_0 + m * ||bottom x||_0 for every x."""
     if top.k != bottom.k:
         raise ShapeMismatch(f"column counts differ: {top.k} != {bottom.k}")
-    return BinaryMatrix.from_rows(top.to_rows() + bottom.replicate_rows(m).to_rows())
+    low = bottom.replicate_rows(m)
+    return BinaryMatrix(top.n + low.n, [t << low.n | b for t, b in zip(top.cols, low.cols)])
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,7 @@ def _int_image(M: BinaryMatrix, z: Sequence[int]) -> tuple[int, ...]:
     """The 0/1 lift of M applied to an integer vector, over Z."""
     if M.k != len(z):
         raise ShapeMismatch(f"{M.k} columns vs vector length {len(z)}")
-    rows = M.to_rows()
-    return tuple(sum(r[j] * z[j] for j in range(len(z))) for r in rows)
+    return tuple(sum(e * x for e, x in zip(row, z)) for row in M.to_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +384,8 @@ def build_cor23(m: int = 17, seed: int = 0):
     default middle vector has support {0,1,2,3}; other seeds sample a
     random weight-4 support and shuffle the greedy completion order.
     """
-    if m <= 16:
-        raise ValueError("replication m must exceed 16")
     A, B, w = cor23_matrices()
+    gadget = Thm22Gadget(A=A, B=B, w=w, a=2, m=m, seed=seed)
     Ka = stack_with_replication(A, B, m)
     n = Ka.n
     if seed == 0:
@@ -400,7 +399,6 @@ def build_cor23(m: int = 17, seed: int = 0):
     if min_distance(code) != 16:
         raise ArithmeticError("stacked code missed its designed distance (bug)")
     lat = vladut_special_d(K0, [c1], Ka, a=2)
-    gadget = Thm22Gadget(A=A, B=B, w=w, a=2, m=m, seed=seed)
     return gadget, lat, code
 
 

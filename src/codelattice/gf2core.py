@@ -45,6 +45,7 @@ SWEEP_RANK_CAP = 28
 _CHUNK_RANK = 16
 _CHUNK_BITS = 1 << 24
 _DIGITS = bytes.maketrans(b"01", b"\0\1")  # digit characters to bit values
+_PACK = b"01" + b"x" * 254  # bit values to digit characters, other bytes to "x"
 
 
 class BinaryVector:
@@ -68,12 +69,16 @@ class BinaryVector:
 
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> "BinaryVector":
-        bits = 0
-        for c in coords:
-            if c not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            bits = (bits << 1) | c
-        return cls(len(coords), bits)
+        # the one pack of 0/1 integers into the bit layout, the inverse of coords():
+        # other bytes become an "x" that int() refuses; bytes(3) is three zero bytes
+        if isinstance(coords, int):
+            raise TypeError("coordinates must be a sequence, not an int")
+        try:
+            raw = bytes(coords)
+            bits = int(raw.translate(_PACK) or b"0", 2)
+        except ValueError:
+            raise ValueError("coordinates must be 0 or 1") from None
+        return cls(len(raw), bits)
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "BinaryVector":
@@ -92,8 +97,7 @@ class BinaryVector:
         return self.bits == 0
 
     def support(self) -> tuple[int, ...]:
-        n = self.n
-        return tuple(i for i in range(n) if (self.bits >> (n - 1 - i)) & 1)
+        return tuple(i for i, e in enumerate(self.coords()) if e)
 
     def coords(self) -> tuple[int, ...]:
         # the one read of the bit layout as integers: the digits of bits under
@@ -176,18 +180,10 @@ class BinaryMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryMatrix":
-        n = len(rows)
-        k = len(rows[0]) if n else 0
-        cols = [0] * k
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise ShapeMismatch("ragged rows")
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                if e:
-                    cols[j] |= 1 << (n - 1 - i)
-        return cls(n, cols)
+        k = len(rows[0]) if rows else 0
+        if any(len(row) != k for row in rows):
+            raise ShapeMismatch("ragged rows")
+        return cls(len(rows), [BinaryVector.from_coords(col).bits for col in zip(*rows)])
 
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
@@ -199,28 +195,20 @@ class BinaryMatrix:
     def columns(self) -> list[BinaryVector]:
         return [BinaryVector(self.n, c) for c in self.cols]
 
-    def row(self, i: int) -> BinaryVector:
-        bits = 0
-        shift = self.n - 1 - i
-        for c in self.cols:
-            bits = (bits << 1) | ((c >> shift) & 1)
-        return BinaryVector(self.k, bits)
-
-    def row_bits(self) -> list[int]:
-        """All rows as k-bit integers (column 0 at the MSB)."""
-        return [self.row(i).bits for i in range(self.n)]
-
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i).coords()) for i in range(self.n)]
+        """The rows as 0/1 lists: the columns' coords(), transposed."""
+        if not self.k:
+            return [[] for _ in range(self.n)]
+        return [list(row) for row in zip(*(c.coords() for c in self.columns()))]
 
     def mul(self, x: BinaryVector) -> BinaryVector:
         """Matrix-vector product M x over F2 (x has one entry per column)."""
         if x.n != self.k:
             raise ShapeMismatch(f"vector length {x.n} != column count {self.k}")
         acc = 0
-        for j in range(self.k):
-            if (x.bits >> (self.k - 1 - j)) & 1:
-                acc ^= self.cols[j]
+        for c, e in zip(self.cols, x.coords()):
+            if e:
+                acc ^= c
         return BinaryVector(self.n, acc)
 
     def hstack(self, other: "BinaryMatrix") -> "BinaryMatrix":
@@ -232,11 +220,7 @@ class BinaryMatrix:
         """Repeat each row m times in consecutive positions (Kronecker with 1_m)."""
         if m < 1:
             raise ValueError("replication factor must be >= 1")
-        rows = self.to_rows()
-        out = []
-        for row in rows:
-            out.extend([row] * m)
-        return BinaryMatrix.from_rows(out)
+        return BinaryMatrix.from_rows([row for row in self.to_rows() for _ in range(m)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -303,7 +287,7 @@ def kernel_basis(M: BinaryMatrix) -> list[BinaryVector]:
     """
     k = M.k
     # reduced echelon rows of M; bit h is column k-1-h, free unless it leads a row
-    rows = _reduced_echelon(M.row_bits())
+    rows = _reduced_echelon(BinaryVector.from_coords(row).bits for row in M.to_rows())
     leads = {r.bit_length() - 1 for r in rows}
     basis = []
     for f in range(k):

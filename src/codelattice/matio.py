@@ -87,13 +87,12 @@ def parse_matrix(text: str, source: str = "<string>"):
         )
     entries = _parse_ints(body, source, "non-integer entry")
     if field == "F2":
-        if any(e not in (0, 1) for e in entries):
-            raise ParseError(f"{source}: F2 entries must be 0 or 1")
-        if rows == 0:
-            return BinaryMatrix(0, ())
-        return BinaryMatrix.from_rows(
-            [entries[i * cols : (i + 1) * cols] for i in range(rows)]
-        )
+        # the entries are row-major, so column c is entries[c::cols]
+        try:
+            packed = [BinaryVector.from_coords(entries[c::cols]).bits for c in range(cols)]
+        except ValueError:
+            raise ParseError(f"{source}: F2 entries must be 0 or 1") from None
+        return BinaryMatrix(rows, packed)
     columns = [
         tuple(entries[r * cols + c] for r in range(rows)) for c in range(cols)
     ]

@@ -264,10 +264,7 @@ def determinant(L: Lattice) -> Determinant:
     if L.rank == 0:
         raise ZeroRank("determinant of a rank-0 lattice")
     if L.rank == L.n:
-        d = 1
-        for j, r in enumerate(L.pivots):
-            d *= L.basis[j][r]
-        return Determinant(d, squared=False)
+        return Determinant(prod(col[r] for col, r in zip(L.basis, L.pivots)), squared=False)
     dg = _norm_ordered_gso(L.gram())[2][-1]
     s = isqrt(dg)
     if s * s == dg:

@@ -55,7 +55,8 @@ def test_vector_basics():
 
 def test_coords_matches_shift_loop():
     # the digits of bits under a leading 1 must give the same int tuple as
-    # one shift per coordinate, leading zeros and n = 0 included
+    # one shift per coordinate, leading zeros and n = 0 included; from_coords
+    # packs it back to the same vector
     rng = random.Random(16)
     for n in range(71):
         for bits in (0, (1 << n) - 1, 1 << n >> 1, rng.getrandbits(n), rng.getrandbits(n)):
@@ -63,6 +64,19 @@ def test_coords_matches_shift_loop():
             got = v.coords()
             assert got == coords_shift_loop(v)
             assert all(type(e) is int for e in got)
+            assert BinaryVector.from_coords(got) == v
+
+
+def test_from_coords_refuses_non_bits():
+    for coords in ((0, 2), (1, -1), [256], (1, 0, 10**30)):
+        with pytest.raises(ValueError, match="coordinates must be 0 or 1"):
+            BinaryVector.from_coords(coords)
+    # a float, a str and a bare int are no coordinate sequences; bytes(3)
+    # alone would read the int as three zero coordinates
+    for coords in ((1, 0.0), "01", 3, 0):
+        with pytest.raises(TypeError):
+            BinaryVector.from_coords(coords)
+    assert BinaryVector.from_coords(()) == BinaryVector(0, 0)
 
 
 def test_vector_add_is_xor():
@@ -103,9 +117,24 @@ def test_matrix_views_consistent():
         assert M.to_rows() == rows
         for j in range(k):
             assert M.column(j).coords() == tuple(rows[i][j] for i in range(n))
-        for i in range(n):
-            assert M.row(i).coords() == tuple(rows[i])
+        # row i, packed, holds entry i of every column
+        for i, row in enumerate(M.to_rows()):
+            assert bv(row) == BinaryVector.from_support(k, [j for j in range(k) if M.column(j)[i]])
         assert BinaryMatrix.from_columns(M.columns(), n=n) == M
+
+
+def test_matrix_rows_empty_shapes_and_ragged():
+    for n in range(4):
+        M = BinaryMatrix.from_rows([[] for _ in range(n)])
+        assert (M.n, M.k, M.cols) == (n, 0, ())
+        assert M.to_rows() == [[] for _ in range(n)]
+    assert BinaryMatrix(0, (0, 0)).to_rows() == []
+    with pytest.raises(ShapeMismatch, match="ragged rows"):
+        BinaryMatrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ShapeMismatch, match="ragged rows"):
+        BinaryMatrix.from_rows([[], [1]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        BinaryMatrix.from_rows([[1, 0], [0, 2]])
 
 
 def test_matrix_mul_matches_column_xor():
@@ -132,9 +161,10 @@ def test_replicate_rows_scales_image_weight():
         x = rand_vec(rng, k)
         assert R.mul(x).weight == m * M.mul(x).weight
         # each row repeats m times in place: copy i of row r is row r*m + i
+        r_rows, m_rows = R.to_rows(), M.to_rows()
         for r in range(n):
             for i in range(m):
-                assert R.row(r * m + i) == M.row(r)
+                assert r_rows[r * m + i] == m_rows[r]
 
 
 def test_hstack():

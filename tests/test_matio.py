@@ -61,6 +61,15 @@ def test_parse_errors():
         parse_matrix("-1 1 Z")
 
 
+def test_parse_f2_refuses_entries_past_one():
+    # every column is packed from its entries, so a bad entry anywhere,
+    # negative or too large for a byte included, is named the same way
+    for body in ("0 1 1 2", "0 1 -1 1", "1 1 1 " + "9" * 40):
+        with pytest.raises(ParseError, match=r"^<string>: F2 entries must be 0 or 1$"):
+            parse_matrix("2 2 F2 " + body)
+    assert parse_matrix("2 3 F2 1 0 1 0 1 1") == BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+
+
 def test_parse_one_token_rule():
     # int() alone reads 1_0 as 10, 0_1 as the F2 entry 1 and accepts
     # non-ASCII digits; only [+-]?[0-9]+ is an entry
