@@ -629,14 +629,27 @@ def verify_cor23(
 
 
 def _minimum_replication(rep: VerificationReport, p: Fraction) -> int:
-    """min_m read off a thm24 hypothesis report; HypothesesFail unless it passed."""
+    """min_m read off a thm24 hypothesis report; HypothesesFail unless it passed.
+
+    "p-power sum below dA + m*dB" is monotone in m, and min_m grows like
+    2^p, so the search gallops up from dA and then bisects.
+    """
     if not rep.passed:
         raise HypothesesFail("gadget fails its hypotheses", report=rep)
     dA, dB = rep.exact_values["d_CA"], rep.exact_values["d_CB"]
-    m = dA
-    while lp_power_sum_cmp(rep.exact_values["A_image_of_z"], p, dA + m * dB) >= 0:
-        m += 1
-    return m
+    z = rep.exact_values["A_image_of_z"]
+
+    def enough(m: int) -> bool:
+        return lp_power_sum_cmp(z, p, dA + m * dB) < 0
+
+    lo, step = dA - 1, 1  # every m <= lo is below dA or fails the test
+    while not enough(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
 
 
 def min_m(g: Thm24Gadget, p=2) -> int:

@@ -10,13 +10,9 @@ integral Gram-Schmidt (the integers d_i and lambda_ij of Cohen Alg. 2.6.7)
 drives both the fraction-free LLL and the enumeration that follows it:
 shortest vectors come from one sign-symmetric Fincke-Pohst walk (each +-v
 pair reached once) on those integers, with no pruning and an explicit node
-budget.  The GSO is built with the columns in ascending-norm order, where
-the multiples of unit vectors that fill q-ary bases come first and keep
-lambda sparse, and is then moved back to HNF order by LLL's own swap
-update; the GSO of an ordered basis is unique, so LLL starts from exactly
-the integers of the dense loop in HNF order.  Its last d is det Gram,
-which does not depend on the column order and gives the determinant of a
-lattice of lower rank.
+budget.  The GSO is built one row at a time, by one routine: LLL fills
+row k when it first reaches column k, and the determinant of a lattice of
+lower rank is the square root of the last d of all rows.
 ``Fraction`` appears only for the LLL parameter delta and the exact l_p
 comparisons; floating point appears nowhere.
 """
@@ -163,13 +159,12 @@ class Lattice:
     must already be canonical.
     """
 
-    __slots__ = ("n", "basis", "pivots", "_gram", "_reduction")
+    __slots__ = ("n", "basis", "pivots", "_reduction")
 
     def __init__(self, n: int, basis: tuple[IntVec, ...], pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -183,28 +178,6 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Exact Gram matrix of the basis columns (cached).
-
-        Built row by row of the basis: each coordinate adds the products of
-        its nonzero entries into the lower triangle, so a column that is a
-        multiple of a unit vector costs one product per coordinate it meets.
-        """
-        if self._gram is None:
-            low = [[0] * (j + 1) for j in range(self.rank)]
-            for row in zip(*self.basis):
-                nz = [(j, x) for j, x in enumerate(row) if x]
-                for a, (j, x) in enumerate(nz, 1):
-                    lj = low[j]
-                    for i, y in nz[:a]:
-                        lj[i] += x * y
-            g = tuple(
-                tuple(low[j] + [low[i][j] for i in range(j + 1, self.rank)])
-                for j in range(self.rank)
-            )
-            object.__setattr__(self, "_gram", g)
-        return self._gram
 
     def contains(self, v: Sequence[int]) -> bool:
         """Exact membership: v lies in L iff its :func:`_residue` is zero."""
@@ -256,72 +229,67 @@ def determinant(L: Lattice) -> Determinant:
     """det(L), exact.
 
     Product of HNF pivots when L has full rank.  Otherwise det(Gram) is the
-    last d of the integral Gram-Schmidt (the HNF columns are independent,
-    so its divisions are exact), and det(L) is its square root.  det Gram
-    does not depend on the column order, so the norm-ordered GSO serves as
-    it is, with no swaps back to HNF order.
+    last d of the integral Gram-Schmidt of the HNF columns, filled row by
+    row by :func:`_gso_row` (the columns are independent, so its divisions
+    are exact), and det(L) is its square root.
     """
     if L.rank == 0:
         raise ZeroRank("determinant of a rank-0 lattice")
-    if L.rank == L.n:
+    m = L.rank
+    if m == L.n:
         return Determinant(prod(col[r] for col, r in zip(L.basis, L.pivots)), squared=False)
-    dg = _norm_ordered_gso(L.gram())[2][-1]
-    s = isqrt(dg)
-    if s * s == dg:
+    lam, d = [[0] * m for _ in range(m)], [1] * (m + 1)
+    for k in range(m):
+        _gso_row(L.basis, lam, d, k)
+    s = isqrt(d[m])
+    if s * s == d[m]:
         return Determinant(s, squared=False)
-    return Determinant(dg, squared=True)
+    return Determinant(d[m], squared=True)
 
 
 # ---------------------------------------------------------------------------
 # fraction-free Gram-Schmidt and LLL (Cohen, Alg. 2.6.7)
 # ---------------------------------------------------------------------------
 
-def _norm_ordered_gso(G: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int]]:
-    """``(order, lam, d)``: the integral GSO of the columns taken in ascending-norm order.
+def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int], k: int) -> None:
+    """Fill ``lam[k][:k]`` and ``d[k+1]``, the integral GSO row of ``basis[k]``.
 
-    ``order`` lists the columns by norm, ties kept in their given order;
-    ``lam`` and ``d`` belong to the columns in that order.  ``d[0] = 1``,
+    Rows 0..k-1 must already hold the GSO of ``basis[:k]``.  ``d[0] = 1``,
     ``d[i+1] = det Gram(b_0..b_i) > 0`` and, for j < i,
     ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.  All are
     integers and every division below is exact.  Cohen's recurrence
-    u <- (d_{i+1} u - lam_ki lam_ji) / d_i skips the zero products: over a
-    run i = s..e-1 of them u_i / d_i is constant, so the run is the one
-    exact step u <- u d_e / d_s.  Short columns first keeps lam sparse on
-    q-ary bases, whose multiples of unit vectors are mutually orthogonal.
+    u <- (d_{i+1} u - lam_ki lam_ji) / d_i starts from <b_k, b_j>, taken over
+    the nonzero entries of b_k, and skips the zero products: over a run
+    i = s..e-1 of them u_i / d_i is constant, so the run is the one exact
+    step u <- u d_e / d_s.
     """
-    m = len(G)
-    order = sorted(range(m), key=lambda j: G[j][j])
-    d = [1] * (m + 1)
-    lam = [[0] * m for _ in range(m)]
-    nz: list[list[int]] = []  # per row, the columns i with lam[k][i] != 0
-    for k in range(m):
-        gk, lk, nk = G[order[k]], lam[k], []
-        for j in range(k + 1):
-            u, s = gk[order[j]], 0
-            lj = lam[j]
-            for i in nz[j] if j < k else nk:
-                if lk[i]:
-                    if i > s:
-                        u = u * d[i] // d[s]
-                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
-                    s = i + 1
-            if j > s:
-                u = u * d[j] // d[s]
-            if j < k:
-                lk[j] = u
-                if u:
-                    nk.append(j)
-            else:
-                d[k + 1] = u
-        nz.append(nk)
-    return order, lam, d
+    bk = [(t, x) for t, x in enumerate(basis[k]) if x]
+    lk, nk = lam[k], []  # nk: the columns i < j with lam[k][i] != 0
+    for j in range(k + 1):
+        bj, lj = basis[j], lam[j]
+        u, s = sum(x * bj[t] for t, x in bk), 0
+        for i in nk:
+            if lj[i]:
+                if i > s:
+                    u = u * d[i] // d[s]
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+                s = i + 1
+        if j > s:
+            u = u * d[j] // d[s]
+        if j < k:
+            lk[j] = u
+            if u:
+                nk.append(j)
+        else:
+            d[k + 1] = u
 
 
 def _swap(lam: list[list[int]], d: list[int], k: int) -> None:
     """Update the integral GSO in place for swapping columns k-1 and k (Cohen SWAPI).
 
     lam[k][k-1] is unchanged; a later row with lam_ik = lam_i,k-1 = 0 keeps
-    both zero and is skipped.
+    both zero and is skipped, as are the rows LLL has not reached yet,
+    which are still all zero.
     """
     lk, lprev = lam[k], lam[k - 1]
     lk[:k - 1], lprev[:k - 1] = lprev[:k - 1], lk[:k - 1]
@@ -336,35 +304,17 @@ def _swap(lam: list[list[int]], d: list[int], k: int) -> None:
     d[k] = dnew
 
 
-def _integral_gso(G: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Integral GSO data (lam, d) of independent columns in their given order.
-
-    Built in ascending-norm order by :func:`_norm_ordered_gso`, then column
-    t = 0, 1, ... is moved left to place t by adjacent swaps, one
-    :func:`_swap` per inversion of the order.  The GSO of an ordered basis
-    is unique and every swap update is exact, so the integers equal those
-    of Cohen's dense loop run on the given order.
-    """
-    order, lam, d = _norm_ordered_gso(G)
-    for t in range(len(order)):
-        k = order.index(t)
-        while k > t:
-            _swap(lam, d, k)
-            order[k - 1], order[k] = order[k], order[k - 1]
-            k -= 1
-    return lam, d
-
-
 def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[int]]:
     """LLL-reduced basis of L with its final integral GSO data (lam, d).
 
-    Fraction-free LLL on the integers of :func:`_integral_gso`: size-reduce
-    b_k against b_{k-1} .. b_0, then test the Lovasz condition, swap and
-    step back on failure.  The input stays in HNF order: the GSO is built
-    in norm order and swapped back by the same :func:`_swap`, so the
-    integers and every decision are those of the dense loop on HNF order.
-    The result is cached on L for the last delta used; callers must not
-    modify the returned lists.
+    Fraction-free LLL (Cohen Alg. 2.6.7) from the HNF basis: GSO row k is
+    filled by :func:`_gso_row` when the loop first reaches column k
+    (``kmax``), while b_k is still HNF column k, so nothing is computed up
+    front.  Each step size-reduces b_k against b_{k-1} .. b_0, then tests
+    the Lovasz condition, swaps and steps back on failure.  The GSO of an
+    ordered basis is unique, so the integers and every decision are those
+    of a full GSO of the HNF basis.  The result is cached on L for the last
+    delta used; callers must not modify the returned lists.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -374,9 +324,14 @@ def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[i
     dp, dq = delta.numerator, delta.denominator
     m = L.rank
     basis = list(L.basis)
-    lam, d = _integral_gso(L.gram())
-    k = 1
+    lam, d = [[0] * m for _ in range(m)], [1] * (m + 1)
+    if m:
+        _gso_row(basis, lam, d, 0)
+    k, kmax = 1, 0
     while k < m:
+        if k > kmax:
+            kmax = k
+            _gso_row(basis, lam, d, k)
         bk, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
             # |mu_kj| > 1/2  <=>  2|lam_kj| > d_{j+1}; q = floor(mu_kj + 1/2)

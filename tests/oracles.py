@@ -10,11 +10,13 @@ monomial span, the counting decision and the F2 solves that replaced them
 have an independent path to match, its former one-word Gray sweep for
 the minimum-weight words, which the bit-sliced sweep must match, its
 former plain Fincke-Pohst walk, whose leaves and node count the
-sign-symmetric walk must match, its former dense integral GSO loop,
-whose integers the norm-ordered GSO must match exactly, and its former
-per-coordinate shift loop of ``BinaryVector.coords``, which the one read
-of the bit layout must match, and its former tuple-keyed sign walk, which
-the packed-int walk must match.
+sign-symmetric walk must match, its former dense integral GSO loop and
+the LLL run on it, whose integers the row-by-row GSO and LLL must match
+exactly, its former per-coordinate shift loop of ``BinaryVector.coords``,
+which the one read of the bit layout must match, its former tuple-keyed
+sign walk, which the packed-int walk must match, and its former count of
+the thm24 replication minimum one m at a time, which the galloping search
+must match.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from math import isqrt, lcm
 from codelattice.constructions import d_bar_member
 from codelattice.errors import QuotientTooLarge
 from codelattice.gf2core import BinaryVector
-from codelattice.zlattice import Lattice, _coeff_interval
+from codelattice.zlattice import Lattice, _coeff_interval, lp_power_sum_cmp
 
 # Most cosets the exhaustive d-bar walk below visits
 WALK_COSET_CAP = 1 << 20
@@ -402,8 +404,8 @@ def fincke_pohst_plain(lam, d, radius, shortest):
 def integral_gso_dense(G):
     """Integral GSO ``(lam, d)`` of Cohen Alg. 2.6.7 by the dense loop.
 
-    The package's former ``_integral_gso``: every product lam_ki lam_ji is
-    taken, zero or not, on the columns in their given order.
+    The package's first GSO loop: every product lam_ki lam_ji is taken,
+    zero or not, on the columns in their given order.
     """
     m = len(G)
     d = [1] * (m + 1)
@@ -420,6 +422,67 @@ def integral_gso_dense(G):
             else:
                 d[k + 1] = u
     return lam, d
+
+
+def lll_dense_gso(basis, delta):
+    """``(basis, lam, d)``: fraction-free LLL from a GSO computed up front.
+
+    The package's former ``_lll``: :func:`integral_gso_dense` of the whole
+    Gram matrix first, then the same loop (size-reduce k against
+    k-1 .. 0, Lovasz test, Cohen's SWAPI on every later row, step back).
+    """
+    delta = Fraction(delta)
+    dp, dq = delta.numerator, delta.denominator
+    m = len(basis)
+    basis = [list(c) for c in basis]
+    lam, d = integral_gso_dense(gram(basis))
+    k = 1
+    while k < m:
+        bk, lk = basis[k], lam[k]
+        for j in range(k - 1, -1, -1):
+            lkj, dj = lk[j], d[j + 1]
+            if 2 * abs(lkj) > dj:
+                q = (2 * lkj + dj) // (2 * dj)
+                bk = [x - q * y for x, y in zip(bk, basis[j])]
+                lk[j] = lkj - q * dj
+                for i in range(j):
+                    lk[i] -= q * lam[j][i]
+        basis[k] = bk
+        lkk = lk[k - 1]
+        if dq * (d[k + 1] * d[k - 1] + lkk * lkk) >= dp * d[k] * d[k]:
+            k += 1
+            continue
+        basis[k - 1], basis[k] = bk, basis[k - 1]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        dk, dk1 = d[k], d[k + 1]
+        dnew = (d[k - 1] * dk1 + lkk * lkk) // dk
+        for li in lam[k + 1:]:
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - lkk * t) // dk
+            li[k - 1] = (dnew * t + lkk * li[k]) // dk1
+        d[k] = dnew
+        k = max(k - 1, 1)
+    return tuple(map(tuple, basis)), lam, d
+
+
+def min_m_linear(z, p, dA, dB):
+    """The least m >= dA with sum |z_i|^p < dA + m*dB, counted up one at a time.
+
+    The package's former ``_minimum_replication`` loop.  An integer p
+    compares one exact sum, so p = 20 (m = 2^20 on cor25) stays quick;
+    a fractional p takes the package's exact comparison, which is not what
+    the search under test replaced.
+    """
+    p = Fraction(p)
+    if p.denominator == 1:
+        s = sum(abs(e) ** p.numerator for e in z)
+        below = lambda t: s < t
+    else:
+        below = lambda t: lp_power_sum_cmp(z, p, t) < 0
+    m = dA
+    while not below(dA + m * dB):
+        m += 1
+    return m
 
 
 def coords_shift_loop(v):

@@ -45,7 +45,7 @@ from codelattice.gf2core import (
 from codelattice.matio import cor23_matrices, cor25_matrices
 from codelattice.zlattice import Lattice, adjugate_solve, vectors_up_to
 
-from oracles import sign_walk_tuples, thm22_mod4_sweep, thm24_kernel_walk
+from oracles import min_m_linear, sign_walk_tuples, thm22_mod4_sweep, thm24_kernel_walk
 
 bv = BinaryVector.from_coords
 
@@ -441,6 +441,21 @@ def test_min_m_per_exponent():
     assert min_m(g, 2) == 4
     assert min_m(g, 1) == 2
     assert min_m(g, Fraction(3, 2)) == 3
+
+
+def test_min_m_matches_linear_count():
+    g = build_cor25()
+    rep = check_thm24_hypotheses(g)
+    z, dA, dB = (rep.exact_values[k] for k in ("A_image_of_z", "d_CA", "d_CB"))
+    for p in (1, Fraction(3, 2), 2, Fraction(7, 3), Fraction(5, 2), 3, 8, 20):
+        assert min_m(g, p) == min_m_linear(z, p, dA, dB)
+
+
+def test_min_m_of_a_large_exponent_returns_at_once():
+    # min_m grows like 2^p (2^64 here); counting up to it would never end
+    t0 = time.perf_counter()
+    assert min_m(build_cor25(), 64) == 2**64
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_min_m_rejects_broken_gadget():

@@ -2,7 +2,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
@@ -19,9 +18,8 @@ from codelattice.zlattice import (
     DEFAULT_DELTA,
     _coeff_interval,
     _enumerate,
-    _integral_gso,
+    _gso_row,
     _lll,
-    _norm_ordered_gso,
     _residue,
     _xgcd,
     Determinant,
@@ -46,7 +44,9 @@ from oracles import (
     fincke_pohst_plain,
     frac_det,
     frac_lll,
+    gram,
     integral_gso_dense,
+    lll_dense_gso,
     reduce_columns,
 )
 
@@ -197,7 +197,7 @@ def test_determinant_lower_rank_matches_gram_elimination():
         if L.rank in (0, n):
             continue
         d = determinant(L)
-        dg = frac_det([list(row) for row in L.gram()])
+        dg = frac_det(gram(L.basis))
         assert (d.value if d.squared else d.value * d.value) == dg
         forms.append(d.squared)
     assert forms.count(True) > 50 and forms.count(False) > 50
@@ -285,41 +285,37 @@ def test_lll_integral_gso_matches_oracle():
                         assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
 
 
-def dense_gram(L):
-    return tuple(tuple(sum(map(mul, bi, bj)) for bj in L.basis) for bi in L.basis)
-
-
-def test_gram_matches_dense_product():
-    rng = random.Random(42)
-    assert Lattice.from_generators(3, []).gram() == ()
-    hollow = 0  # lattices with a coordinate where every column is zero
-    for _ in range(200):
-        L, _ = rand_lattice(rng, n=rng.randrange(1, 8), lo=-3, hi=3)
-        hollow += any(not any(row) for row in zip(*L.basis)) and L.rank > 0
-        assert L.gram() == dense_gram(L)
-    assert hollow > 20
-    # entries above 2^64, both from the HNF and from a scaled basis
-    for _ in range(20):
-        L, _ = rand_lattice(rng, n=rng.randrange(1, 6), lo=-(2**70), hi=2**70)
-        assert L.gram() == dense_gram(L)
-        L2 = scale(rand_lattice(rng, n=4)[0], 2**65 + 3)
-        assert L2.gram() == dense_gram(L2)
+def gso_rows(basis):
+    """The integral GSO of ``basis``, every row filled in order by ``_gso_row``."""
+    m = len(basis)
+    lam, d = [[0] * m for _ in range(m)], [1] * (m + 1)
+    for k in range(m):
+        _gso_row(basis, lam, d, k)
+    return lam, d
 
 
 def units(n, q):
     return [tuple(q if t == j else 0 for t in range(n)) for j in range(n)]
 
 
+def dense_construction_a(rng):
+    """Construction A of a random [48, 24] code: dense codewords among the 2e_j."""
+    while True:
+        C = Code(BinaryMatrix(48, [rng.getrandbits(48) for _ in range(24)]))
+        if C.dimension == 24:
+            return construction_a(C)
+
+
 def test_gso_matches_dense_oracle():
-    # the norm-ordered GSO swapped back to HNF order must give exactly the
-    # integers of the dense loop on HNF order
+    # the rows _gso_row fills on the HNF basis must be exactly the integers
+    # of the dense loop on the Gram matrix in HNF order
     rng = random.Random(43)
     lattices = []
     for rank in range(1, 11):
         for _ in range(4):
             lattices.append(rand_lattice_of_rank(rng, rank))  # entries in [-9, 9]
         for _ in range(4):
-            # entries in {-1, 0, 1}: many columns share a norm
+            # entries in {-1, 0, 1}: many zero products to skip
             n = rank + rng.randrange(3)
             while True:
                 L, _ = rand_lattice(rng, n=n, k=rank, lo=-1, hi=1)
@@ -327,27 +323,46 @@ def test_gso_matches_dense_oracle():
                     lattices.append(L)
                     break
     assert sum(L.rank < L.n for L in lattices) > 30
-    ties = [L for L in lattices if len({L.gram()[i][i] for i in range(L.rank)}) < L.rank]
-    assert len(ties) > 10
-    # some tied case is also reordered, so the swap-back meets ties
-    assert any(_norm_ordered_gso(L.gram())[0] != sorted(range(L.rank)) for L in ties)
+    rng = random.Random(42)
+    hollow = 0  # lattices with a coordinate where every column is zero
+    for _ in range(200):
+        L, _ = rand_lattice(rng, n=rng.randrange(1, 8), lo=-3, hi=3)
+        hollow += any(not any(row) for row in zip(*L.basis)) and L.rank > 0
+        lattices.append(L)
+    assert hollow > 20
+    # entries above 2^64, both from the HNF and from a scaled basis
+    for _ in range(20):
+        lattices.append(rand_lattice(rng, n=rng.randrange(1, 6), lo=-(2**70), hi=2**70)[0])
+        lattices.append(scale(rand_lattice(rng, n=4)[0], 2**65 + 3))
+    lattices.append(Lattice.from_generators(3, []))
     lattices.append(Lattice.from_generators(9, units(9, 5)))  # q * I
     lattices.append(construction_a(golay_code()))
-    while True:
-        C = Code(BinaryMatrix(48, [rng.getrandbits(48) for _ in range(24)]))
-        if C.dimension == 24:
-            lattices.append(construction_a(C))
-            break
+    lattices.append(dense_construction_a(rng))
     lattices += [build_cor23(seed=s)[1] for s in range(3)]
     for L in lattices:
-        G = L.gram()
-        assert _integral_gso(G) == integral_gso_dense(G)
-    # cor23 seed 0: the 4 e_j columns come first and are mutually
-    # orthogonal, so the norm-ordered lam is sparse where HNF order is dense
-    G = lattices[-3].gram()
-    nonzero = lambda lam: sum(map(bool, (x for row in lam for x in row)))
-    assert nonzero(_norm_ordered_gso(G)[1]) == 158
-    assert nonzero(_integral_gso(G)[0]) == 1973
+        assert gso_rows(L.basis) == integral_gso_dense(gram(L.basis))
+
+
+def test_lll_matches_dense_gso_oracle():
+    # filling each GSO row when LLL first reaches its column must give
+    # exactly the basis, lam and d of LLL on a GSO computed up front
+    rng = random.Random(44)
+    cases = [Lattice.from_generators(3, [])]
+    cases += [build_cor23(seed=s)[1] for s in range(3)]
+    cases.append(build_cor23(m=40, seed=0)[1])
+    cases.append(construction_a(golay_code()))
+    cases.append(dense_construction_a(rng))
+    cases.append(Lattice.from_generators(30, [
+        tuple(rng.randint(-9, 9) for _ in range(30)) for _ in range(30)
+    ]))
+    assert cases[-1].rank == 30
+    runs = [(L, DEFAULT_DELTA) for L in cases]
+    small = [rand_lattice_of_rank(rng, rng.randrange(1, 11)) for _ in range(120)]
+    assert sum(L.rank < L.n for L in small) > 30
+    runs += [(L, delta) for L in small for delta in LLL_DELTAS]
+    for L, delta in runs:
+        fresh = Lattice(L.n, L.basis, L.pivots)  # no cached reduction
+        assert _lll(fresh, delta) == lll_dense_gso(L.basis, delta)
 
 
 def test_lll_delta_validation():
