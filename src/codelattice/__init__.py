@@ -44,7 +44,6 @@ from .gf2core import (
 )
 from .zlattice import (
     Determinant,
-    GeneratingSet,
     Lattice,
     ShortVectorReport,
     contains,

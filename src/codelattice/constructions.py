@@ -1,14 +1,13 @@
 """Lattices built from binary codes.
 
-The embedding ``embed`` lifts F2 vectors to {0,1}-vectors in Z^n.  It is not
-additive: over Z,
+The embedding bar, read by ``BinaryVector.coords``, lifts F2 vectors to
+{0,1}-vectors in Z^n.  It is not additive: over Z,
 
     bar(c + c') = bar c + bar c' - 2 * bar(c o c')
 
 with ``o`` the coordinate-wise product.  Every generator made here from
 code words, the unit columns 2^e e_j included, is a scaled lift 2^e bar(w)
-from the one helper ``_lift``, which like ``embed`` reads
-``BinaryVector.coords``.  Everything in this module is an exact
+from the one helper ``_lift``.  Everything in this module is an exact
 integer-lattice construction on top of that lift:
 
 * ``construction_a``      -- bar C + 2 Z^n, equivalently {z : z mod 2 in C}
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     LengthMismatch,
@@ -56,7 +55,6 @@ from .gf2core import (
 from .zlattice import IntVec, Lattice, scale
 
 __all__ = [
-    "embed",
     "embed_sum_identity_check",
     "mod2_reduction",
     "construction_a",
@@ -80,25 +78,12 @@ C_STAR_AMBIENT_CAP = 32
 C_STAR_CROSSCHECK_CAP = 8
 
 
-def embed(x: Union[BinaryVector, BinaryMatrix]):
-    """Entry-wise lift to Z: 0 -> 0, 1 -> 1.
-
-    Vectors become integer tuples; matrices become lists of integer column
-    tuples (the generator layout used by lattices).
-    """
-    if isinstance(x, BinaryVector):
-        return x.coords()
-    if isinstance(x, BinaryMatrix):
-        return _lift(1, x.columns())
-    raise TypeError(f"cannot embed {type(x).__name__}")
-
-
 def embed_sum_identity_check(c: BinaryVector, cp: BinaryVector) -> bool:
     """Evaluate bar(c+c') = bar c + bar c' - 2 bar(c o c') over Z exactly."""
     if c.n != cp.n:
         raise LengthMismatch(f"{c.n} != {cp.n}")
-    lhs = embed(c + cp)
-    e1, e2, e3 = embed(c), embed(cp), embed(schur_product(c, cp))
+    lhs = (c + cp).coords()
+    e1, e2, e3 = c.coords(), cp.coords(), schur_product(c, cp).coords()
     rhs = tuple(e1[t] + e2[t] - 2 * e3[t] for t in range(c.n))
     return lhs == rhs
 

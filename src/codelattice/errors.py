@@ -98,9 +98,9 @@ class EnumerationBudgetExceeded(ToolkitError):
     report the overflow.
     """
 
-    def __init__(self, budget: int, message: str | None = None) -> None:
+    def __init__(self, budget: int) -> None:
         self.budget = budget
-        super().__init__(message or f"enumeration exceeded node budget {budget}")
+        super().__init__(f"enumeration exceeded node budget {budget}")
 
 
 class HypothesesFail(ToolkitError):

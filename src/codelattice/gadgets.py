@@ -25,7 +25,6 @@ from .constructions import (
     c_star_definitional,
     construction_a,
     d_bar_is_lattice,
-    embed,
     mod2_reduction,
     simplified_d,
     vladut_special_d,
@@ -101,7 +100,7 @@ CSTAR_TRIALS = 20
 def _plain(x):
     """Recursively convert report payloads to JSON-safe values."""
     if isinstance(x, BinaryVector):
-        return list(embed(x))
+        return list(x.coords())
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (tuple, list)):
@@ -272,17 +271,17 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
         HypothesisResult(
             "kernel: ker(B) = {0, w}",
             kernel_ok,
-            None if kernel_ok else {"kernel_basis": [embed(v) for v in kb]},
+            None if kernel_ok else {"kernel_basis": [v.coords() for v in kb]},
         )
     )
 
-    wc = embed(g.w)
+    wc = g.w.coords()
     bw = _int_image(g.B, wc)
     t = None
     if not any(e & 1 for e in bw):
         t = solve(g.B, BinaryVector.from_coords([(e >> 1) & 1 for e in bw]))
     mod4_ok = t is None
-    mod4_witness = None if mod4_ok else {"y": [e + 2 * x for e, x in zip(wc, embed(t))]}
+    mod4_witness = None if mod4_ok else {"y": [e + 2 * x for e, x in zip(wc, t.coords())]}
     hyps.append(
         HypothesisResult(
             "mod 4: B-lift image of w-parity vectors never vanishes", mod4_ok, mod4_witness
@@ -322,7 +321,7 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     incl_witness = None
     for v in kerB:
         if not g.A.mul(v).is_zero():
-            incl_witness = {"x": embed(v)}
+            incl_witness = {"x": v.coords()}
             break
     hyps.append(
         HypothesisResult(
@@ -339,7 +338,7 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     if img_code.dimension and min_distance(img_code) <= dB:
         bx = min_weight_codewords(img_code)[0]
         x = kerA.mul(solve(images, bx))
-        out_witness = {"x": embed(x), "Bx_weight": bx.weight}
+        out_witness = {"x": x.coords(), "Bx_weight": bx.weight}
     hyps.append(
         HypothesisResult(
             "outside kernel: ||B x||_0 > d(C(B)) on ker(A) minus ker(B)",
@@ -488,7 +487,7 @@ def _patterns_in_lattice(L: Lattice, c: BinaryVector) -> list[IntVec]:
     off = [t for t in range(n) if t not in pivots]
     keys = []
     for i in support:
-        D, X, w = adjugate_solve(L, embed(BinaryVector.from_support(n, (i,))))
+        D, X, w = adjugate_solve(L, (0,) * i + (1,) + (0,) * (n - 1 - i))
         keys.append(X + [w[t] for t in off])
     # the key of c is the sum of its unit vectors' keys
     plus = [sum(xs) for xs in zip(*keys)]
@@ -585,12 +584,12 @@ def verify_cor23(
     )
 
     S = min_weight_codewords(code)
-    embedded_in = [c for c in S if lat.contains(embed(c))]
+    embedded_in = [c for c in S if lat.contains(c.coords())]
     conclusions.append(
         ConclusionResult(
             "no embedded minimum-weight codeword lies in the lattice",
             len(embedded_in) == 0,
-            {"checked": len(S), "violations": [embed(c) for c in embedded_in]},
+            {"checked": len(S), "violations": [c.coords() for c in embedded_in]},
         )
     )
 
@@ -631,13 +630,17 @@ def verify_cor23(
 def _minimum_replication(rep: VerificationReport, p: Fraction) -> int:
     """min_m read off a thm24 hypothesis report; HypothesesFail unless it passed.
 
-    "p-power sum below dA + m*dB" is monotone in m, and min_m grows like
+    For an integer p the p-power sum S is one exact integer, and the least
+    m >= dA with S < dA + m*dB is read off by division.  For a fractional
+    p, "p-power sum below dA + m*dB" is monotone in m, and min_m grows like
     2^p, so the search gallops up from dA and then bisects.
     """
     if not rep.passed:
         raise HypothesesFail("gadget fails its hypotheses", report=rep)
     dA, dB = rep.exact_values["d_CA"], rep.exact_values["d_CB"]
     z = rep.exact_values["A_image_of_z"]
+    if p.denominator == 1:
+        return max(dA, (lp_norm(z, p) - dA) // dB + 1)
 
     def enough(m: int) -> bool:
         return lp_power_sum_cmp(z, p, dA + m * dB) < 0
@@ -844,7 +847,7 @@ def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> Verificati
         n = code.n
         lattice_a = construction_a(code)
         if c_star_definitional(code) != scale(lattice_a, 2 ** (n - 1)):
-            eq_witness = {"n": n, "generators": [embed(c) for c in code.basis()]}
+            eq_witness = {"n": n, "generators": [c.coords() for c in code.basis()]}
         d, lam = min_distance(code), shortest_vectors(lattice_a).lambda1_sq
         all_lambda &= lam == min(d, 4)
         per_code.append({"n": n, "dim": code.dimension, "d": d, "lambda1_sq_A": lam})
@@ -882,8 +885,8 @@ def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
         level, c, cp = schur_witness
         cert["schur_witness"] = {
             "level": level,
-            "c": embed(c),
-            "c_prime": embed(cp),
+            "c": c.coords(),
+            "c_prime": cp.coords(),
         }
     if span_witness is not None:
         cert["span_witness"] = list(span_witness)

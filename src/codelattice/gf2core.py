@@ -512,10 +512,6 @@ class Code:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Code is immutable")
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[BinaryVector], n: Optional[int] = None) -> "Code":
-        return cls(BinaryMatrix.from_columns(columns, n=n))
-
     @property
     def n(self) -> int:
         return self.gen.n

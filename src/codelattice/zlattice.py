@@ -32,7 +32,6 @@ from .errors import (
 
 __all__ = [
     "IntVec",
-    "GeneratingSet",
     "Lattice",
     "ShortVectorReport",
     "Determinant",
@@ -55,19 +54,6 @@ IntVec = tuple[int, ...]
 
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_BUDGET = 10**9
-
-
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Ambient dimension plus integer generator columns (possibly dependent)."""
-
-    n: int
-    columns: tuple[IntVec, ...]
-
-    def __post_init__(self):
-        for c in self.columns:
-            if len(c) != self.n:
-                raise DimensionMismatch(f"column length {len(c)} != ambient {self.n}")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -155,17 +141,16 @@ def _hnf_columns(n: int, columns: Iterable[Sequence[int]]) -> tuple[tuple[IntVec
 class Lattice:
     """Integer lattice with a canonical HNF basis.
 
-    Construct via :func:`hnf` or :meth:`from_generators`; direct instances
-    must already be canonical.
+    Construct via :meth:`from_generators` (alias :func:`hnf`); direct
+    instances must already be canonical.
     """
 
-    __slots__ = ("n", "basis", "pivots", "_reduction")
+    __slots__ = ("n", "basis", "pivots")
 
     def __init__(self, n: int, basis: tuple[IntVec, ...], pivots: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Lattice is immutable")
@@ -199,14 +184,9 @@ class Lattice:
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 
-def hnf(G: GeneratingSet) -> Lattice:
-    """Canonical lattice for a generating set (column HNF span)."""
-    return Lattice.from_generators(G.n, G.columns)
-
-
-def contains(L: Lattice, v: Sequence[int]) -> bool:
-    """Exact membership: v reduced top-down by the HNF basis leaves zero."""
-    return L.contains(v)
+# the two Lattice methods as functions: hnf(n, columns) and contains(L, v)
+hnf = Lattice.from_generators
+contains = Lattice.contains
 
 
 @dataclass(frozen=True)
@@ -304,23 +284,23 @@ def _swap(lam: list[list[int]], d: list[int], k: int) -> None:
     d[k] = dnew
 
 
-def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[int]]:
-    """LLL-reduced basis of L with its final integral GSO data (lam, d).
+def lll_reduce(
+    L: Lattice, delta: Fraction = DEFAULT_DELTA
+) -> tuple[tuple[IntVec, ...], list[list[int]], list[int]]:
+    """``(basis, lam, d)``: the LLL-reduced basis of L and its integral GSO.
 
     Fraction-free LLL (Cohen Alg. 2.6.7) from the HNF basis: GSO row k is
     filled by :func:`_gso_row` when the loop first reaches column k
     (``kmax``), while b_k is still HNF column k, so nothing is computed up
     front.  Each step size-reduces b_k against b_{k-1} .. b_0, then tests
-    the Lovasz condition, swaps and steps back on failure.  The GSO of an
-    ordered basis is unique, so the integers and every decision are those
-    of a full GSO of the HNF basis.  The result is cached on L for the last
-    delta used; callers must not modify the returned lists.
+    the Lovasz condition with the given delta, swaps and steps back on
+    failure.  The GSO of an ordered basis is unique, so the integers and
+    every decision are those of a full GSO of the HNF basis.  Exact and
+    deterministic; L is not modified.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must satisfy 1/4 < delta < 1")
-    if L._reduction is not None and L._reduction[0] == delta:
-        return L._reduction[1:]
     dp, dq = delta.numerator, delta.denominator
     m = L.rank
     basis = list(L.basis)
@@ -353,18 +333,7 @@ def _lll(L: Lattice, delta) -> tuple[tuple[IntVec, ...], list[list[int]], list[i
         basis[k - 1], basis[k] = bk, basis[k - 1]
         _swap(lam, d, k)
         k = max(k - 1, 1)
-    result = (tuple(map(tuple, basis)), lam, d)
-    object.__setattr__(L, "_reduction", (delta,) + result)
-    return result
-
-
-def lll_reduce(L: Lattice, delta: Fraction = DEFAULT_DELTA) -> list[IntVec]:
-    """LLL-reduced basis of L, computed exactly on integers.
-
-    Returns basis columns (size-reduced, Lovasz condition with the given
-    delta).  Deterministic; L is unchanged apart from the cached result.
-    """
-    return list(_lll(L, delta)[0])
+    return tuple(map(tuple, basis)), lam, d
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +422,10 @@ def _enumerate(
 def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[IntVec]]:
     """``(radius, vectors)`` sorted by norm, then value; ``R=None`` asks for the shortest.
 
-    LLL goes through the public lll_reduce, a layer of its own for callers that time it.
+    One LLL call, through the module-level name, so callers that wrap it
+    to time LLL see every reduction.
     """
-    reduced = lll_reduce(L, delta)
-    _, lam, d = _lll(L, delta)
+    reduced, lam, d = lll_reduce(L, delta)
     shortest = R is None
     r0 = min(sum(e * e for e in col) for col in reduced) if shortest else R
     R, leaves = _enumerate(lam, d, r0, budget, shortest)
@@ -536,20 +505,29 @@ def lp_norm(v: Sequence[int], p) -> int:
 
 
 def iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, exact (Newton on integers)."""
+    """floor(x ** (1/k)) for x >= 0, k >= 1, exact (Newton on integers).
+
+    The seed is 1 + the bisected root of x >> s*k, shifted back by s, with s
+    chosen so that about 8 root bits are bisected.  It lies above the root
+    and within 1% or so of it, so Newton descends straight to the floor,
+    doubling the correct bits each step, whatever the size of k.
+    """
     if x < 0 or k < 1:
         raise ValueError("iroot needs x >= 0, k >= 1")
     if x == 0 or k == 1:
         return x
-    r = 1 << (-(-x.bit_length() // k))  # upper-bound seed
+    s = max(0, -(-x.bit_length() // k) - 8)
+    y = x >> (s * k)
+    lo, hi = 0, 1 << (-(-y.bit_length() // k))  # lo**k <= y < hi**k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= y else (lo, mid)
+    r = hi << s
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r ** k > x:
-        r -= 1
-    return r
 
 
 def lp_power_sum_cmp(entries: Sequence[int], p, threshold) -> int:

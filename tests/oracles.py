@@ -16,7 +16,8 @@ exactly, its former per-coordinate shift loop of ``BinaryVector.coords``,
 which the one read of the bit layout must match, its former tuple-keyed
 sign walk, which the packed-int walk must match, and its former count of
 the thm24 replication minimum one m at a time, which the galloping search
-must match.
+and the division for an integer p must match, and its former integer k-th
+root from a bit-length seed, which the bisection-seeded root must match.
 """
 
 from fractions import Fraction
@@ -483,6 +484,25 @@ def min_m_linear(z, p, dA, dB):
     while not below(dA + m * dB):
         m += 1
     return m
+
+
+def iroot_bit_length_seed(x, k):
+    """floor(x ** (1/k)) by Newton from 2^ceil(bits(x)/k), the package's former ``iroot``.
+
+    The seed can be twice the root, and while Newton is far above the root
+    each step shrinks it only by a factor (k - 1) / k, so large k is slow.
+    """
+    if x == 0 or k == 1:
+        return x
+    r = 1 << (-(-x.bit_length() // k))
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    return r
 
 
 def coords_shift_loop(v):

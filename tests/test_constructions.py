@@ -7,6 +7,7 @@ import pytest
 from codelattice import constructions
 from codelattice.constructions import (
     DTowerInput,
+    _lift,
     c_star_definitional,
     construction_a,
     construction_a_member,
@@ -15,7 +16,6 @@ from codelattice.constructions import (
     d_bar_is_lattice,
     d_bar_member,
     d_bar_span,
-    embed,
     embed_sum_identity_check,
     mod2_reduction,
     simplified_d,
@@ -58,18 +58,18 @@ def rand_code(rng, n, k):
 
 
 def test_embed_shapes():
-    assert embed(bv((1, 0, 1))) == (1, 0, 1)
+    assert bv((1, 0, 1)).coords() == (1, 0, 1)
     M = BinaryMatrix.from_columns([bv((1, 1)), bv((0, 1))])
-    assert embed(M) == [(1, 1), (0, 1)]
-    assert embed(BinaryVector(0, 0)) == ()
-    assert embed(BinaryMatrix(0, ())) == []
-    assert embed(BinaryMatrix(0, (0, 0))) == [(), ()]
+    assert _lift(1, M.columns()) == [(1, 1), (0, 1)]
+    assert BinaryVector(0, 0).coords() == ()
+    assert _lift(1, BinaryMatrix(0, ()).columns()) == []
+    assert _lift(1, BinaryMatrix(0, (0, 0)).columns()) == [(), ()]
 
 
 def test_embed_is_not_additive_but_identity_holds():
     c, cp = bv((1, 0)), bv((1, 1))
-    assert embed(c + cp) == (0, 1)
-    assert tuple(a + b for a, b in zip(embed(c), embed(cp))) == (2, 1)
+    assert (c + cp).coords() == (0, 1)
+    assert tuple(a + b for a, b in zip(c.coords(), cp.coords())) == (2, 1)
     assert embed_sum_identity_check(c, cp)
     rng = random.Random(30)
     for _ in range(300):
@@ -203,8 +203,8 @@ def test_construction_d_distance_bound_second_level():
     with pytest.raises(TowerViolation, match="C_2"):
         construction_d(DTowerInput((K0, K1, K2)))
     L = construction_d(DTowerInput((K0, K1, K2)), strict=False)
-    assert L.contains(embed(k2))
-    assert L.contains(tuple(2 * e for e in embed(k1)))
+    assert L.contains(k2.coords())
+    assert L.contains(tuple(2 * e for e in k1.coords()))
 
 
 def test_vladut_special_d():
@@ -310,7 +310,7 @@ def test_d_bar_member_reconstructs():
         hits += 1
         c2, c1, tail = dec
         recon = tuple(
-            embed(c2)[t] + 2 * embed(c1)[t] + 4 * tail[t] for t in range(4)
+            c2.coords()[t] + 2 * c1.coords()[t] + 4 * tail[t] for t in range(4)
         )
         assert recon == v
         assert T.levels[1].contains(c2) and T.levels[0].contains(c1)
@@ -328,7 +328,9 @@ def test_d_bar_member_peels_negative_entries():
     points = list(iter_product((0, 1), repeat=4))
     monomials = [()] + [(i,) for i in range(4)] + list(combinations(range(4), 2))
     evals = [bv(tuple(int(all(x[i] for i in m)) for x in points)) for m in monomials]
-    reed_muller = CodeTower([Code.from_columns(evals), Code.from_columns(evals[:5])])
+    reed_muller = CodeTower([
+        Code(BinaryMatrix.from_columns(evals)), Code(BinaryMatrix.from_columns(evals[:5]))
+    ])
     rng = random.Random(61)
     for T in (nonclosed_tower(), reed_muller):
         n, a = T.n, T.a
@@ -337,7 +339,7 @@ def test_d_bar_member_peels_negative_entries():
             words = [_random_word(rng, level) for level in T.levels]  # c_1 .. c_a
             tail = tuple(rng.randint(-6, 6) for _ in range(n))
             member = tuple(
-                2**a * tail[t] + sum(2 ** (a - i) * embed(c)[t] for i, c in enumerate(words, 1))
+                2**a * tail[t] + sum(2 ** (a - i) * c.coords()[t] for i, c in enumerate(words, 1))
                 for t in range(n)
             )
             assert d_bar_member(T, member) == (*words[::-1], tail)
@@ -354,7 +356,7 @@ def test_d_bar_member_peels_negative_entries():
                         *cs, rest = dec  # c_a, ..., c_1, tail
                         recon = [2**a * e for e in rest]
                         for k, c in enumerate(cs):
-                            recon = [r + 2**k * e for r, e in zip(recon, embed(c))]
+                            recon = [r + 2**k * e for r, e in zip(recon, c.coords())]
                         assert tuple(recon) == u
         assert verdicts == {True, False} and negative
 
@@ -365,7 +367,7 @@ def test_d_bar_span_contains_all_embeddings():
     for idx, level in enumerate(T.levels):
         f = 2 ** (T.a - (idx + 1))
         for c in level.codewords():
-            assert L.contains(tuple(f * e for e in embed(c)))
+            assert L.contains(tuple(f * e for e in c.coords()))
     for i in range(T.n):
         e = [0] * T.n
         e[i] = 2**T.a
@@ -422,7 +424,9 @@ def test_d_bar_reed_muller_3_over_2_witness():
     points = list(iter_product((0, 1), repeat=4))
     monomials = [m for r in range(4) for m in combinations(range(4), r)]
     evals = [bv(tuple(int(all(x[i] for i in m)) for x in points)) for m in monomials]
-    T = CodeTower([Code.from_columns(evals), Code.from_columns(evals[:11])])
+    T = CodeTower([
+        Code(BinaryMatrix.from_columns(evals)), Code(BinaryMatrix.from_columns(evals[:11]))
+    ])
     ok, wit = d_bar_is_lattice(T)
     assert not ok and not is_schur_closed_tower(T)[0]
     assert d_bar_span(T).contains(wit)
@@ -458,7 +462,9 @@ def test_d_bar_closed_reed_muller_tower_walks_no_coset(monkeypatch):
     points = list(iter_product((0, 1), repeat=4))
     monomials = [()] + [(i,) for i in range(4)] + list(combinations(range(4), 2))
     evals = [bv(tuple(int(all(x[i] for i in m)) for x in points)) for m in monomials]
-    T = CodeTower([Code.from_columns(evals), Code.from_columns(evals[:5])])
+    T = CodeTower([
+        Code(BinaryMatrix.from_columns(evals)), Code(BinaryMatrix.from_columns(evals[:5]))
+    ])
     calls = []
     member = constructions.d_bar_member
     monkeypatch.setattr(
@@ -477,7 +483,7 @@ def test_d_bar_deep_witness_found_without_walking(monkeypatch):
     even = [BinaryVector.from_support(16, [i]) for i in range(16) if i not in flat]
     even += [BinaryVector.from_support(16, [flat[0], f]) for f in flat[1:]]
     linear = [bv(tuple(x[i] for x in points)) for i in range(4)]
-    T = CodeTower([Code.from_columns(even), Code.from_columns(linear)])
+    T = CodeTower([Code(BinaryMatrix.from_columns(even)), Code(BinaryMatrix.from_columns(linear))])
     walked = []
     monkeypatch.setattr(
         oracles, "d_bar_member", lambda *args: walked.append(1) or d_bar_member(*args)

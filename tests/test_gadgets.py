@@ -452,10 +452,17 @@ def test_min_m_matches_linear_count():
 
 
 def test_min_m_of_a_large_exponent_returns_at_once():
-    # min_m grows like 2^p (2^64 here); counting up to it would never end
+    # min_m grows like 2^p (2^64, then about 2^100000); counting up to it
+    # would never end, and an integer p is one exact power sum
+    g = build_cor25()
+    rep = check_thm24_hypotheses(g)
+    z, dA, dB = (rep.exact_values[k] for k in ("A_image_of_z", "d_CA", "d_CB"))
     t0 = time.perf_counter()
-    assert min_m(build_cor25(), 64) == 2**64
+    assert min_m(g, 64) == 2**64
+    m = min_m(g, 100000)
     assert time.perf_counter() - t0 < 1.0
+    s = sum(abs(e) ** 100000 for e in z)
+    assert m >= dA and dA + (m - 1) * dB <= s < dA + m * dB
 
 
 def test_min_m_rejects_broken_gadget():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from codelattice import zlattice
 from codelattice.constructions import construction_a
 from codelattice.errors import (
     DimensionMismatch,
@@ -19,11 +20,9 @@ from codelattice.zlattice import (
     _coeff_interval,
     _enumerate,
     _gso_row,
-    _lll,
     _residue,
     _xgcd,
     Determinant,
-    GeneratingSet,
     Lattice,
     adjugate_solve,
     contains,
@@ -46,6 +45,7 @@ from oracles import (
     frac_lll,
     gram,
     integral_gso_dense,
+    iroot_bit_length_seed,
     lll_dense_gso,
     reduce_columns,
 )
@@ -114,12 +114,11 @@ def test_hnf_invariant_under_generator_changes():
 
 def test_generating_set_validation():
     with pytest.raises(DimensionMismatch):
-        GeneratingSet(3, ((1, 0),))
+        hnf(3, [(1, 0)])
     for n, col in ((3, (1, 2)), (2, (1, 2, 3))):
         with pytest.raises(DimensionMismatch):
             Lattice.from_generators(n, [col])
-    G = GeneratingSet(2, ((1, 0), (0, 2)))
-    assert hnf(G).basis == ((1, 0), (0, 2))
+    assert hnf(2, [(1, 0), (0, 2)]).basis == ((1, 0), (0, 2))
 
 
 def test_membership_matches_oracle():
@@ -237,7 +236,7 @@ def test_lll_postconditions():
         L, _ = rand_lattice(rng, lo=-9, hi=9)
         if L.rank == 0:
             continue
-        red = lll_reduce(L)
+        red = lll_reduce(L)[0]
         assert len(red) == L.rank
         # span unchanged
         assert Lattice.from_generators(L.n, red) == L
@@ -267,7 +266,7 @@ def test_lll_matches_fraction_reference():
         for _ in range(3):
             L = rand_lattice_of_rank(rng, rank)
             for delta in LLL_DELTAS:
-                assert lll_reduce(L, delta) == frac_lll(L.basis, delta)
+                assert list(lll_reduce(L, delta)[0]) == frac_lll(L.basis, delta)
 
 
 def test_lll_integral_gso_matches_oracle():
@@ -276,7 +275,7 @@ def test_lll_integral_gso_matches_oracle():
         for _ in range(3):
             L = rand_lattice_of_rank(rng, rank)
             for delta in LLL_DELTAS:
-                red, lam, d = _lll(L, delta)
+                red, lam, d = lll_reduce(L, delta)
                 mu, B = oracle_gso(red)
                 assert d[0] == 1
                 for i in range(rank):
@@ -361,8 +360,26 @@ def test_lll_matches_dense_gso_oracle():
     assert sum(L.rank < L.n for L in small) > 30
     runs += [(L, delta) for L in small for delta in LLL_DELTAS]
     for L, delta in runs:
-        fresh = Lattice(L.n, L.basis, L.pivots)  # no cached reduction
-        assert _lll(fresh, delta) == lll_dense_gso(L.basis, delta)
+        assert lll_reduce(L, delta) == lll_dense_gso(L.basis, delta)
+
+
+def test_each_enumeration_makes_one_lll_call(monkeypatch):
+    # a benchmark trace times LLL by wrapping the module-level lll_reduce,
+    # so the enumeration entry points must reach LLL through it, once
+    calls = []
+    inner = zlattice.lll_reduce
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(zlattice, "lll_reduce", counted)
+    L = construction_a(golay_code())
+    assert shortest_vectors(L).kissing == 48
+    assert calls == [L]
+    calls.clear()
+    assert len(vectors_up_to(L, 4, delta=Fraction(3, 4))) == 1 + 48  # zero and +-2 e_j
+    assert calls == [L]
 
 
 def test_lll_delta_validation():
@@ -371,7 +388,7 @@ def test_lll_delta_validation():
         with pytest.raises(ValueError):
             lll_reduce(L, Fraction(bad))
     # a coarser delta is accepted and still spans the same lattice
-    red = lll_reduce(L, Fraction(1, 3) + Fraction(1, 100))
+    red = lll_reduce(L, Fraction(1, 3) + Fraction(1, 100))[0]
     assert Lattice.from_generators(2, red) == L
 
 
@@ -403,7 +420,7 @@ def test_shortest_vectors_matches_box_oracle():
         assert rep.kissing % 2 == 0  # v and -v both counted
         d = rep.to_dict()
         assert d["lambda1_sq"] == lam and len(d["vectors"]) == rep.kissing
-        shrunk += min(sum(e * e for e in c) for c in lll_reduce(L, delta)) > lam
+        shrunk += min(sum(e * e for e in c) for c in lll_reduce(L, delta)[0]) > lam
     assert shrunk >= 1
 
 
@@ -475,7 +492,7 @@ def test_sign_symmetric_walk_matches_plain_oracle():
     fixed.append((construction_a(golay_code()), 4))
     fixed.append((build_cor23(seed=0)[1], 16))
     for L, R in fixed:
-        _, lam, d = _lll(L, DEFAULT_DELTA)
+        _, lam, d = lll_reduce(L, DEFAULT_DELTA)
         radius, leaves = _enumerate(lam, d, R, 10**9, shortest=False)
         ref_radius, ref_leaves, plain = fincke_pohst_plain(lam, d, R, shortest=False)
         assert radius == ref_radius == R
@@ -492,7 +509,7 @@ def test_sign_symmetric_walk_matches_plain_oracle():
         L, _ = rand_lattice(rng, n=n, k=n, lo=-4, hi=4)
         if L.rank < n:
             continue
-        reduced, lam, d = _lll(L, Fraction(26, 100))
+        reduced, lam, d = lll_reduce(L, Fraction(26, 100))
         r0 = min(sum(e * e for e in c) for c in reduced)
         lam1, leaves = _enumerate(lam, d, r0, 10**9, shortest=True)
         ref_lam1, ref_leaves, _ = fincke_pohst_plain(lam, d, r0, shortest=True)
@@ -541,6 +558,29 @@ def test_lp_norm_exact_integer_p():
         lp_norm((1, 2), Fraction(3, 2))
     with pytest.raises(ValueError):
         lp_norm((1,), Fraction(1, 2))
+
+
+def test_iroot_matches_bit_length_seeded_newton():
+    rng = random.Random(33)
+    for _ in range(300):
+        x = rng.getrandbits(rng.randrange(1, 20001))
+        k = rng.randrange(1, 2001)
+        assert iroot(x, k) == iroot_bit_length_seed(x, k)
+    for x in (2**20000 - 1, 2**20000, 3**12000):
+        for k in (2, 3, 7, 64, 1999, 2000):
+            r = iroot(x, k)
+            assert r == iroot_bit_length_seed(x, k)
+            assert r**k <= x < (r + 1) ** k
+
+
+def test_iroot_of_a_large_index_returns_at_once():
+    # lp_power_sum_cmp at p = 10001/10000 takes 10000-th roots of 160,000-bit
+    # numbers; from a bit-length seed Newton needs thousands of steps there
+    x = 3**100000 << 160000
+    t0 = time.perf_counter()
+    r = iroot(x, 10000)
+    assert r**10000 <= x < (r + 1) ** 10000
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_iroot_exact():
