@@ -99,18 +99,27 @@ def _lift(factor: int, words: Iterable[BinaryVector]) -> list[IntVec]:
 
 
 def construction_a(C: Code) -> Lattice:
-    """bar C + 2 Z^n, generated by the 2 e_j and then the embedded reduced
-    echelon basis of C.  In that order the HNF is linear: a reduced word w
-    replaces the pivot 2 e_r at its leading row r, and the even rest
-    2w - 2 e_r is cleared by the pivots 2 e_t, which stay (see _xgcd).
-    Reduced words vanish on each other's leading rows, so no entry exceeds
-    2 and the canonical reduction has nothing to do.
+    """bar C + 2 Z^n, with its canonical HNF basis written down, not computed.
+
+    Column r is the lifted reduced basis word whose leading row is r, and
+    2 e_r where no word leads.  That basis is lower triangular with pivots
+    1 or 2 at rows 0 .. n-1 and determinant 2^(n-k), and it generates bar C
+    + 2 Z^n (each 2 e_r with r a leading row is 2 w minus the other 2 e_t).
+    It is already canonical: an earlier column holds 0 or 1 in a 2 e_r
+    pivot row, and 0 in a word's, since reduced words vanish on each
+    other's leading rows.
 
     Membership law (cross-checked by tests): v is a member iff its mod-2
     reduction is a codeword.
     """
-    gens = _lift(2, BinaryMatrix.identity(C.n).columns()) + _lift(1, C.basis())
-    return Lattice.from_generators(C.n, gens)
+    n = C.n
+    words = C.basis()
+    lead = [n - w.bits.bit_length() for w in words]
+    free = sorted(set(range(n)).difference(lead))
+    units = BinaryMatrix.identity(n).columns()
+    columns = dict(zip(lead, _lift(1, words)))
+    columns.update(zip(free, _lift(2, [units[r] for r in free])))
+    return Lattice(n, tuple(columns[r] for r in range(n)), tuple(range(n)))
 
 
 def construction_a_member(C: Code, v: Sequence[int]) -> bool:

@@ -349,14 +349,49 @@ def _chunk_width(n: int, k: int) -> int:
     return c
 
 
-def _add(planes: list[int], x: int) -> None:
-    """Add a 0/1 per position into bit-sliced counters, rippling the carry."""
-    for b, p in enumerate(planes):
-        planes[b] = p ^ x
-        x &= p
-        if not x:
-            return
-    planes.append(x)
+def _compress(base: list[int], ints: Iterable[int]) -> list[int]:
+    """The LSB-first weight planes of ``base`` plus the 0/1 ints, carry-save.
+
+    Each weight 2^b keeps a list of at most two pending ints, seeded with
+    base[b].  An int that meets two others there goes through a full adder:
+    their sum stays at 2^b, and their carry moves on to 2^(b+1).  At the
+    end a half adder leaves one int per weight.  A full adder costs five
+    big-int operations and retires one int, however far a ripple-carry add
+    would have carried, and only O(log n) ints are held beside ``ints``.
+    Returns one plane per weight, with no zero plane on top.
+    """
+    pending = [[p] for p in base]
+
+    def add(b: int, x: int) -> None:
+        while x:
+            if b == len(pending):
+                pending.append([x])
+                return
+            pend = pending[b]
+            if len(pend) < 2:
+                pend.append(x)
+                return
+            y, z = pend
+            s = x ^ y
+            pending[b] = [s ^ z]
+            x = x & y | s & z
+            b += 1
+
+    for x in ints:
+        add(0, x)
+    planes = []
+    b = 0
+    while b < len(pending):
+        pend = pending[b]
+        if len(pend) == 2:
+            x, y = pend
+            add(b + 1, x & y)
+            pend = [x ^ y]
+        planes.append(pend[0])
+        b += 1
+    while planes and not planes[-1]:
+        planes.pop()
+    return planes
 
 
 def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, list[int], int]]:
@@ -373,7 +408,8 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
     complemented when the offset sets t.  A coordinate no high word sets
     is never complemented, so those are summed once into the base planes;
     one no low word sets adds the constant bit of the offset.  Only the
-    rest are added per chunk, n - k of them for a reduced echelon basis.
+    rest vary, n - k of them at most for a reduced echelon basis; each
+    chunk sums them with the base planes by :func:`_compress`.
     """
     low, high = basis[:c], basis[c:]
     c = len(low)
@@ -387,7 +423,7 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
     touched = 0
     for h in high:
         touched |= h
-    base: list[int] = []
+    fixed: list[int] = []
     varying: list[tuple[int, int]] = []
     constant = 0
     for t in range(n):
@@ -397,18 +433,17 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
                 x ^= pattern[j]
         if not touched >> t & 1:
             if x:
-                _add(base, x)
+                fixed.append(x)
         elif x:
             varying.append((t, x))
         else:
             constant |= 1 << t
+    base = _compress([], fixed)
     offset = 0
     for g in range(1 << len(high)):
         if g:
             offset ^= high[(g & -g).bit_length() - 1]
-        planes = base.copy()
-        for t, x in varying:
-            _add(planes, x ^ full if offset >> t & 1 else x)
+        planes = _compress(base, (x ^ full if offset >> t & 1 else x for t, x in varying))
         yield offset, (offset & constant).bit_count(), planes, full
 
 
@@ -521,7 +556,12 @@ class Code:
         return len(self._basis)
 
     def basis(self) -> list[BinaryVector]:
-        """Canonical reduced-echelon basis of the span."""
+        """Canonical reduced-echelon basis of the span.
+
+        The leading row of a word is its lowest-index nonzero coordinate.
+        The words come in ascending order of leading row, and each word is
+        zero on every other word's leading row.
+        """
         return [BinaryVector(self.n, b) for b in self._basis]
 
     def contains(self, v: BinaryVector) -> bool:
@@ -556,13 +596,14 @@ class Code:
 
         A bit-sliced sweep weighs the 2^k codewords in 2^(k-c) chunks of
         2^c, c = min(k, 16) cut down until n * 2^c <= 2^24 bits (see
-        _chunks).  Per chunk, a ripple-carry counter adds the at most n - k
-        coordinate ints that vary into ceil(log2(n+1)) weight planes, and
-        reading the planes from the top gives the chunk's least weight and
-        its positions.  The coordinate ints hold n * 2^c <= 2^24 bits
-        (2 MB) whatever k is, the planes a log2(n+1) share of that more.
-        At the rank-28 cap, a systematic [48, 28] code takes about
-        0.8 s (a one-word Gray walk about 40 s).
+        _chunks).  Per chunk, a carry-save compressor of full adders sums
+        the at most n - k coordinate ints that vary, with the base planes,
+        into ceil(log2(n+1)) weight planes, and reading the planes from the
+        top gives the chunk's least weight and its positions.  The
+        coordinate ints hold n * 2^c <= 2^24 bits (2 MB) whatever k is, and
+        the compressor O(log n) ints of 2^c bits more.  At the rank-28 cap,
+        a systematic [48, 28] code takes about 0.4 s (a one-word Gray walk
+        about 40 s).
 
         The sweep runs on the first call only; the tuple is cached on the
         code, which is immutable, so it never goes stale.

@@ -423,18 +423,21 @@ def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[I
     """``(radius, vectors)`` sorted by norm, then value; ``R=None`` asks for the shortest.
 
     One LLL call, through the module-level name, so callers that wrap it
-    to time LLL see every reduction.
+    to time LLL see every reduction.  Each leaf is rebuilt over the nonzero
+    entries of the reduced columns only.
     """
     reduced, lam, d = lll_reduce(L, delta)
     shortest = R is None
     r0 = min(sum(e * e for e in col) for col in reduced) if shortest else R
     R, leaves = _enumerate(lam, d, r0, budget, shortest)
+    sparse = [[(t, e) for t, e in enumerate(col) if e] for col in reduced]
     out = []
     for norm, coeffs in leaves:
         v = [0] * L.n
-        for xi, col in zip(coeffs, reduced):
+        for xi, col in zip(coeffs, sparse):
             if xi:
-                v = [a + xi * b for a, b in zip(v, col)]
+                for t, e in col:
+                    v[t] += xi * e
         out.append((norm, tuple(v)))
         if norm:
             out.append((norm, tuple(-e for e in v)))

@@ -16,8 +16,10 @@ exactly, its former per-coordinate shift loop of ``BinaryVector.coords``,
 which the one read of the bit layout must match, its former tuple-keyed
 sign walk, which the packed-int walk must match, and its former count of
 the thm24 replication minimum one m at a time, which the galloping search
-and the division for an integer p must match, and its former integer k-th
-root from a bit-length seed, which the bisection-seeded root must match.
+and the division for an integer p must match, its former integer k-th
+root from a bit-length seed, which the bisection-seeded root must match,
+and its former ripple-carry chunks of the bit-sliced sweep, whose weight
+planes the carry-save planes must match at every position.
 """
 
 from fractions import Fraction
@@ -538,3 +540,58 @@ def sign_walk_tuples(Q, x_plus, cols2):
         for hi, s in enumerate(subset_sums(zero, cols2[h:]))
         for lo in lows.get(s, ())
     ]
+
+
+def _add_ripple(planes, x):
+    """Add a 0/1 per position into bit-sliced counters, rippling the carry."""
+    for b, p in enumerate(planes):
+        planes[b] = p ^ x
+        x &= p
+        if not x:
+            return
+    planes.append(x)
+
+
+def chunks_ripple(n, basis, c):
+    """``gf2core._chunks`` as it was before its planes were summed carry-save.
+
+    The same chunks ``(offset, const, planes, full)`` of 2^c words in Gray
+    order of the high words; each coordinate int that varies is added into
+    a copy of the base planes by a ripple-carry counter, two big-int
+    operations per plane it passes.
+    """
+    low, high = basis[:c], basis[c:]
+    c = len(low)
+    pattern = []
+    for j in range(c):
+        m = ((1 << (1 << j)) - 1) << (1 << j)
+        for b in range(j + 1, c):
+            m |= m << (1 << b)
+        pattern.append(m)
+    full = (1 << (1 << c)) - 1
+    touched = 0
+    for h in high:
+        touched |= h
+    base = []
+    varying = []
+    constant = 0
+    for t in range(n):
+        x = 0
+        for j, w in enumerate(low):
+            if w >> t & 1:
+                x ^= pattern[j]
+        if not touched >> t & 1:
+            if x:
+                _add_ripple(base, x)
+        elif x:
+            varying.append((t, x))
+        else:
+            constant |= 1 << t
+    offset = 0
+    for g in range(1 << len(high)):
+        if g:
+            offset ^= high[(g & -g).bit_length() - 1]
+        planes = base.copy()
+        for t, x in varying:
+            _add_ripple(planes, x ^ full if offset >> t & 1 else x)
+        yield offset, (offset & constant).bit_count(), planes, full

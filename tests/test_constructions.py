@@ -4,7 +4,7 @@ from itertools import combinations, product as iter_product
 
 import pytest
 
-from codelattice import constructions
+from codelattice import constructions, zlattice
 from codelattice.constructions import (
     DTowerInput,
     _lift,
@@ -136,6 +136,32 @@ def test_construction_a_matches_generators_before_units():
         ref = Lattice.from_generators(n, [c.coords() for c in C.gen.columns()] + units(n, 2))
         L = construction_a(C)
         assert (L.basis, L.pivots) == (ref.basis, ref.pivots)
+
+
+def test_construction_a_never_runs_hnf(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("construction_a ran an HNF")
+
+    monkeypatch.setattr(zlattice, "_hnf_columns", refuse)
+    C = rand_code(random.Random(34), 24, 12)
+    L = construction_a(C)
+    assert L.pivots == tuple(range(24))
+    assert determinant(L).value == 2 ** (24 - C.dimension)
+
+
+def test_construction_a_matches_units_then_basis():
+    # the generator list construction_a fed the HNF before its basis was
+    # written down: the units 2 e_j first, then the lifted reduced basis
+    rng = random.Random(35)
+    for n in (1, 2, 3, 9, 24, 64):
+        for k in range(n + 1):
+            while True:
+                C = Code(BinaryMatrix(n, [rng.getrandbits(n) for _ in range(k)]))
+                if C.dimension == k:
+                    break
+            ref = Lattice.from_generators(n, units(n, 2) + [w.coords() for w in C.basis()])
+            L = construction_a(C)
+            assert (L.basis, L.pivots) == (ref.basis, ref.pivots)
 
 
 def test_spanning_blocks_do_not_put_2Zn_in_construction_d():

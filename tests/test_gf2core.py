@@ -28,7 +28,7 @@ from codelattice.gf2core import (
     schur_product,
     solve,
 )
-from oracles import coords_shift_loop, min_weight_words_gray
+from oracles import chunks_ripple, coords_shift_loop, min_weight_words_gray
 
 bv = BinaryVector.from_coords
 
@@ -282,6 +282,21 @@ def test_code_has_prefix_matches_codeword_prefixes():
             assert C.has_prefix(words[-1], length)
 
 
+def test_code_basis_is_reduced_with_leading_rows_ascending():
+    # each word's leading row is its lowest-index nonzero coordinate, the
+    # leading rows ascend, and every other word is zero on them
+    rng = random.Random(18)
+    for _ in range(60):
+        n = rng.randrange(1, 40)
+        C = Code(rand_matrix(rng, n, rng.randrange(0, n + 2)))
+        words = C.basis()
+        leads = [w.support()[0] for w in words]
+        assert leads == sorted(set(leads))
+        for w in words:
+            assert [w[r] for r in leads] == [int(r == w.support()[0]) for r in leads]
+        assert Code(BinaryMatrix.from_columns(words, n=n)) == C
+
+
 def test_code_equality_ignores_generator_choice():
     C1 = Code(BinaryMatrix.from_columns([bv((1, 1, 0)), bv((0, 1, 1))]))
     C2 = Code(BinaryMatrix.from_columns([bv((1, 0, 1)), bv((0, 1, 1)), bv((1, 1, 0))]))
@@ -385,6 +400,28 @@ def test_bit_sliced_sweep_finds_words_outside_chunk_zero():
         else:
             pytest.fail(f"no code with its minimum words outside chunk 0 at width {c}")
         assert gf2core._min_weight_words(C.n, C._basis, c) == want
+
+
+def plane_values(planes, c):
+    return [sum((p >> i & 1) << b for b, p in enumerate(planes)) for i in range(1 << c)]
+
+
+def test_carry_save_chunks_match_ripple_oracle():
+    # every chunk width c = 1 .. k against the former ripple-carry chunks:
+    # the same offsets, constants and masks, and the same weight at every
+    # position; k = 1 and k = n included
+    rng = random.Random(15)
+    shapes = [(1, 1), (2, 2), (7, 7), (10, 10), (40, 1), (40, 9)]
+    shapes += [(n, rng.randrange(1, min(n, 9) + 1)) for n in rng.sample(range(1, 41), 14)]
+    for n, k in shapes:
+        C = rand_code(rng, n, k)
+        for c in range(1, k + 1):
+            got, want = list(gf2core._chunks(n, C._basis, c)), list(chunks_ripple(n, C._basis, c))
+            assert len(got) == len(want) == 1 << (k - c)
+            for (o, const, planes, full), (o2, const2, planes2, full2) in zip(got, want):
+                assert (o, const, full) == (o2, const2, full2)
+                assert plane_values(planes, c) == plane_values(planes2, c)
+            assert gf2core._min_weight_words(n, C._basis, c) == min_weight_words_gray(C)
 
 
 def test_sweep_memory_is_bounded_by_chunk_width():
