@@ -77,16 +77,40 @@ def _checked(parse, ok, need: str, default) -> dict:
     return dict(type=convert, default=default)
 
 
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)`` with no exponent: Fraction('1e999999999') builds 10^999999999."""
+    if "e" in text.lower():
+        raise ValueError(f"{text!r} has an exponent")
+    return Fraction(text)
+
+
+# --p in lowest terms: every exact l_p bracket roots numbers of about
+# numerator + 16 * denominator bits to the index denominator, so both are
+# capped; the slowest accepted p takes about 0.5 s on thm24, cor25 and
+# golay-lp (2 CPUs, Python 3.11), and 1000001/10000 took 4.6 s
+P_NUMERATOR_CAP = 10**5
+P_DENOMINATOR_CAP = 10**4
+
+
+def _p_flag(top, need: str) -> tuple:
+    def ok(p: Fraction) -> bool:
+        small = p.numerator <= P_NUMERATOR_CAP and p.denominator <= P_DENOMINATOR_CAP
+        return small and 1 <= p <= top
+
+    need += " with numerator <= 10^5 and denominator <= 10^4 in lowest terms"
+    return ("--p", dict(_checked(_rational, ok, need, Fraction(2)), help=f"{need} (default 2)"))
+
+
 _M17 = ("--m", _checked(int, lambda m: m >= 17, "an integer >= 17", 17))
 _M4 = ("--m", _checked(int, lambda m: m >= 1, "a positive integer", 4))
-_P = ("--p", _checked(Fraction, lambda p: p >= 1, "a rational >= 1", Fraction(2)))
-_P_GOLAY = ("--p", _checked(Fraction, lambda p: 1 <= p <= 2, "a rational in [1, 2]", Fraction(2)))
+_P = _p_flag(P_NUMERATOR_CAP, "a rational >= 1")
+_P_GOLAY = _p_flag(2, "a rational in [1, 2]")
 _SEED = ("--seed", dict(type=int, default=0))
 _FULL_ENUM = ("--full-enum", dict(action="store_true"))
 _BUDGET = ("--budget", _checked(int, lambda b: b >= 1, "a positive integer", DEFAULT_BUDGET))
 _DELTA = (
     "--delta",
-    _checked(Fraction, lambda q: Fraction(1, 4) < q < 1, "a rational in (1/4, 1)", DEFAULT_DELTA),
+    _checked(_rational, lambda q: Fraction(1, 4) < q < 1, "a rational in (1/4, 1)", DEFAULT_DELTA),
 )
 _TOWER = ("--tower", dict(help="tower manifest (default: bundled)"))
 

@@ -57,6 +57,7 @@ from .zlattice import (
     Lattice,
     adjugate_solve,
     lp_norm,
+    lp_power_sum_brackets,
     lp_power_sum_cmp,
     scale,
     shortest_vectors,
@@ -630,34 +631,29 @@ def verify_cor23(
 def _minimum_replication(rep: VerificationReport, p: Fraction) -> int:
     """min_m read off a thm24 hypothesis report; HypothesesFail unless it passed.
 
-    For an integer p the p-power sum S is one exact integer, and the least
-    m >= dA with S < dA + m*dB is read off by division.  For a fractional
-    p, "p-power sum below dA + m*dB" is monotone in m, and min_m grows like
-    2^p, so the search gallops up from dA and then bisects.
+    min_m is max(dA, floor((S - dA)/dB) + 1) for the p-power sum S of the
+    A-lift of z.  S is bracketed once, to the first precision at which both
+    ends of its bracket give that floor.  An exact bracket (any integer p)
+    ends it at once; an inexact one means S is irrational, so (S - dA)/dB is
+    no integer and the two floors meet after finitely many doublings.
     """
     if not rep.passed:
         raise HypothesesFail("gadget fails its hypotheses", report=rep)
     dA, dB = rep.exact_values["d_CA"], rep.exact_values["d_CB"]
     z = rep.exact_values["A_image_of_z"]
-    if p.denominator == 1:
-        return max(dA, (lp_norm(z, p) - dA) // dB + 1)
-
-    def enough(m: int) -> bool:
-        return lp_power_sum_cmp(z, p, dA + m * dB) < 0
-
-    lo, step = dA - 1, 1  # every m <= lo is below dA or fails the test
-    while not enough(lo + step):
-        lo, step = lo + step, 2 * step
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
-    return hi
+    for lo, hi, prec in lp_power_sum_brackets(z, p):
+        a, b = dA << prec, dB << prec
+        f = (lo - a) // b
+        if f == (hi - a) // b:
+            return max(dA, f + 1)
 
 
 def min_m(g: Thm24Gadget, p=2) -> int:
     """Smallest replication count m with m >= d(C(A)) and
-    d(C(A)) + m * d(C(B)) strictly above the p-power sum of the A-lift of z."""
+    d(C(A)) + m * d(C(B)) strictly above the p-power sum of the A-lift of z.
+
+    Exact for every rational p >= 1: the sum is bracketed once, however
+    large min_m is (about 2^p on cor25)."""
     return _minimum_replication(check_thm24_hypotheses(g), Fraction(p))
 
 
@@ -673,7 +669,11 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     mm = _minimum_replication(hyp_report, p)
     dA, dB = hyp_report.exact_values["d_CA"], hyp_report.exact_values["d_CB"]
     if g.m < mm:
-        raise HypothesesFail(f"replication m = {g.m} below minimum {mm}", report=hyp_report)
+        try:
+            least = str(mm)
+        except ValueError:  # past the interpreter's digit limit for int -> str
+            least = f"of {mm.bit_length()} bits"
+        raise HypothesesFail(f"replication m = {g.m} below minimum {least}", report=hyp_report)
 
     Gm = g.level_matrix()
     Cm = Code(Gm)

@@ -13,12 +13,16 @@ pair reached once) on those integers, with no pruning and an explicit node
 budget.  The GSO is built one row at a time, by one routine: LLL fills
 row k when it first reaches column k, and the determinant of a lattice of
 lower rank is the square root of the last d of all rows.
+Exact l_p decisions for rational p = u/v read one generator of dyadic
+brackets of the power sum, at precisions 16, 32, 64, ... bits, from
+floor v-th roots of integers; an integer p gives an exact bracket at once.
 ``Fraction`` appears only for the LLL parameter delta and the exact l_p
 comparisons; floating point appears nowhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
@@ -42,6 +46,7 @@ __all__ = [
     "shortest_vectors",
     "vectors_up_to",
     "lp_norm",
+    "lp_power_sum_brackets",
     "lp_power_sum_cmp",
     "scale",
     "adjugate_solve",
@@ -533,48 +538,45 @@ def iroot(x: int, k: int) -> int:
         r = nr
 
 
-def lp_power_sum_cmp(entries: Sequence[int], p, threshold) -> int:
-    """Exact sign of (Sigma |e_i|^p) - threshold for rational p >= 1.
+def lp_power_sum_brackets(entries: Sequence[int], p):
+    """Dyadic brackets (lo, hi, prec) with lo <= S * 2^prec <= hi, where
+    S = Sigma |e_i|^p for rational p = u/v >= 1, at prec = 16, 32, 64, ...
 
-    Brackets each irrational term between dyadic rationals of increasing
-    precision; terminates because a sum of real radicals of integers can
-    only equal the rational threshold when every term is itself rational.
+    Each distinct |e|^u is rooted once, to index v, and weighted by its
+    count.  lo == hi exactly when every term is a perfect v-th power (always
+    for an integer p); otherwise S is irrational and lies strictly inside.
+    A p < 1 raises ``ValueError`` when the first bracket is drawn.
     """
     pf = Fraction(p)
     if pf < 1:
         raise ValueError("p must be >= 1")
-    thr = Fraction(threshold)
     u, v = pf.numerator, pf.denominator
-    powers = [abs(int(e)) ** u for e in entries if e]
-    if v == 1:
-        s = sum(powers)
-        return (s > thr) - (s < thr)
+    counts = Counter(abs(int(e)) ** u for e in entries if e)
     prec = 16
     while True:
-        shift = prec * v
-        lo = 0
-        hi = 0
-        all_exact = True
-        for P in powers:
-            val = P << shift
-            r = iroot(val, v)
-            lo += r
-            if r**v == val:
-                hi += r
-            else:
-                hi += r + 1
-                all_exact = False
-        # S in [lo, hi] / 2^prec ; compare against thr
-        lhs_lo = lo * thr.denominator
-        lhs_hi = hi * thr.denominator
-        rhs = thr.numerator << prec
-        if lhs_lo > rhs:
-            return 1
-        if lhs_hi < rhs:
-            return -1
-        if all_exact and lhs_lo == rhs:
-            return 0
+        lo = hi = 0
+        for P, c in counts.items():
+            x = P << prec * v
+            r = iroot(x, v)
+            lo, hi = lo + c * r, hi + c * (r + (r**v != x))
+        yield lo, hi, prec
         prec *= 2
+
+
+def lp_power_sum_cmp(entries: Sequence[int], p, threshold) -> int:
+    """Exact sign of (Sigma |e_i|^p) - threshold for rational p >= 1.
+
+    Reads :func:`lp_power_sum_brackets` until one bracket lies strictly on
+    one side of the threshold, or is exact.  This terminates because a sum
+    of real radicals of integers can only equal the rational threshold when
+    every term is itself rational, and then the first bracket is exact.
+    """
+    thr = Fraction(threshold)
+    for lo, hi, prec in lp_power_sum_brackets(entries, p):
+        t = thr.numerator << prec
+        lo, hi = lo * thr.denominator, hi * thr.denominator
+        if lo > t or hi < t or lo == hi:
+            return (lo > t) - (hi < t)
 
 
 def scale(L: Lattice, s: int) -> Lattice:

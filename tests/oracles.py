@@ -15,9 +15,10 @@ the LLL run on it, whose integers the row-by-row GSO and LLL must match
 exactly, its former per-coordinate shift loop of ``BinaryVector.coords``,
 which the one read of the bit layout must match, its former tuple-keyed
 sign walk, which the packed-int walk must match, and its former count of
-the thm24 replication minimum one m at a time, which the galloping search
-and the division for an integer p must match, its former integer k-th
-root from a bit-length seed, which the bisection-seeded root must match,
+the thm24 replication minimum one m at a time and its former galloping
+search for that minimum, which the floor read off one bracketed power sum
+must match, its former integer k-th root from a bit-length seed, which the
+bisection-seeded root must match,
 and its former ripple-carry chunks of the bit-sliced sweep, whose weight
 planes the carry-save planes must match at every position.
 """
@@ -471,10 +472,9 @@ def lll_dense_gso(basis, delta):
 def min_m_linear(z, p, dA, dB):
     """The least m >= dA with sum |z_i|^p < dA + m*dB, counted up one at a time.
 
-    The package's former ``_minimum_replication`` loop.  An integer p
+    The package's first ``_minimum_replication`` loop.  An integer p
     compares one exact sum, so p = 20 (m = 2^20 on cor25) stays quick;
-    a fractional p takes the package's exact comparison, which is not what
-    the search under test replaced.
+    a fractional p takes the package's exact comparison.
     """
     p = Fraction(p)
     if p.denominator == 1:
@@ -486,6 +486,28 @@ def min_m_linear(z, p, dA, dB):
     while not below(dA + m * dB):
         m += 1
     return m
+
+
+def min_m_gallop(z, p, dA, dB):
+    """The least m >= dA with sum |z_i|^p < dA + m*dB, by exact comparisons.
+
+    The package's former ``_minimum_replication`` search for a fractional
+    p: "sum below dA + m*dB" is monotone in m, so it gallops up from dA
+    and then bisects, re-comparing the whole sum at every m it tries.
+    """
+    p = Fraction(p)
+
+    def enough(m):
+        return lp_power_sum_cmp(z, p, dA + m * dB) < 0
+
+    lo, step = dA - 1, 1  # every m <= lo is below dA or fails the test
+    while not enough(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
 
 
 def iroot_bit_length_seed(x, k):

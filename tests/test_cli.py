@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -165,12 +166,42 @@ def test_exit_1_on_hypotheses_fail_with_report(capsys):
     assert '"theorem": "thm24"' in err  # the failing report lands on stderr
 
 
+def test_exit_1_when_min_m_passes_the_digit_limit(capsys):
+    # min_m is about 2^15000, past the 4300 digits that str() of an int allows
+    for target in ("thm24", "cor25"):
+        code, _, err = run(capsys, ["verify", target, "--p", "15000"])
+        assert code == 1
+        assert err.startswith("error: replication m = 4 below minimum of 15001 bits\n")
+
+
+def test_p_cap_corners_finish(capsys):
+    # the largest numerator over the largest denominators, and over 2
+    for target, p, want in (
+        ("thm24", "100000/9999", 1),
+        ("cor25", "99999/10000", 1),
+        ("thm24", "99999/2", 1),
+        ("golay-lp", "19999/10000", 0),
+        ("golay-lp", "10001/10000", 0),
+        ("golay-lp", "300000/200000", 0),  # 3/2 in lowest terms
+    ):
+        t0 = time.perf_counter()
+        code, _, _ = run(capsys, ["verify", target, "--p", p, "--no-timing"])
+        assert (code, target, p) == (want, target, p)
+        assert time.perf_counter() - t0 < 2.0, (target, p)
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["verify", "golay-lp", "--p", "3"],
         ["verify", "cor23", "--m", "10"],
         ["verify", "cor25", "--m", "0"],
         ["verify", "cor25", "--p", "1/2"],
+        ["verify", "thm24", "--p", "100001"],
+        ["verify", "thm24", "--p", "100001/2"],
+        ["verify", "cor25", "--p", "20001/10003"],
+        ["verify", "golay-lp", "--p", "10002/10001"],
+        ["verify", "golay-lp", "--p", "1e999999999"],
+        ["lattice-analyze", "x.txt", "--delta", "9e-999999999"],
         ["lattice-analyze", "x.txt", "--budget", "0"],
         ["lattice-analyze", "x.txt", "--delta", "1"],
         ["verify", "nope"],

@@ -18,6 +18,8 @@ from codelattice.gadgets import (
     SIGN_SUPPORT_CAP,
     Thm22Gadget,
     Thm24Gadget,
+    VerificationReport,
+    _minimum_replication,
     _sign_walk,
     build_cor23,
     build_cor25,
@@ -43,9 +45,9 @@ from codelattice.gf2core import (
     min_weight_codewords,
 )
 from codelattice.matio import cor23_matrices, cor25_matrices
-from codelattice.zlattice import Lattice, adjugate_solve, vectors_up_to
+from codelattice.zlattice import Lattice, adjugate_solve, lp_power_sum_cmp, vectors_up_to
 
-from oracles import min_m_linear, sign_walk_tuples, thm22_mod4_sweep, thm24_kernel_walk
+from oracles import min_m_gallop, min_m_linear, sign_walk_tuples, thm22_mod4_sweep, thm24_kernel_walk
 
 bv = BinaryVector.from_coords
 
@@ -463,6 +465,55 @@ def test_min_m_of_a_large_exponent_returns_at_once():
     assert time.perf_counter() - t0 < 1.0
     s = sum(abs(e) ** 100000 for e in z)
     assert m >= dA and dA + (m - 1) * dB <= s < dA + m * dB
+
+
+def _replication(z, p, dA, dB):
+    """min_m of a passed thm24 report with these exact values."""
+    rep = VerificationReport("thm24", {}, exact_values={"d_CA": dA, "d_CB": dB, "A_image_of_z": z})
+    return _minimum_replication(rep, Fraction(p))
+
+
+def test_min_m_matches_galloping_search():
+    rng = random.Random(41)
+    for _ in range(40):
+        z = tuple(rng.randint(-9, 9) for _ in range(rng.randrange(1, 7)))
+        v = rng.randrange(1, 1001)
+        p = Fraction(rng.randrange(v, 3 * v + 1), v)
+        dA, dB = rng.randrange(1, 10), rng.randrange(1, 10)
+        assert _replication(z, p, dA, dB) == min_m_gallop(z, p, dA, dB), (z, p, dA, dB)
+
+
+def test_min_m_on_exact_boundaries():
+    # (S - dA)/dB an integer: S = dA + m*dB is not below, so min_m is one more
+    for z, p, dA, dB, m in (
+        ((4,), Fraction(3, 2), 2, 3, 3),  # S = 4^(3/2) = 8 = 2 + 2*3
+        ((4,), Fraction(3, 2), 1, 7, 2),  # 8 = 1 + 1*7
+        ((3, -4), 2, 5, 5, 5),  # S = 25 = 5 + 4*5
+        ((8, -8, 1), Fraction(4, 3), 1, 32, 2),  # S = 16 + 16 + 1 = 1 + 1*32
+        ((1, 1), Fraction(7, 5), 1, 1, 2),  # S = 2 = 1 + 1*1
+        ((0, 0), Fraction(3, 2), 4, 1, 4),  # S = 0: min_m is dA
+        ((4,), Fraction(3, 2), 20, 1, 20),  # S far below dA
+        # the first bracket straddles a floor; lo's floor, then hi's, is wrong
+        ((3, -7, 9, -6), Fraction(26, 11), 8, 6, 60),
+        ((-3, -8), Fraction(12, 5), 1, 2, 80),  # 3^(12/5) + 8^(12/5) = 160.9999996...
+    ):
+        assert _replication(z, p, dA, dB) == m == min_m_gallop(z, p, dA, dB)
+        assert m == min_m_linear(z, p, dA, dB)
+
+
+def test_min_m_at_a_fine_exponent_brackets_once():
+    # the galloping search this replaced re-bracketed the sum for every m it
+    # tried: about 2.5 s for this call on 2 CPUs
+    g = build_cor25()
+    rep = check_thm24_hypotheses(g)
+    z, dA, dB = (rep.exact_values[k] for k in ("A_image_of_z", "d_CA", "d_CB"))
+    p = Fraction(20001, 10000)
+    t0 = time.perf_counter()
+    m = min_m(g, p)
+    assert time.perf_counter() - t0 < 1.0
+    assert m >= dA
+    assert lp_power_sum_cmp(z, p, dA + m * dB) < 0
+    assert m == dA or lp_power_sum_cmp(z, p, dA + (m - 1) * dB) >= 0
 
 
 def test_min_m_rejects_broken_gadget():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -31,6 +32,7 @@ from codelattice.zlattice import (
     iroot,
     lll_reduce,
     lp_norm,
+    lp_power_sum_brackets,
     lp_power_sum_cmp,
     scale,
     shortest_vectors,
@@ -112,7 +114,7 @@ def test_hnf_invariant_under_generator_changes():
         assert Lattice.from_generators(L.n, L.basis) == L
 
 
-def test_generating_set_validation():
+def test_hnf_rejects_generators_of_the_wrong_length():
     with pytest.raises(DimensionMismatch):
         hnf(3, [(1, 0)])
     for n, col in ((3, (1, 2)), (2, (1, 2, 3))):
@@ -608,7 +610,7 @@ def test_lp_power_sum_cmp_exact_cases():
     # irrational sum vs rational threshold: 2^(3/2) + 2^(3/2) = 4*sqrt(2)
     assert lp_power_sum_cmp((2, 2), Fraction(3, 2), 5) == 1
     assert lp_power_sum_cmp((2, 2), Fraction(3, 2), 6) == -1
-    # integer p goes through the exact integer path
+    # an integer p gives an exact bracket at once
     assert lp_power_sum_cmp((3, -4), 2, 25) == 0
     assert lp_power_sum_cmp((), Fraction(3, 2), 0) == 0
     assert lp_power_sum_cmp((1, 1), Fraction(3, 2), 2) == 0
@@ -616,6 +618,36 @@ def test_lp_power_sum_cmp_exact_cases():
     assert lp_power_sum_cmp((2,), Fraction(3, 2), Fraction(2828427, 10**6)) == 1
     with pytest.raises(ValueError):
         lp_power_sum_cmp((1,), Fraction(1, 2), 1)
+
+
+def test_lp_power_sum_brackets_invariants():
+    rng = random.Random(29)
+    cases = [((4,), Fraction(3, 2)), ((2, -2, 0), Fraction(3, 2)), ((3, -4), 2), ((), Fraction(5, 3))]
+    for _ in range(60):
+        entries = tuple(rng.randint(-9, 9) for _ in range(rng.randrange(1, 7)))
+        v = rng.randrange(1, 60)
+        cases.append((entries, Fraction(rng.randrange(v, 4 * v + 1), v)))
+    for entries, p in cases:
+        p = Fraction(p)
+        u, v = p.numerator, p.denominator
+        brackets = lp_power_sum_brackets(entries, p)
+        for want_prec in (16, 32, 64, 128):
+            lo, hi, prec = next(brackets)
+            assert prec == want_prec and lo <= hi
+            total, inexact = 0, 0
+            for e in entries:
+                x = abs(e) ** u << (prec * v)
+                r = iroot(x, v)
+                assert r**v <= x < (r + 1) ** v
+                total += r
+                inexact += r**v != x
+            assert (lo, hi) == (total, total + inexact)
+            assert (lo == hi) == (inexact == 0)
+    # 2^(3/2) + 2^(3/2) = 4 sqrt 2 lies strictly inside: lo^2 < 32 * 4^prec < hi^2
+    for lo, hi, prec in itertools.islice(lp_power_sum_brackets((2, -2), Fraction(3, 2)), 4):
+        assert lo * lo < 32 << (2 * prec) < hi * hi
+    with pytest.raises(ValueError):
+        next(lp_power_sum_brackets((1,), Fraction(1, 2)))
 
 
 def test_lp_power_sum_cmp_against_float_reference():
