@@ -109,7 +109,11 @@ def _hnf_columns(n: int, columns: Iterable[Sequence[int]]) -> tuple[tuple[IntVec
     """Canonical column HNF of the integer span of ``columns``.
 
     Returns (basis, pivot_rows).  Zero columns are dropped and a column of
-    another length raises DimensionMismatch.  Pivots are made positive, then
+    another length raises DimensionMismatch.  Each generator v walks down
+    its nonzero rows.  At a row r that already has a pivot column u, a u[r]
+    that divides v[r] stays the pivot and v loses a multiple of u where u
+    is nonzero; any other pair is replaced by its extended-gcd combination
+    and the v that it clears at row r.  Pivots are made positive, then
     each column becomes its :func:`_residue` against the later columns, so
     entries left of each pivot lie in [0, pivot).
     """
@@ -129,9 +133,19 @@ def _hnf_columns(n: int, columns: Iterable[Sequence[int]]) -> tuple[tuple[IntVec
                 break
             a, b = u[r], v[r]
             g, x, y = _xgcd(a, b)
-            aa, bb = a // g, b // g
-            piv[r] = [x * u[t] + y * v[t] for t in range(n)]
-            v = [aa * v[t] - bb * u[t] for t in range(n)]
+            if y:
+                aa, bb = a // g, b // g
+                piv[r] = [x * u[t] + y * v[t] for t in range(n)]
+                v = [aa * v[t] - bb * u[t] for t in range(n)]
+            else:
+                # a divides b: u stays the pivot column and v loses q*u,
+                # where u is nonzero; both are zero above row r
+                q = b // a
+                for t in range(r + 1, n):
+                    c = u[t]
+                    if c:
+                        v[t] -= q * c
+                v[r] = 0
             # v[r] is now exactly 0; keep walking down
             r += 1
     order = sorted(piv)
@@ -516,15 +530,17 @@ def iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for x >= 0, k >= 1, exact (Newton on integers).
 
     The seed is 1 + the bisected root of x >> s*k, shifted back by s, with s
-    chosen so that about 8 root bits are bisected.  It lies above the root
-    and within 1% or so of it, so Newton descends straight to the floor,
+    chosen so that about 8 + k.bit_length() root bits are bisected.  It
+    lies above the root by a relative error below 1/(64 k), inside the
+    range where Newton's step is quadratic (each step from a relative error
+    e leaves about k e^2 / 2), so Newton descends straight to the floor,
     doubling the correct bits each step, whatever the size of k.
     """
     if x < 0 or k < 1:
         raise ValueError("iroot needs x >= 0, k >= 1")
     if x == 0 or k == 1:
         return x
-    s = max(0, -(-x.bit_length() // k) - 8)
+    s = max(0, -(-x.bit_length() // k) - 8 - k.bit_length())
     y = x >> (s * k)
     lo, hi = 0, 1 << (-(-y.bit_length() // k))  # lo**k <= y < hi**k
     while hi - lo > 1:

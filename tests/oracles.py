@@ -19,8 +19,10 @@ the thm24 replication minimum one m at a time and its former galloping
 search for that minimum, which the floor read off one bracketed power sum
 must match, its former integer k-th root from a bit-length seed, which the
 bisection-seeded root must match,
-and its former ripple-carry chunks of the bit-sliced sweep, whose weight
-planes the carry-save planes must match at every position.
+its former ripple-carry chunks of the bit-sliced sweep, whose weight
+planes the carry-save planes must match at every position, and its former
+HNF elimination, which combines every pivot pair on all n rows and whose
+basis and pivots the one that leaves a dividing pivot alone must match.
 """
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ from math import isqrt, lcm
 from codelattice.constructions import d_bar_member
 from codelattice.errors import QuotientTooLarge
 from codelattice.gf2core import BinaryVector
-from codelattice.zlattice import Lattice, _coeff_interval, lp_power_sum_cmp
+from codelattice.zlattice import Lattice, _coeff_interval, _residue, _xgcd, lp_power_sum_cmp
 
 # Most cosets the exhaustive d-bar walk below visits
 WALK_COSET_CAP = 1 << 20
@@ -617,3 +619,37 @@ def chunks_ripple(n, basis, c):
         for t, x in varying:
             _add_ripple(planes, x ^ full if offset >> t & 1 else x)
         yield offset, (offset & constant).bit_count(), planes, full
+
+
+def hnf_columns_dense(n, columns):
+    """``zlattice._hnf_columns`` as it was before a dividing pivot was left alone.
+
+    Every pivot pair (u, v) at row r is combined through ``_xgcd`` on all n
+    rows, into a new pivot x u + y v and a new v with v[r] = 0, even when
+    u[r] divides v[r] and the new pivot is +-u.
+    """
+    piv = {}
+    for col in columns:
+        v = list(col)
+        r = 0
+        while r < n:
+            if v[r] == 0:
+                r += 1
+                continue
+            u = piv.get(r)
+            if u is None:
+                piv[r] = v
+                break
+            a, b = u[r], v[r]
+            g, x, y = _xgcd(a, b)
+            aa, bb = a // g, b // g
+            piv[r] = [x * u[t] + y * v[t] for t in range(n)]
+            v = [aa * v[t] - bb * u[t] for t in range(n)]
+            r += 1
+    order = sorted(piv)
+    basis = [piv[r] for r in order]
+    for j, r in enumerate(order):
+        if basis[j][r] < 0:
+            basis[j] = [-e for e in basis[j]]
+    basis = [_residue(basis[i + 1:], order[i + 1:], basis[i])[1] for i in range(len(order))]
+    return tuple(map(tuple, basis)), tuple(order)

@@ -174,6 +174,14 @@ def test_exit_1_when_min_m_passes_the_digit_limit(capsys):
         assert err.startswith("error: replication m = 4 below minimum of 15001 bits\n")
 
 
+def test_cor25_hypothesis_failure_names_cor25(capsys):
+    # the report that the failure carries is verify_thm24's, renamed
+    code, _, err = run(capsys, ["verify", "cor25", "--p", "15000"])
+    assert code == 1
+    assert '"theorem": "cor25"' in err
+    assert '"theorem": "thm24"' not in err
+
+
 def test_p_cap_corners_finish(capsys):
     # the largest numerator over the largest denominators, and over 2
     for target, p, want in (

@@ -70,6 +70,29 @@ def test_parse_f2_refuses_entries_past_one():
     assert parse_matrix("2 3 F2 1 0 1 0 1 1") == BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
 
 
+def test_parse_f2_bit_strings_match_from_rows():
+    # bodies of one-character bits are packed from their joined string;
+    # every other body keeps the integer-token rule and its messages
+    rng = random.Random(42)
+    for _ in range(40):
+        n, k = rng.randrange(1, 40), rng.randrange(1, 30)
+        rows = [[rng.randrange(2) for _ in range(k)] for _ in range(n)]
+        seps = [rng.choice((" ", "\n", "\t", "  ")) for _ in range(n * k)]
+        body = "".join(f"{e}{sep}" for e, sep in zip((e for row in rows for e in row), seps))
+        assert parse_matrix(f"{n} {k} F2\n{body}") == BinaryMatrix.from_rows(rows)
+    for tokens, bits in (("01 +1 -0 00", [1, 1, 0, 0]), ("1 0 1 01", [1, 0, 1, 1])):
+        assert parse_matrix("2 2 F2 " + tokens) == BinaryMatrix.from_rows([bits[:2], bits[2:]])
+    for body, message in (
+        ("0 1 2 1", "F2 entries must be 0 or 1"),
+        ("0 1 a 1", "non-integer entry"),
+        ("0 1 \u0661 1", "non-integer entry"),
+        ("0 1 10 1", "F2 entries must be 0 or 1"),
+    ):
+        with pytest.raises(ParseError, match=f"^<string>: {message}$"):
+            parse_matrix("2 2 F2 " + body)
+    assert parse_matrix("0 0 F2") == BinaryMatrix(0, ())
+
+
 def test_parse_one_token_rule():
     # int() alone reads 1_0 as 10, 0_1 as the F2 entry 1 and accepts
     # non-ASCII digits; only [+-]?[0-9]+ is an entry

@@ -7,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 from codelattice import zlattice
-from codelattice.constructions import construction_a
+from codelattice.constructions import construction_a, d_bar_span, simplified_d
 from codelattice.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
     ZeroRank,
 )
 from codelattice.gadgets import build_cor23
-from codelattice.gf2core import BinaryMatrix, Code
-from codelattice.matio import golay_code
+from codelattice.gf2core import BinaryMatrix, BinaryVector, Code, CodeTower
+from codelattice.matio import golay_code, nonclosed_tower
 from codelattice.zlattice import (
     DEFAULT_DELTA,
     _coeff_interval,
@@ -46,6 +46,7 @@ from oracles import (
     frac_det,
     frac_lll,
     gram,
+    hnf_columns_dense,
     integral_gso_dense,
     iroot_bit_length_seed,
     lll_dense_gso,
@@ -112,6 +113,80 @@ def test_hnf_invariant_under_generator_changes():
         assert L == L2
         # idempotent: re-running HNF on the basis is a fixed point
         assert Lattice.from_generators(L.n, L.basis) == L
+
+
+def hnf_inputs(monkeypatch, build):
+    """The (n, generators) of every HNF that ``build()`` runs."""
+    seen = []
+    real = zlattice._hnf_columns
+
+    def spy(n, columns):
+        columns = [tuple(c) for c in columns]
+        seen.append((n, columns))
+        return real(n, columns)
+
+    with monkeypatch.context() as m:
+        m.setattr(zlattice, "_hnf_columns", spy)
+        build()
+    assert seen
+    return seen
+
+
+def random_generator_sets(rng):
+    """Seeded +-9 generator sets of full and lower rank, with zero columns."""
+    sets = []
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        if rng.random() < 0.5:
+            cols = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randrange(n, n + 4))]
+        else:
+            # every column a small combination of fewer than n columns
+            few = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randrange(n))]
+            cols = []
+            for _ in range(rng.randrange(1, n + 3)):
+                f = [rng.randint(-2, 2) for _ in few]
+                cols.append([sum(c * w[t] for c, w in zip(f, few)) for t in range(n)])
+        for _ in range(rng.randrange(3)):
+            cols.insert(rng.randrange(len(cols) + 1), [0] * n)
+        sets.append((n, [tuple(c) for c in cols]))
+    return sets
+
+
+def test_hnf_matches_the_dense_elimination_oracle(monkeypatch):
+    # leaving a dividing pivot alone must give the basis and pivots of the
+    # elimination that combines every pair on all rows, at every rank
+    rng = random.Random(24)
+    points = list(itertools.product((0, 1), repeat=4))
+    monomials = [()] + [(i,) for i in range(4)] + list(itertools.combinations(range(4), 2))
+    evals = [
+        BinaryVector.from_coords([int(all(x[i] for i in m)) for x in points]) for m in monomials
+    ]
+    rm21 = CodeTower([
+        Code(BinaryMatrix.from_columns(evals)), Code(BinaryMatrix.from_columns(evals[:5]))
+    ])
+    cases = random_generator_sets(rng)
+    ranks = {Lattice.from_generators(n, cols).rank < n for n, cols in cases}
+    assert ranks == {False, True}
+    cases += hnf_inputs(monkeypatch, lambda: d_bar_span(rm21))
+    cases += hnf_inputs(monkeypatch, lambda: d_bar_span(nonclosed_tower()))
+    for seed in (0, 1, 2):
+        cases += hnf_inputs(monkeypatch, lambda: build_cor23(seed=seed))
+    cases += hnf_inputs(monkeypatch, lambda: simplified_d(golay_code()))
+    # count the pivot pairs by the sign of a dividing pivot (y = 0)
+    divides = {1: 0, -1: 0}
+    real_xgcd = zlattice._xgcd
+
+    def counting_xgcd(a, b):
+        g, x, y = real_xgcd(a, b)
+        if y == 0:
+            divides[x] += 1
+        return g, x, y
+
+    monkeypatch.setattr(zlattice, "_xgcd", counting_xgcd)
+    for n, cols in cases:
+        basis, pivots = zlattice._hnf_columns(n, cols)
+        assert (basis, pivots) == hnf_columns_dense(n, cols)
+    assert divides[1] > 0 and divides[-1] > 0
 
 
 def test_hnf_rejects_generators_of_the_wrong_length():
@@ -583,6 +658,26 @@ def test_iroot_of_a_large_index_returns_at_once():
     r = iroot(x, 10000)
     assert r**10000 <= x < (r + 1) ** 10000
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_iroot_seed_is_inside_newtons_quadratic_range():
+    # 2^(20001 + 160000) has a 10000-th root just above 2^18: from a seed
+    # within 1% Newton shrinks by (k - 1)/k a step and took 0.2 s; from one
+    # within 1/(100 k) both sides of 2^18 take a few steps
+    k = 10000
+    for e in (19999, 20001):
+        x = 2**e << 160000
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            r = iroot(x, k)
+            times.append(time.perf_counter() - t0)
+        assert r**k <= x < (r + 1) ** k
+        assert min(times) < 0.1
+    # below 2^18 the bit-length seed 2^18 is 19 above the root, so the
+    # former root is quick there; above it, that seed is 2^19
+    x = 2**19999 << 160000
+    assert iroot(x, k) == iroot_bit_length_seed(x, k) == 262125
 
 
 def test_iroot_exact():
