@@ -43,6 +43,7 @@ from .gadgets import (
     build_cor25,
     check_thm22_hypotheses,
     golay_lp_check,
+    passed,
     verify_cor23,
     verify_cor25,
     verify_cstar_collapse,
@@ -361,11 +362,8 @@ def _report_text(d: dict) -> str:
         lines.append("exact values:")
         for k, v in d["exact_values"].items():
             lines.append(f"  {k} = {v}")
-    ok = all(h["pass"] for h in d["hypotheses"]) and all(
-        c["pass"] for c in d["conclusions"]
-    )
     tail = f" ({d['runtime_ms']} ms)" if "runtime_ms" in d else ""
-    lines.append(("verdict: PASS" if ok else "verdict: FAIL") + tail)
+    lines.append(("verdict: PASS" if passed(d) else "verdict: FAIL") + tail)
     return "\n".join(lines)
 
 
@@ -373,15 +371,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = perf_counter()
     rep = THEOREMS[args.theorem][1](args)
     ms = (perf_counter() - t0) * 1000.0
-    d = rep.to_dict()
     if not args.no_timing:
-        d["runtime_ms"] = round(ms, 3)
+        rep["runtime_ms"] = round(ms, 3)
     fmt = args.fmt or "json"
     if fmt == "json":
-        _emit(_dump_json(d), args.out)
+        _emit(_dump_json(rep), args.out)
     else:
-        _emit(_report_text(d), args.out)
-    return 0 if rep.passed else 1
+        _emit(_report_text(rep), args.out)
+    return 0 if passed(rep) else 1
 
 
 _PARSER = _build_parser()
@@ -409,7 +406,7 @@ def main(argv=None) -> int:
     except HypothesesFail as e:
         print(f"error: {e}", file=sys.stderr)
         if e.report is not None:
-            print(_dump_json(e.report.to_dict()), file=sys.stderr)
+            print(_dump_json(e.report), file=sys.stderr)
         return 1
     except (ToolkitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -106,7 +106,8 @@ class EnumerationBudgetExceeded(ToolkitError):
 class HypothesesFail(ToolkitError):
     """A verifier was asked to proceed although gadget hypotheses fail.
 
-    Carries the offending report in `.report` when available.
+    Carries the offending hypothesis report, the plain dict described in
+    ``gadgets``, in `.report` when available.
     """
 
     def __init__(self, message: str, report=None) -> None:

@@ -5,8 +5,15 @@ every row of a second matrix B.  Row replication multiplies B's
 contribution to any codeword weight by m, which makes the minimum
 distance of the stacked code easy to pin down exactly, while the first
 block keeps enough structure to force short vectors into (or out of) the
-derived lattices.  Every verifier returns a VerificationReport whose
-certificates can be re-checked by membership and norm evaluation alone.
+derived lattices.
+
+Every verifier returns its report as a plain JSON-ready dict, built in
+that form: {"theorem", "params", "hypotheses", "conclusions",
+"exact_values"}.  A hypothesis is {"name", "pass"[, "witness"]} and a
+conclusion {"claim", "pass"[, "certificate"]}; vectors are lists and a
+rational p is its string.  passed(report) is True iff every hypothesis and
+conclusion passes.  The certificates can be re-checked by membership and
+norm evaluation alone.
 
 Identifiers such as ``thm22`` or ``cor23`` are the stable report/CLI
 tokens for the individual verification targets.
@@ -15,7 +22,7 @@ tokens for the individual verification targets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -65,9 +72,7 @@ from .zlattice import (
 )
 
 __all__ = [
-    "HypothesisResult",
-    "ConclusionResult",
-    "VerificationReport",
+    "passed",
     "Thm22Gadget",
     "Thm24Gadget",
     "stack_with_replication",
@@ -98,66 +103,18 @@ CSTAR_TRIALS = 20
 # reports
 # ---------------------------------------------------------------------------
 
-def _plain(x):
-    """Recursively convert report payloads to JSON-safe values."""
-    if isinstance(x, BinaryVector):
-        return list(x.coords())
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (tuple, list)):
-        return [_plain(e) for e in x]
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    return x
+def _item(key: str, text: str, ok: bool, extra=None) -> dict:
+    """A report entry: {"name", "pass"[, "witness"]} for a hypothesis and
+    {"claim", "pass"[, "certificate"]} for a conclusion; None leaves the last key out."""
+    item = {key: text, "pass": ok}
+    if extra is not None:
+        item["witness" if key == "name" else "certificate"] = extra
+    return item
 
 
-@dataclass
-class HypothesisResult:
-    name: str
-    ok: bool
-    witness: object = None
-
-
-@dataclass
-class ConclusionResult:
-    claim: str
-    ok: bool
-    certificate: object = None
-
-
-@dataclass
-class VerificationReport:
-    theorem: str
-    params: dict
-    hypotheses: list[HypothesisResult] = field(default_factory=list)
-    conclusions: list[ConclusionResult] = field(default_factory=list)
-    exact_values: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(h.ok for h in self.hypotheses) and all(
-            c.ok for c in self.conclusions
-        )
-
-    def to_dict(self) -> dict:
-        d = {
-            "theorem": self.theorem,
-            "params": _plain(self.params),
-            "hypotheses": [],
-            "conclusions": [],
-            "exact_values": _plain(self.exact_values),
-        }
-        for h in self.hypotheses:
-            item = {"name": h.name, "pass": h.ok}
-            if h.witness is not None:
-                item["witness"] = _plain(h.witness)
-            d["hypotheses"].append(item)
-        for c in self.conclusions:
-            item = {"claim": c.claim, "pass": c.ok}
-            if c.certificate is not None:
-                item["certificate"] = _plain(c.certificate)
-            d["conclusions"].append(item)
-        return d
+def passed(report: dict) -> bool:
+    """A report passes iff every hypothesis and every conclusion passes."""
+    return all(item["pass"] for item in report["hypotheses"] + report["conclusions"])
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +203,7 @@ def _int_image(M: BinaryMatrix, z: Sequence[int]) -> tuple[int, ...]:
 # hypothesis checkers
 # ---------------------------------------------------------------------------
 
-def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
+def check_thm22_hypotheses(g: Thm22Gadget) -> dict:
     """The three finite conditions behind the scaled-tower counterexample.
 
     Item 3 quantifies over all integer vectors y = w + 2t, t in Z^k, with
@@ -254,12 +211,13 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
     iff B w is even and B t = (B w / 2) mod 2 over F2: one linear solve
     decides it, and a solution t gives the witness y.
     """
-    hyps: list[HypothesisResult] = []
+    hyps = []
     need = 4**g.a
 
     aw = g.A.mul(g.w).weight
     hyps.append(
-        HypothesisResult(
+        _item(
+            "name",
             "image weight: ||A w||_0 = 4^a",
             aw == need,
             None if aw == need else {"observed_weight": aw, "required": need},
@@ -269,10 +227,11 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
     kb = kernel_basis(g.B)
     kernel_ok = len(kb) == 1 and kb[0] == g.w and not g.w.is_zero()
     hyps.append(
-        HypothesisResult(
+        _item(
+            "name",
             "kernel: ker(B) = {0, w}",
             kernel_ok,
-            None if kernel_ok else {"kernel_basis": [v.coords() for v in kb]},
+            None if kernel_ok else {"kernel_basis": [list(v.coords()) for v in kb]},
         )
     )
 
@@ -284,22 +243,23 @@ def check_thm22_hypotheses(g: Thm22Gadget) -> VerificationReport:
     mod4_ok = t is None
     mod4_witness = None if mod4_ok else {"y": [e + 2 * x for e, x in zip(wc, t.coords())]}
     hyps.append(
-        HypothesisResult(
-            "mod 4: B-lift image of w-parity vectors never vanishes", mod4_ok, mod4_witness
+        _item(
+            "name", "mod 4: B-lift image of w-parity vectors never vanishes", mod4_ok, mod4_witness
         )
     )
 
-    return VerificationReport(
-        theorem="thm22",
-        params={"a": g.a, "m": g.m, "k": g.k, "seed": g.seed},
-        hypotheses=hyps,
-        exact_values={"Aw_weight": aw, "kernel_dim": len(kb), "n": g.n},
-    )
+    return {
+        "theorem": "thm22",
+        "params": {"a": g.a, "m": g.m, "k": g.k, "seed": g.seed},
+        "hypotheses": hyps,
+        "conclusions": [],
+        "exact_values": {"Aw_weight": aw, "kernel_dim": len(kb), "n": g.n},
+    }
 
 
-def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
+def check_thm24_hypotheses(g: Thm24Gadget) -> dict:
     """The four finite conditions behind the short-span counterexample."""
-    hyps: list[HypothesisResult] = []
+    hyps = []
 
     dA = min_distance(Code(g.A))
     dB = min_distance(Code(g.B))
@@ -313,21 +273,17 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
         None,
     )
     hyps.append(
-        HypothesisResult(
-            "columns: every generator column has minimum block weight", bad is None, bad
-        )
+        _item("name", "columns: every generator column has minimum block weight", bad is None, bad)
     )
 
     kerB = kernel_basis(g.B)
     incl_witness = None
     for v in kerB:
         if not g.A.mul(v).is_zero():
-            incl_witness = {"x": v.coords()}
+            incl_witness = {"x": list(v.coords())}
             break
     hyps.append(
-        HypothesisResult(
-            "kernel inclusion: ker(B) inside ker(A)", incl_witness is None, incl_witness
-        )
+        _item("name", "kernel inclusion: ker(B) inside ker(A)", incl_witness is None, incl_witness)
     )
 
     # B maps ker(A) onto the code spanned by the images of its basis, so the
@@ -339,9 +295,10 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     if img_code.dimension and min_distance(img_code) <= dB:
         bx = min_weight_codewords(img_code)[0]
         x = kerA.mul(solve(images, bx))
-        out_witness = {"x": x.coords(), "Bx_weight": bx.weight}
+        out_witness = {"x": list(x.coords()), "Bx_weight": bx.weight}
     hyps.append(
-        HypothesisResult(
+        _item(
+            "name",
             "outside kernel: ||B x||_0 > d(C(B)) on ker(A) minus ker(B)",
             out_witness is None,
             out_witness,
@@ -352,24 +309,26 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> VerificationReport:
     a_img = _int_image(g.A, g.z)
     int_ok = not any(b_img) and any(a_img)
     hyps.append(
-        HypothesisResult(
+        _item(
+            "name",
             "integer kernel: B-lift of z vanishes, A-lift does not",
             int_ok,
             None if int_ok else {"B_image": list(b_img), "A_image": list(a_img)},
         )
     )
 
-    return VerificationReport(
-        theorem="thm24",
-        params={"m": g.m, "ell": g.ell},
-        hypotheses=hyps,
-        exact_values={
+    return {
+        "theorem": "thm24",
+        "params": {"m": g.m, "ell": g.ell},
+        "hypotheses": hyps,
+        "conclusions": [],
+        "exact_values": {
             "d_CA": dA,
             "d_CB": dB,
             "A_image_of_z": list(a_img),
             "A_image_l2sq": sum(e * e for e in a_img),
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +515,7 @@ def verify_cor23(
     seed: int = 0,
     full_enum: bool = False,
     budget: int = DEFAULT_BUDGET,
-) -> VerificationReport:
+) -> dict:
     """Build the bundled scaled-tower instance and verify its conclusions:
     exact distance 16, no nonzero ternary vector of squared norm <= 16 in
     the lattice, and no embedded minimum-weight codeword in the lattice.
@@ -565,19 +524,19 @@ def verify_cor23(
     <= 16; running out of budget there is recorded, not a failure.
     """
     g, lat, code = build_cor23(m, seed)
-    hyp_report = check_thm22_hypotheses(g)
-
-    conclusions: list[ConclusionResult] = []
-    exact: dict = dict(hyp_report.exact_values)
+    # the hypothesis report grows into this one
+    rep = check_thm22_hypotheses(g)
+    rep["theorem"] = "cor23"
+    rep["params"] = {"m": m, "seed": seed, "full_enum": full_enum}
+    conclusions, exact = rep["conclusions"], rep["exact_values"]
 
     d = min_distance(code)
-    conclusions.append(
-        ConclusionResult("code minimum distance equals 16", d == 16, {"observed": d})
-    )
+    conclusions.append(_item("claim", "code minimum distance equals 16", d == 16, {"observed": d}))
 
     ternary = ternary_sign_search(lat, code, 4)
     conclusions.append(
-        ConclusionResult(
+        _item(
+            "claim",
             "no nonzero ternary vector of squared norm <= 16 in the lattice",
             len(ternary) == 0,
             {"found": [list(v) for v in ternary[:8]], "count": len(ternary)},
@@ -587,10 +546,11 @@ def verify_cor23(
     S = min_weight_codewords(code)
     embedded_in = [c for c in S if lat.contains(c.coords())]
     conclusions.append(
-        ConclusionResult(
+        _item(
+            "claim",
             "no embedded minimum-weight codeword lies in the lattice",
             len(embedded_in) == 0,
-            {"checked": len(S), "violations": [c.coords() for c in embedded_in]},
+            {"checked": len(S), "violations": [list(c.coords()) for c in embedded_in]},
         )
     )
 
@@ -608,7 +568,8 @@ def verify_cor23(
             vecs = vectors_up_to(lat, 16, budget)
             bad = [v for v in vecs if any(v) and all(-1 <= e <= 1 for e in v)]
             conclusions.append(
-                ConclusionResult(
+                _item(
+                    "claim",
                     "exhaustive enumeration to squared norm 16 finds no nonzero "
                     "ternary vector",
                     len(bad) == 0,
@@ -618,17 +579,10 @@ def verify_cor23(
             exact["norm_le16_nonzero_count"] = len(vecs) - 1
         except EnumerationBudgetExceeded as e:
             exact["full_enum_status"] = f"budget exhausted ({e.budget} nodes)"
-
-    return VerificationReport(
-        theorem="cor23",
-        params={"m": m, "seed": seed, "full_enum": full_enum},
-        hypotheses=hyp_report.hypotheses,
-        conclusions=conclusions,
-        exact_values=exact,
-    )
+    return rep
 
 
-def _minimum_replication(rep: VerificationReport, p: Fraction) -> int:
+def _minimum_replication(rep: dict, p: Fraction) -> int:
     """min_m read off a thm24 hypothesis report; HypothesesFail unless it passed.
 
     min_m is max(dA, floor((S - dA)/dB) + 1) for the p-power sum S of the
@@ -637,10 +591,9 @@ def _minimum_replication(rep: VerificationReport, p: Fraction) -> int:
     ends it at once; an inexact one means S is irrational, so (S - dA)/dB is
     no integer and the two floors meet after finitely many doublings.
     """
-    if not rep.passed:
+    if not passed(rep):
         raise HypothesesFail("gadget fails its hypotheses", report=rep)
-    dA, dB = rep.exact_values["d_CA"], rep.exact_values["d_CB"]
-    z = rep.exact_values["A_image_of_z"]
+    dA, dB, z = (rep["exact_values"][k] for k in ("d_CA", "d_CB", "A_image_of_z"))
     for lo, hi, prec in lp_power_sum_brackets(z, p):
         a, b = dA << prec, dB << prec
         f = (lo - a) // b
@@ -657,7 +610,7 @@ def min_m(g: Thm24Gadget, p=2) -> int:
     return _minimum_replication(check_thm24_hypotheses(g), Fraction(p))
 
 
-def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
+def verify_thm24(g: Thm24Gadget, p=2) -> dict:
     """Verify the short-span counterexample conclusions for the gadget:
     the stacked code's distance identity, column minimality, and a
     certified nonzero member of the min-weight-span lattice whose p-power
@@ -667,7 +620,7 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     p = Fraction(p)
     hyp_report = check_thm24_hypotheses(g)
     mm = _minimum_replication(hyp_report, p)
-    dA, dB = hyp_report.exact_values["d_CA"], hyp_report.exact_values["d_CB"]
+    dA, dB = hyp_report["exact_values"]["d_CA"], hyp_report["exact_values"]["d_CB"]
     if g.m < mm:
         try:
             least = str(mm)
@@ -679,7 +632,8 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     Cm = Code(Gm)
     d = min_distance(Cm)
     conclusions = [
-        ConclusionResult(
+        _item(
+            "claim",
             "stacked distance identity d = d(C(A)) + m*d(C(B))",
             d == dA + g.m * dB,
             {"observed": d, "predicted": dA + g.m * dB},
@@ -689,7 +643,8 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     cols = Gm.columns()
     col_ok = all(col.weight == d for col in cols)
     conclusions.append(
-        ConclusionResult(
+        _item(
+            "claim",
             "every stacked generator column is a minimum-weight codeword",
             col_ok,
             {"column_weights": [c.weight for c in cols]},
@@ -702,7 +657,8 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
     wit_member = L.contains(witness)
     wit_below = lp_power_sum_cmp(witness, p, d) < 0
     conclusions.append(
-        ConclusionResult(
+        _item(
+            "claim",
             "witness: nonzero lattice member with p-power sum below the distance",
             wit_nonzero and wit_member and wit_below,
             {
@@ -720,7 +676,7 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
         "d_Cm": d,
         "n": g.n,
         "dim": Cm.dimension,
-        "p": p,
+        "p": str(p),
         "witness_l2sq": sum(e * e for e in witness),
     }
     if p == 2:
@@ -728,23 +684,24 @@ def verify_thm24(g: Thm24Gadget, p=2) -> VerificationReport:
         exact["lambda1_sq"] = sv.lambda1_sq
         exact["kissing"] = sv.kissing
         conclusions.append(
-            ConclusionResult(
+            _item(
+                "claim",
                 "enumerated lambda_1^2 is strictly below the distance",
                 sv.lambda1_sq < d,
                 {"lambda1_sq": sv.lambda1_sq, "d": d},
             )
         )
 
-    return VerificationReport(
-        theorem="thm24",
-        params={"m": g.m, "p": p, "ell": g.ell},
-        hypotheses=hyp_report.hypotheses,
-        conclusions=conclusions,
-        exact_values=exact,
-    )
+    return {
+        "theorem": "thm24",
+        "params": {"m": g.m, "p": str(p), "ell": g.ell},
+        "hypotheses": hyp_report["hypotheses"],
+        "conclusions": conclusions,
+        "exact_values": exact,
+    }
 
 
-def verify_cor25(m: int = 4, p=2) -> VerificationReport:
+def verify_cor25(m: int = 4, p=2) -> dict:
     """verify_thm24 on the bundled instance; at the default m = 4 the code
     parameters [18, 3, 9] are asserted exactly as well."""
     g = build_cor25(m)
@@ -753,14 +710,15 @@ def verify_cor25(m: int = 4, p=2) -> VerificationReport:
     except HypothesesFail as e:
         # the failing report goes out under this target's name
         if e.report is not None:
-            e.report.theorem = "cor25"
+            e.report["theorem"] = "cor25"
         raise
-    rep.theorem = "cor25"
+    rep["theorem"] = "cor25"
     if m == 4:
-        n, k, d = rep.exact_values["n"], rep.exact_values["dim"], rep.exact_values["d_Cm"]
-        rep.conclusions.insert(
+        n, k, d = (rep["exact_values"][key] for key in ("n", "dim", "d_Cm"))
+        rep["conclusions"].insert(
             0,
-            ConclusionResult(
+            _item(
+                "claim",
                 "code parameters are exactly [18, 3, 9]",
                 (n, k, d) == (18, 3, 9),
                 {"observed": [n, k, d]},
@@ -769,7 +727,7 @@ def verify_cor25(m: int = 4, p=2) -> VerificationReport:
     return rep
 
 
-def golay_lp_check(p) -> VerificationReport:
+def golay_lp_check(p) -> dict:
     """Search the span of the extended Golay octad embeddings for a member
     whose p-power sum is strictly below the code distance 8.
 
@@ -786,14 +744,14 @@ def golay_lp_check(p) -> VerificationReport:
     d = min_distance(G)
     k0 = code_kissing_number(G)
     hyps = [
-        HypothesisResult("code distance is exactly 8", d == 8, {"observed": d}),
-        HypothesisResult("code kissing number is exactly 759", k0 == 759, {"observed": k0}),
+        _item("name", "code distance is exactly 8", d == 8, {"observed": d}),
+        _item("name", "code kissing number is exactly 759", k0 == 759, {"observed": k0}),
     ]
-    exact: dict = {"d": d, "kappa0": k0, "p": p}
+    exact: dict = {"d": d, "kappa0": k0, "p": str(p)}
 
     if p == 2:
-        conclusion = ConclusionResult(
-            "no strict witness is required at p = 2 (distance is attainable)", True
+        conclusion = _item(
+            "claim", "no strict witness is required at p = 2 (distance is attainable)", True
         )
     else:
         L = simplified_d(G)
@@ -819,19 +777,17 @@ def golay_lp_check(p) -> VerificationReport:
                 "l2sq": sum(e * e for e in witness),
             }
             exact["witness_l1"] = lp_norm(witness, 1)
-        conclusion = ConclusionResult(
-            "a nonzero member has p-power sum strictly below 8", ok, cert
-        )
-    return VerificationReport(
-        theorem="golay-lp",
-        params={"p": p},
-        hypotheses=hyps,
-        conclusions=[conclusion],
-        exact_values=exact,
-    )
+        conclusion = _item("claim", "a nonzero member has p-power sum strictly below 8", ok, cert)
+    return {
+        "theorem": "golay-lp",
+        "params": {"p": str(p)},
+        "hypotheses": hyps,
+        "conclusions": [conclusion],
+        "exact_values": exact,
+    }
 
 
-def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> VerificationReport:
+def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> dict:
     """Check that the nested-intersection construction equals the scaled
     mod-2 lattice, either on one given code or on seeded random codes."""
     if C is not None:
@@ -853,29 +809,29 @@ def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> Verificati
         n = code.n
         lattice_a = construction_a(code)
         if c_star_definitional(code) != scale(lattice_a, 2 ** (n - 1)):
-            eq_witness = {"n": n, "generators": [c.coords() for c in code.basis()]}
+            eq_witness = {"n": n, "generators": [list(c.coords()) for c in code.basis()]}
         d, lam = min_distance(code), shortest_vectors(lattice_a).lambda1_sq
         all_lambda &= lam == min(d, 4)
         per_code.append({"n": n, "dim": code.dimension, "d": d, "lambda1_sq_A": lam})
     conclusions = [
-        ConclusionResult(
+        _item(
+            "claim",
             "nested-intersection lattice equals 2^(n-1) times the mod-2 lattice",
             eq_witness is None,
             eq_witness,
         ),
-        ConclusionResult(
-            "lambda_1^2 of the scaled lattice is 4^(n-1) * min(d, 4)", all_lambda
-        ),
+        _item("claim", "lambda_1^2 of the scaled lattice is 4^(n-1) * min(d, 4)", all_lambda),
     ]
-    return VerificationReport(
-        theorem="cstar-collapse",
-        params={"trials": len(codes), "seed": seed, "max_n": C_STAR_CROSSCHECK_CAP},
-        conclusions=conclusions,
-        exact_values={"codes": per_code},
-    )
+    return {
+        "theorem": "cstar-collapse",
+        "params": {"trials": len(codes), "seed": seed, "max_n": C_STAR_CROSSCHECK_CAP},
+        "hypotheses": [],
+        "conclusions": conclusions,
+        "exact_values": {"codes": per_code},
+    }
 
 
-def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
+def verify_dbar_schur(T: Optional[CodeTower] = None) -> dict:
     """Check agreement between the generator-pair closure test and the
     coset-count lattice decision on a tower (default: the bundled
     non-closed tower, whose span holds a vector the set sum misses)."""
@@ -891,19 +847,17 @@ def verify_dbar_schur(T: Optional[CodeTower] = None) -> VerificationReport:
         level, c, cp = schur_witness
         cert["schur_witness"] = {
             "level": level,
-            "c": c.coords(),
-            "c_prime": cp.coords(),
+            "c": list(c.coords()),
+            "c_prime": list(cp.coords()),
         }
     if span_witness is not None:
         cert["span_witness"] = list(span_witness)
-    conclusions = [
-        ConclusionResult(
-            "closure under coordinate products and latticehood agree", agree, cert
-        )
-    ]
-    return VerificationReport(
-        theorem="dbar-schur",
-        params={"n": T.n, "a": T.a},
-        conclusions=conclusions,
-        exact_values={"schur_closed": closed, "is_lattice": is_lat},
-    )
+    return {
+        "theorem": "dbar-schur",
+        "params": {"n": T.n, "a": T.a},
+        "hypotheses": [],
+        "conclusions": [
+            _item("claim", "closure under coordinate products and latticehood agree", agree, cert)
+        ],
+        "exact_values": {"schur_closed": closed, "is_lattice": is_lat},
+    }

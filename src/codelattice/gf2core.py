@@ -9,9 +9,12 @@ Codes are column-generated: ``Code(G)`` is the F2-span of the columns of G,
 its dimension is the F2-rank of G.  Distance, minimum-weight words and
 kissing number all read one cached sweep per code, which weighs all 2^k
 codewords bit-sliced, up to 2^16 of them per big-integer pass (see
-:meth:`Code._min_weight_bits`).  The same sweep lists the light words that
-the ternary sign search needs.  It is hard-capped at rank 28 and refuses
-larger inputs with :class:`RankTooLarge`.
+:meth:`Code._min_weight_bits`).  The ternary sign search does not read
+that cached sweep: :meth:`Code.light_words` lists its light words from an
+uncached pass of its own over the same chunks, and when the search radius
+passes the support cap, :meth:`Code.least_weight_above` runs one more.
+Every sweep is hard-capped at rank 28 and refuses larger inputs with
+:class:`RankTooLarge`.
 """
 
 from __future__ import annotations

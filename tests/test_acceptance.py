@@ -17,6 +17,7 @@ from codelattice.gadgets import (
     build_cor25,
     check_thm22_hypotheses,
     golay_lp_check,
+    passed,
     ternary_sign_search,
     verify_cor23,
     verify_cor25,
@@ -42,11 +43,11 @@ def test_acceptance_1_short_span_instance():
     t0 = time.perf_counter()
     rep = verify_cor25()
     elapsed = time.perf_counter() - t0
-    assert rep.passed
-    assert rep.conclusions[0].claim == "code parameters are exactly [18, 3, 9]"
-    assert rep.conclusions[0].ok
-    assert rep.exact_values["lambda1_sq"] == 8
-    assert rep.exact_values["d_Cm"] == 9
+    assert passed(rep)
+    assert rep["conclusions"][0]["claim"] == "code parameters are exactly [18, 3, 9]"
+    assert rep["conclusions"][0]["pass"]
+    assert rep["exact_values"]["lambda1_sq"] == 8
+    assert rep["exact_values"]["d_Cm"] == 9
     assert 8 < 9
     assert elapsed < 10.0
     print(
@@ -60,9 +61,9 @@ def test_acceptance_2_replication_family():
     results = []
     for m in range(4, 9):
         rep = verify_thm24(build_cor25(m))
-        assert rep.passed
-        d = rep.exact_values["d_Cm"]
-        lam = rep.exact_values["lambda1_sq"]
+        assert passed(rep)
+        d = rep["exact_values"]["d_Cm"]
+        lam = rep["exact_values"]["lambda1_sq"]
         assert d == 1 + 2 * m
         assert lam <= 8 < d
         results.append((m, d, lam))
@@ -79,15 +80,15 @@ def test_acceptance_3_scaled_tower_instance():
     g, lat, code = build_cor23()
     hyp = check_thm22_hypotheses(g)
     hyp_elapsed = time.perf_counter() - th0
-    assert hyp.passed
+    assert passed(hyp)
     assert hyp_elapsed < 1.0
 
     t0 = time.perf_counter()
     for seed in range(5):
         rep = verify_cor23(m=17, seed=seed)
-        assert rep.passed
-        assert rep.exact_values["d"] == 16
-        assert rep.exact_values["ternary_count"] == 0
+        assert passed(rep)
+        assert rep["exact_values"]["d"] == 16
+        assert rep["exact_values"]["ternary_count"] == 0
         # the unique min-weight codeword does not embed into the lattice
         g2, lat2, code2 = build_cor23(seed=seed)
         S = min_weight_codewords(code2)
@@ -111,17 +112,17 @@ def test_acceptance_4_full_enumeration():
     t0 = time.perf_counter()
     rep = verify_cor23(full_enum=True, budget=10**9)
     elapsed = time.perf_counter() - t0
-    assert rep.passed
-    if "full_enum_status" in rep.exact_values:
+    assert passed(rep)
+    if "full_enum_status" in rep["exact_values"]:
         # overflow is reported, never a failure of criterion 3
         print(
             f"ACCEPTANCE 4: PASS (enumeration budget exhausted and reported: "
-            f"{rep.exact_values['full_enum_status']}, {elapsed:.2f} s)"
+            f"{rep['exact_values']['full_enum_status']}, {elapsed:.2f} s)"
         )
         return
-    enum_claims = [c for c in rep.conclusions if c.claim.startswith("exhaustive")]
-    assert len(enum_claims) == 1 and enum_claims[0].ok
-    count = rep.exact_values["norm_le16_nonzero_count"]
+    enum_claims = [c for c in rep["conclusions"] if c["claim"].startswith("exhaustive")]
+    assert len(enum_claims) == 1 and enum_claims[0]["pass"]
+    count = rep["exact_values"]["norm_le16_nonzero_count"]
     assert elapsed < 600.0
     print(
         f"ACCEPTANCE 4: PASS (complete enumeration to norm^2 = 16: "
@@ -173,8 +174,8 @@ def test_acceptance_5_mod2_lattice_laws():
 
 def test_acceptance_6_nested_intersection_collapse():
     rep = verify_cstar_collapse(seed=0)
-    assert rep.passed
-    assert len(rep.exact_values["codes"]) == 20
+    assert passed(rep)
+    assert len(rep["exact_values"]["codes"]) == 20
     print(
         "ACCEPTANCE 6: PASS (20 random codes with n <= 8: nested-intersection "
         "lattice equals the scaled mod-2 lattice, lambda1^2 law holds)"
@@ -198,15 +199,15 @@ def test_acceptance_7_set_sum_vs_closure():
             sub = [basis[0]]
         C2 = Code(BinaryMatrix.from_columns(sub, n))
         rep = verify_dbar_schur(CodeTower([C1, C2]))
-        assert rep.passed  # the two decisions agree
+        assert passed(rep)  # the two decisions agree
         agreements += 1
-        lattice_outcomes[rep.exact_values["is_lattice"]] += 1
+        lattice_outcomes[rep["exact_values"]["is_lattice"]] += 1
 
     # the bundled non-closed tower, with its explicit witness vector
     T = nonclosed_tower()
     rep = verify_dbar_schur(T)
-    assert rep.passed
-    assert rep.exact_values == {"schur_closed": False, "is_lattice": False}
+    assert passed(rep)
+    assert rep["exact_values"] == {"schur_closed": False, "is_lattice": False}
     v = (1, 2, 2, 1)
     assert d_bar_span(T).contains(v)
     assert d_bar_member(T, v) is False
@@ -258,12 +259,12 @@ def test_acceptance_10_golay_lp_witness():
     outcomes = []
     for p in (1, Fraction(3, 2)):
         rep = golay_lp_check(p)
-        assert all(h.ok for h in rep.hypotheses)  # d = 8 and kappa0 = 759
-        assert rep.exact_values["d"] == 8
-        assert rep.exact_values["kappa0"] == 759
-        assert rep.passed  # witness found (the bundled expected outcome)
-        assert rep.exact_values["witness_l1"] == 4
-        outcomes.append((p, rep.conclusions[0].certificate["vector"][:4]))
+        assert all(h["pass"] for h in rep["hypotheses"])  # d = 8 and kappa0 = 759
+        assert rep["exact_values"]["d"] == 8
+        assert rep["exact_values"]["kappa0"] == 759
+        assert passed(rep)  # witness found (the bundled expected outcome)
+        assert rep["exact_values"]["witness_l1"] == 4
+        outcomes.append((p, rep["conclusions"][0]["certificate"]["vector"][:4]))
     print(
         f"ACCEPTANCE 10: PASS (p = 1 and p = 3/2 both certified a member "
         f"witness with l1 norm 4; d = 8, kappa0 = 759 exact)"

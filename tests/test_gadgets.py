@@ -18,7 +18,6 @@ from codelattice.gadgets import (
     SIGN_SUPPORT_CAP,
     Thm22Gadget,
     Thm24Gadget,
-    VerificationReport,
     _minimum_replication,
     _sign_walk,
     build_cor23,
@@ -27,6 +26,7 @@ from codelattice.gadgets import (
     check_thm24_hypotheses,
     golay_lp_check,
     min_m,
+    passed,
     stack_with_replication,
     ternary_sign_search,
     verify_cor23,
@@ -87,21 +87,21 @@ def test_gadget_validation():
 def test_thm22_hypotheses_pass_on_bundled_instance():
     g, _, _ = build_cor23()
     rep = check_thm22_hypotheses(g)
-    assert rep.passed
-    assert [h.ok for h in rep.hypotheses] == [True, True, True]
-    assert rep.exact_values["Aw_weight"] == 16
-    assert rep.exact_values["kernel_dim"] == 1
-    assert rep.theorem == "thm22"
+    assert passed(rep)
+    assert [h["pass"] for h in rep["hypotheses"]] == [True, True, True]
+    assert rep["exact_values"]["Aw_weight"] == 16
+    assert rep["exact_values"]["kernel_dim"] == 1
+    assert rep["theorem"] == "thm22"
 
 
 def test_thm22_negative_control_zero_b():
     A, B, w = cor23_matrices()
     g = Thm22Gadget(A=A, B=BinaryMatrix(3, (0,) * 3), w=w, a=2, m=17)
     rep = check_thm22_hypotheses(g)
-    assert not rep.passed
-    assert not rep.hypotheses[1].ok  # kernel is all of F2^3
-    assert len(rep.hypotheses[1].witness["kernel_basis"]) == 3
-    assert not rep.hypotheses[2].ok  # zero image is 0 mod 4
+    assert not passed(rep)
+    assert not rep["hypotheses"][1]["pass"]  # kernel is all of F2^3
+    assert len(rep["hypotheses"][1]["witness"]["kernel_basis"]) == 3
+    assert not rep["hypotheses"][2]["pass"]  # zero image is 0 mod 4
 
 
 def test_thm22_negative_control_wrong_w():
@@ -109,8 +109,8 @@ def test_thm22_negative_control_wrong_w():
     e0 = BinaryVector.from_support(3, [0])
     g = Thm22Gadget(A=A, B=B, w=e0, a=2, m=17)
     rep = check_thm22_hypotheses(g)
-    assert not rep.hypotheses[0].ok
-    assert rep.hypotheses[0].witness["observed_weight"] == A.column(0).weight != 16
+    assert not rep["hypotheses"][0]["pass"]
+    assert rep["hypotheses"][0]["witness"]["observed_weight"] == A.column(0).weight != 16
 
 
 def test_thm22_mod4_sweep_covers_all_integer_offsets():
@@ -141,11 +141,11 @@ def test_thm22_mod4_solve_matches_offset_sweep():
         B = rand_f2_matrix(rng, rng.randint(1, 6), k, rng.choice((0.2, 0.4, 0.6)))
         w = BinaryVector(k, rng.getrandbits(k))
         g = Thm22Gadget(A=rand_f2_matrix(rng, 3, k, 0.5), B=B, w=w, a=2, m=17)
-        h = check_thm22_hypotheses(g).hypotheses[2]
-        assert h.ok == thm22_mod4_sweep(g)[0]
-        verdicts.append(h.ok)
-        if not h.ok:
-            y = h.witness["y"]
+        h = check_thm22_hypotheses(g)["hypotheses"][2]
+        assert h["pass"] == thm22_mod4_sweep(g)[0]
+        verdicts.append(h["pass"])
+        if not h["pass"]:
+            y = h["witness"]["y"]
             assert [e & 1 for e in y] == list(w.coords())
             assert all(sum(r[j] * y[j] for j in range(k)) % 4 == 0 for r in B.to_rows())
     assert 200 < verdicts.count(False) < 1800
@@ -162,15 +162,15 @@ def test_thm24_outside_kernel_matches_kernel_walk():
             continue  # the zero code has no distance
         g = Thm24Gadget(A=A, B=B, z=(1,) * ell, m=1)
         rep = check_thm24_hypotheses(g)
-        h = rep.hypotheses[2]
-        dB = rep.exact_values["d_CB"]
-        assert h.ok == thm24_kernel_walk(g, kernel_basis(A), dB)[0]
-        verdicts.append(h.ok)
-        if not h.ok:
-            x = BinaryVector.from_coords(h.witness["x"])
+        h = rep["hypotheses"][2]
+        dB = rep["exact_values"]["d_CB"]
+        assert h["pass"] == thm24_kernel_walk(g, kernel_basis(A), dB)[0]
+        verdicts.append(h["pass"])
+        if not h["pass"]:
+            x = BinaryVector.from_coords(h["witness"]["x"])
             bx = B.mul(x)
             assert A.mul(x).is_zero() and not bx.is_zero()
-            assert bx.weight == h.witness["Bx_weight"] <= dB
+            assert bx.weight == h["witness"]["Bx_weight"] <= dB
     assert 200 < verdicts.count(False) < 1800
 
 
@@ -191,7 +191,7 @@ def test_build_cor23_other_seeds():
     for seed in (1, 2, 3):
         g, lat, code = build_cor23(seed=seed)
         assert min_distance(code) == 16
-        assert check_thm22_hypotheses(g).passed
+        assert passed(check_thm22_hypotheses(g))
         assert lat.n == 67
 
 
@@ -412,28 +412,28 @@ def test_sign_search_at_the_support_cap():
 
 def test_thm24_hypotheses_pass_on_bundled_instance():
     rep = check_thm24_hypotheses(build_cor25())
-    assert rep.passed
-    assert rep.exact_values["d_CA"] == 1
-    assert rep.exact_values["d_CB"] == 2
-    assert rep.exact_values["A_image_l2sq"] == 8
+    assert passed(rep)
+    assert rep["exact_values"]["d_CA"] == 1
+    assert rep["exact_values"]["d_CB"] == 2
+    assert rep["exact_values"]["A_image_l2sq"] == 8
 
 
 def test_thm24_negative_controls():
     A, B, z = cor25_matrices()
     rep = check_thm24_hypotheses(Thm24Gadget(A=A, B=B, z=(0, 0, 0, 0), m=4))
-    assert not rep.hypotheses[3].ok
+    assert not rep["hypotheses"][3]["pass"]
     rep = check_thm24_hypotheses(Thm24Gadget(A=B, B=B, z=z, m=4))
-    assert not rep.hypotheses[3].ok  # A-lift of z vanishes along with B's
+    assert not rep["hypotheses"][3]["pass"]  # A-lift of z vanishes along with B's
     # kernel inclusion violated: ker(B) reaches outside ker(A)
     A2 = BinaryMatrix.identity(2)
     B2 = BinaryMatrix.from_rows([[1, 1]])
     rep = check_thm24_hypotheses(Thm24Gadget(A=A2, B=B2, z=(1, -1), m=1))
-    assert not rep.hypotheses[1].ok
+    assert not rep["hypotheses"][1]["pass"]
     # column weights: the first heavy column is reported, A's before B's
     tri = BinaryMatrix.from_rows([[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # weights 1, 2, 3; d = 1
     for A3, matrix in ((tri, "A"), (BinaryMatrix.identity(3), "B")):
         rep = check_thm24_hypotheses(Thm24Gadget(A=A3, B=tri, z=(1, 0, 0), m=1))
-        assert rep.hypotheses[0].witness == {
+        assert rep["hypotheses"][0]["witness"] == {
             "matrix": matrix, "column": 1, "weight": 2, "distance": 1
         }
 
@@ -448,7 +448,7 @@ def test_min_m_per_exponent():
 def test_min_m_matches_linear_count():
     g = build_cor25()
     rep = check_thm24_hypotheses(g)
-    z, dA, dB = (rep.exact_values[k] for k in ("A_image_of_z", "d_CA", "d_CB"))
+    z, dA, dB = (rep["exact_values"][k] for k in ("A_image_of_z", "d_CA", "d_CB"))
     for p in (1, Fraction(3, 2), 2, Fraction(7, 3), Fraction(5, 2), 3, 8, 20):
         assert min_m(g, p) == min_m_linear(z, p, dA, dB)
 
@@ -458,7 +458,7 @@ def test_min_m_of_a_large_exponent_returns_at_once():
     # would never end, and an integer p is one exact power sum
     g = build_cor25()
     rep = check_thm24_hypotheses(g)
-    z, dA, dB = (rep.exact_values[k] for k in ("A_image_of_z", "d_CA", "d_CB"))
+    z, dA, dB = (rep["exact_values"][k] for k in ("A_image_of_z", "d_CA", "d_CB"))
     t0 = time.perf_counter()
     assert min_m(g, 64) == 2**64
     m = min_m(g, 100000)
@@ -469,7 +469,9 @@ def test_min_m_of_a_large_exponent_returns_at_once():
 
 def _replication(z, p, dA, dB):
     """min_m of a passed thm24 report with these exact values."""
-    rep = VerificationReport("thm24", {}, exact_values={"d_CA": dA, "d_CB": dB, "A_image_of_z": z})
+    exact = {"d_CA": dA, "d_CB": dB, "A_image_of_z": z}
+    rep = {"theorem": "thm24", "params": {}, "hypotheses": [], "conclusions": [],
+           "exact_values": exact}
     return _minimum_replication(rep, Fraction(p))
 
 
@@ -506,7 +508,7 @@ def test_min_m_at_a_fine_exponent_brackets_once():
     # tried: about 2.5 s for this call on 2 CPUs
     g = build_cor25()
     rep = check_thm24_hypotheses(g)
-    z, dA, dB = (rep.exact_values[k] for k in ("A_image_of_z", "d_CA", "d_CB"))
+    z, dA, dB = (rep["exact_values"][k] for k in ("A_image_of_z", "d_CA", "d_CB"))
     p = Fraction(20001, 10000)
     t0 = time.perf_counter()
     m = min_m(g, p)
@@ -521,36 +523,36 @@ def test_min_m_rejects_broken_gadget():
     with pytest.raises(HypothesesFail) as ei:
         min_m(Thm24Gadget(A=A, B=B, z=(0, 0, 0, 0), m=4))
     assert ei.value.report is not None
-    assert not ei.value.report.passed
+    assert not passed(ei.value.report)
 
 
 def test_verify_cor25_default():
     rep = verify_cor25()
-    assert rep.passed
-    assert rep.theorem == "cor25"
-    assert rep.conclusions[0].claim == "code parameters are exactly [18, 3, 9]"
-    assert rep.exact_values["lambda1_sq"] == 8
-    assert rep.exact_values["kissing"] == 2
-    assert rep.exact_values["min_m"] == 4
-    wit = next(c for c in rep.conclusions if c.claim.startswith("witness"))
-    assert wit.certificate["vector"] == [2, -2] + [0] * 16
-    assert wit.certificate["l2sq"] == 8
+    assert passed(rep)
+    assert rep["theorem"] == "cor25"
+    assert rep["conclusions"][0]["claim"] == "code parameters are exactly [18, 3, 9]"
+    assert rep["exact_values"]["lambda1_sq"] == 8
+    assert rep["exact_values"]["kissing"] == 2
+    assert rep["exact_values"]["min_m"] == 4
+    wit = next(c for c in rep["conclusions"] if c["claim"].startswith("witness"))
+    assert wit["certificate"]["vector"] == [2, -2] + [0] * 16
+    assert wit["certificate"]["l2sq"] == 8
 
 
 def test_verify_thm24_larger_m_and_below_minimum():
     rep = verify_thm24(build_cor25(5))
-    assert rep.passed
-    assert rep.exact_values["d_Cm"] == 11
+    assert passed(rep)
+    assert rep["exact_values"]["d_Cm"] == 11
     with pytest.raises(HypothesesFail, match="below minimum"):
         verify_thm24(build_cor25(3))
 
 
 def test_verify_thm24_other_exponents():
     rep = verify_thm24(build_cor25(3), p=Fraction(3, 2))
-    assert rep.passed
-    assert "lambda1_sq" not in rep.exact_values  # enumeration is l2-only
+    assert passed(rep)
+    assert "lambda1_sq" not in rep["exact_values"]  # enumeration is l2-only
     rep = verify_thm24(build_cor25(2), p=1)
-    assert rep.passed
+    assert passed(rep)
 
 
 def test_distance_identity_family():
@@ -561,20 +563,20 @@ def test_distance_identity_family():
 
 def test_verify_cor23_default():
     rep = verify_cor23()
-    assert rep.passed
-    assert rep.theorem == "cor23"
-    assert rep.exact_values["n"] == 67
-    assert rep.exact_values["d"] == 16
-    assert rep.exact_values["code_kissing"] == 1
-    assert rep.exact_values["ternary_count"] == 0
-    assert len(rep.conclusions) == 3
+    assert passed(rep)
+    assert rep["theorem"] == "cor23"
+    assert rep["exact_values"]["n"] == 67
+    assert rep["exact_values"]["d"] == 16
+    assert rep["exact_values"]["code_kissing"] == 1
+    assert rep["exact_values"]["ternary_count"] == 0
+    assert len(rep["conclusions"]) == 3
 
 
 def test_verify_cor23_full_enum_budget_overflow_is_reported():
     rep = verify_cor23(full_enum=True, budget=1000)
-    assert rep.passed  # overflow is recorded, not failed
-    assert rep.exact_values["full_enum_status"].startswith("budget exhausted")
-    assert len(rep.conclusions) == 3
+    assert passed(rep)  # overflow is recorded, not failed
+    assert rep["exact_values"]["full_enum_status"].startswith("budget exhausted")
+    assert len(rep["conclusions"]) == 3
 
 
 def test_sign_search_control_finds_vectors_when_they_exist():
@@ -588,25 +590,25 @@ def test_sign_search_control_finds_vectors_when_they_exist():
 
 def test_golay_lp_p1():
     rep = golay_lp_check(1)
-    assert rep.passed
-    assert rep.exact_values["witness_l1"] == 4
-    assert rep.exact_values["pair_members_found"] == 276
-    assert rep.exact_values["pairs_probed"] == 276
-    cert = rep.conclusions[0].certificate
+    assert passed(rep)
+    assert rep["exact_values"]["witness_l1"] == 4
+    assert rep["exact_values"]["pair_members_found"] == 276
+    assert rep["exact_values"]["pairs_probed"] == 276
+    cert = rep["conclusions"][0]["certificate"]
     assert cert["l1"] == 4 and cert["l2sq"] == 8
 
 
 def test_golay_lp_p32():
     rep = golay_lp_check(Fraction(3, 2))
-    assert rep.passed
-    assert rep.conclusions[0].certificate["l1"] == 4
+    assert passed(rep)
+    assert rep["conclusions"][0]["certificate"]["l1"] == 4
 
 
 def test_golay_lp_p2_vacuous():
     rep = golay_lp_check(2)
-    assert rep.passed
-    assert "no strict witness" in rep.conclusions[0].claim
-    assert rep.exact_values["d"] == 8 and rep.exact_values["kappa0"] == 759
+    assert passed(rep)
+    assert "no strict witness" in rep["conclusions"][0]["claim"]
+    assert rep["exact_values"]["d"] == 8 and rep["exact_values"]["kappa0"] == 759
 
 
 def test_golay_lp_rejects_out_of_range_p():
@@ -618,12 +620,12 @@ def test_golay_lp_rejects_out_of_range_p():
 
 def test_verify_cstar_collapse():
     rep = verify_cstar_collapse(seed=0)
-    assert rep.passed
-    assert len(rep.exact_values["codes"]) == 20
+    assert passed(rep)
+    assert len(rep["exact_values"]["codes"]) == 20
     rep3 = Code(BinaryMatrix.from_columns([bv((1, 1, 1))]))
     single = verify_cstar_collapse(C=rep3)
-    assert single.passed
-    assert single.exact_values["codes"][0]["d"] == 3
+    assert passed(single)
+    assert single["exact_values"]["codes"][0]["d"] == 3
 
 
 def test_verify_cstar_collapse_refuses_length_0():
@@ -633,24 +635,23 @@ def test_verify_cstar_collapse_refuses_length_0():
 
 def test_verify_dbar_schur_default_and_closed():
     rep = verify_dbar_schur()
-    assert rep.passed
-    assert rep.exact_values == {"schur_closed": False, "is_lattice": False}
-    cert = rep.conclusions[0].certificate
+    assert passed(rep)
+    assert rep["exact_values"] == {"schur_closed": False, "is_lattice": False}
+    cert = rep["conclusions"][0]["certificate"]
     assert cert["schur_witness"]["level"] == 2
     assert "span_witness" in cert
 
     full = Code(BinaryMatrix.identity(2))
     rep2 = Code(BinaryMatrix.from_columns([bv((1, 1))]))
     rep = verify_dbar_schur(CodeTower([full, rep2]))
-    assert rep.passed
-    assert rep.exact_values == {"schur_closed": True, "is_lattice": True}
-    cert = rep.conclusions[0].certificate
+    assert passed(rep)
+    assert rep["exact_values"] == {"schur_closed": True, "is_lattice": True}
+    cert = rep["conclusions"][0]["certificate"]
     assert "schur_witness" not in cert and "span_witness" not in cert
 
 
 def test_report_serialization():
-    rep = verify_cor25()
-    d = rep.to_dict()
+    d = verify_cor25()
     assert set(d) == {
         "theorem",
         "params",
@@ -670,4 +671,4 @@ def test_report_serialization():
     json.dumps(d)  # everything JSON-safe
 
     rep32 = verify_thm24(build_cor25(3), p=Fraction(3, 2))
-    assert rep32.to_dict()["exact_values"]["p"] == "3/2"
+    assert rep32["exact_values"]["p"] == "3/2"

@@ -10,11 +10,12 @@ a change that means to alter a report regenerates the file, for example
 and says why in the change log.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from codelattice.cli import main
+from codelattice.cli import _report_text, main
 from codelattice.matio import data_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -49,3 +50,12 @@ def test_every_golden_file_has_a_case():
 def test_stdout_matches_golden(capsys, name):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0] == "verify"))
+def test_text_report_renders_the_golden_report(capsys, name):
+    # the text form is the JSON report printed line by line: a tuple or a
+    # Fraction left in a report prints differently from its JSON value
+    assert main(CASES[name] + ["--format", "text"]) == 0
+    golden = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    assert capsys.readouterr().out == _report_text(golden) + "\n"
