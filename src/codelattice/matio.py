@@ -8,6 +8,8 @@ neither is.  Codes are stored as their generator matrix: n rows, k columns.
 Tower manifests: first line ``tower <n> <count>``, then one matrix file
 path per line, relative to the manifest's directory, ordered from the
 largest code down (C_1 .. C_a, or K_0 .. K_a for Construction-D input).
+
+Both are ASCII: a file holding any other byte is a parse error.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def read_matrix(path: str):
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     return parse_matrix(text, source=path)
 
@@ -149,7 +151,7 @@ def read_tower_manifest(path: str) -> tuple[int, list[str]]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh.readlines()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

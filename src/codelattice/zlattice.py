@@ -10,9 +10,11 @@ integral Gram-Schmidt (the integers d_i and lambda_ij of Cohen Alg. 2.6.7)
 drives both the fraction-free LLL and the enumeration that follows it:
 shortest vectors come from one sign-symmetric Fincke-Pohst walk (each +-v
 pair reached once) on those integers, with no pruning and an explicit node
-budget.  The GSO is built one row at a time, by one routine: LLL fills
-row k when it first reaches column k, and the determinant of a lattice of
-lower rank is the square root of the last d of all rows.
+budget; it steps through a run of forced zeros (levels whose one
+candidate is 0) in one loop, one node each.  The GSO is built one row at
+a time, by one routine: LLL fills row k when it first reaches column k,
+and the determinant of a lattice of lower rank is the square root of the
+last d of all rows.
 Exact l_p decisions for rational p = u/v read one generator of dyadic
 brackets of the power sum, at precisions 16, 32, 64, ... bits, from
 floor v-th roots of integers; an integer p gives an exact bracket at once.
@@ -257,23 +259,30 @@ def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int],
     ``d[i+1] = det Gram(b_0..b_i) > 0`` and, for j < i,
     ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.  All are
     integers and every division below is exact.  Cohen's recurrence
-    u <- (d_{i+1} u - lam_ki lam_ji) / d_i starts from <b_k, b_j>, taken over
-    the nonzero entries of b_k, and skips the zero products: over a run
+    u <- (d_{i+1} u - lam_ki lam_ji) / d_i starts from <b_k, b_j>, for all
+    j <= k in one list pass per nonzero entry of b_k, the first one first:
+    the callers pass independent columns (an HNF basis, or LLL's transform
+    of one), so b_k is not zero.  It skips the zero products: over a run
     i = s..e-1 of them u_i / d_i is constant, so the run is the one exact
-    step u <- u d_e / d_s.
+    step u <- u d_e / d_s, which u = 0 skips too.
     """
+    cols = basis[:k + 1]
     bk = [(t, x) for t, x in enumerate(basis[k]) if x]
+    t, x = bk[0]
+    g = [x * bj[t] for bj in cols]  # g[j] = <b_k, b_j>
+    for t, x in bk[1:]:
+        g = [a + x * bj[t] for a, bj in zip(g, cols)]
     lk, nk = lam[k], []  # nk: the columns i < j with lam[k][i] != 0
     for j in range(k + 1):
-        bj, lj = basis[j], lam[j]
-        u, s = sum(x * bj[t] for t, x in bk), 0
+        lj = lam[j]
+        u, s = g[j], 0
         for i in nk:
             if lj[i]:
                 if i > s:
                     u = u * d[i] // d[s]
                 u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
                 s = i + 1
-        if j > s:
+        if j > s and u:
             u = u * d[j] // d[s]
         if j < k:
             lk[j] = u
@@ -389,12 +398,17 @@ def _enumerate(
     the radius are kept, zero once.  With it zero is skipped and a shorter
     leaf tightens the radius, dropping the leaves kept so far.  A node is
     one candidate coefficient, (plain-walk nodes + rank) / 2 at a fixed
-    radius; over ``budget`` nodes raise EnumerationBudgetExceeded.
+    radius; over ``budget`` nodes raise EnumerationBudgetExceeded.  A
+    forced zero, a level with centre 0 and ``bound - rho < PB[i] = P B_i``
+    (isqrt(t) < q iff t < q^2 in the interval), has the one candidate 0,
+    which changes neither rho nor acc: ``rec`` steps down a run of them in
+    one loop, one node per level, so every count and budget edge stays.
     """
     m = len(d) - 1
     x = [0] * m
     P = lcm(*(d[i] * d[i + 1] for i in range(m)))
     w = [P // (d[i] * d[i + 1]) for i in range(m)]
+    PB = [wi * q * q for wi, q in zip(w, d[1:])]
     bound = radius * P
     left = budget
     leaves: list[tuple[int, tuple[int, ...]]] = []
@@ -403,6 +417,12 @@ def _enumerate(
 
     def rec(i: int, rho: int, acc: list[int], sym: bool) -> None:
         nonlocal bound, left
+        rem = bound - rho
+        while i >= 0 and not acc[i] and rem < PB[i]:
+            left -= 1
+            if left < 0:
+                raise EnumerationBudgetExceeded(budget)
+            i -= 1
         if i < 0:
             if shortest:
                 if not rho:

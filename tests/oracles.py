@@ -10,7 +10,9 @@ monomial span, the counting decision and the F2 solves that replaced them
 have an independent path to match, its former one-word Gray sweep for
 the minimum-weight words, which the bit-sliced sweep must match, its
 former plain Fincke-Pohst walk, whose leaves and node count the
-sign-symmetric walk must match, its former dense integral GSO loop and
+sign-symmetric walk must match, its former level-by-level sign-symmetric
+walk, whose leaves and node count the walk that skips forced-zero levels
+in one loop must match, its former dense integral GSO loop and
 the LLL run on it, whose integers the row-by-row GSO and LLL must match
 exactly, its former per-coordinate shift loop of ``BinaryVector.coords``,
 which the one read of the bit layout must match, its former tuple-keyed
@@ -30,7 +32,7 @@ from itertools import product
 from math import isqrt, lcm
 
 from codelattice.constructions import d_bar_member
-from codelattice.errors import QuotientTooLarge
+from codelattice.errors import EnumerationBudgetExceeded, QuotientTooLarge
 from codelattice.gf2core import BinaryVector
 from codelattice.zlattice import Lattice, _coeff_interval, _residue, _xgcd, lp_power_sum_cmp
 
@@ -405,6 +407,59 @@ def fincke_pohst_plain(lam, d, radius, shortest):
 
     rec(m - 1, 0, [0] * m)
     return bound // P, leaves, nodes
+
+
+def fincke_pohst_levelwise(lam, d, radius, budget, shortest):
+    """``(radius, leaves, nodes)`` of the sign-symmetric walk, one level per call.
+
+    ``zlattice._enumerate`` as it was before it skipped forced-zero levels
+    in one loop: every level, forced or not, takes its own interval and
+    its own call.  Over ``budget`` nodes raise EnumerationBudgetExceeded;
+    ``nodes`` is the count of a walk that finishes.
+    """
+    m = len(d) - 1
+    x = [0] * m
+    P = lcm(*(d[i] * d[i + 1] for i in range(m)))
+    w = [P // (d[i] * d[i + 1]) for i in range(m)]
+    bound = radius * P
+    left = budget
+    leaves = []
+    nz = [[j for j in range(i) if lam[i][j]] for i in range(m)]
+
+    def rec(i, rho, acc, sym):
+        nonlocal bound, left
+        if i < 0:
+            if shortest:
+                if not rho:
+                    return
+                if rho < bound:
+                    bound = rho
+                    leaves.clear()
+            leaves.append((rho // P, tuple(x)))
+            return
+        N, q, wi = -acc[i], d[i + 1], w[i]
+        lrow, cols = lam[i], nz[i]
+        lo, hi = _coeff_interval(N, q, (bound - rho) // wi)
+        for xi in range(0 if sym else lo, hi + 1):
+            left -= 1
+            if left < 0:
+                raise EnumerationBudgetExceeded(budget)
+            e = xi * q - N
+            rho2 = rho + wi * e * e
+            if rho2 > bound:
+                continue
+            x[i] = xi
+            if xi:
+                acc2 = acc[:i]
+                for j in cols:
+                    acc2[j] += xi * lrow[j]
+                rec(i - 1, rho2, acc2, False)
+            else:
+                rec(i - 1, rho2, acc, sym)
+        x[i] = 0
+
+    rec(m - 1, 0, [0] * m, True)
+    return bound // P, leaves, budget - left
 
 
 def integral_gso_dense(G):

@@ -69,6 +69,24 @@ def test_exit_2_on_malformed_and_missing_input(capsys, tmp_path):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_exit_2_on_a_non_ascii_byte(capsys, tmp_path):
+    # a byte >= 0x80 fails the ASCII decode, which is a parse error naming
+    # the file, in a matrix file, a tower manifest and a level file alike
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3 1 F2\n1\n\xff\n1\n")
+    code, _, err = run(capsys, ["code-info", str(bad)])
+    assert code == 2 and str(bad) in err and "decode" in err
+    manifest = tmp_path / "tower.txt"
+    manifest.write_bytes(b"tower 4 2\nc1.txt\nc2.txt\xc3\xa9\n")
+    code, _, err = run(capsys, ["construct", str(manifest), "--construction", "d-bar"])
+    assert code == 2 and str(manifest) in err
+    manifest.write_bytes(b"tower 4 2\nc1.txt\nc2.txt\n")
+    Path(tmp_path / "c1.txt").write_bytes(Path(data_path("tower_nonclosed_c1.txt")).read_bytes())
+    Path(tmp_path / "c2.txt").write_bytes(b"4 1 F2\n1 1 0 \x801\n")
+    code, _, err = run(capsys, ["verify", "dbar-schur", "--tower", str(manifest), "--no-timing"])
+    assert code == 2 and str(tmp_path / "c2.txt") in err
+
+
 # the verify-only flags each target reads; every other pairing is refused
 VERIFY_FLAGS = {"--m": ["18"], "--p": ["1"], "--seed": ["1"], "--budget": ["5"],
                 "--full-enum": [], "--tower": ["x.txt"]}

@@ -42,6 +42,7 @@ from codelattice.zlattice import (
 from oracles import (
     box_member,
     box_vectors,
+    fincke_pohst_levelwise,
     fincke_pohst_plain,
     frac_det,
     frac_lll,
@@ -419,6 +420,50 @@ def test_gso_matches_dense_oracle():
         assert gso_rows(L.basis) == integral_gso_dense(gram(L.basis))
 
 
+def sparse_basis(rng, n, rank, kind):
+    """``rank`` independent columns in Z^n, in random order: a mix of q e_r
+    and dense ones (``"unit"``), or 0/1 columns (``"bits"``)."""
+    while True:
+        cols = []
+        for _ in range(rank):
+            if kind == "unit" and rng.randrange(3):
+                r, q = rng.randrange(n), rng.choice((1, 2, 4, 5, -3))
+                cols.append(tuple(q if t == r else 0 for t in range(n)))
+            elif kind == "unit":
+                cols.append(tuple(rng.randint(-4, 4) for _ in range(n)))
+            else:
+                cols.append(tuple(rng.randrange(2) for _ in range(n)))
+        if frac_det(gram(cols)):
+            return cols
+
+
+def test_gso_rows_match_dense_oracle_on_sparse_columns():
+    # one pass of inner products per nonzero entry of b_k, and no collapse
+    # step for u = 0, must leave every integer of the dense loop; columns
+    # with one nonzero entry or 0/1 entries make most inner products zero
+    rng = random.Random(46)
+    lower = 0
+    for kind in ("unit", "bits"):
+        for _ in range(150):
+            n = rng.randrange(1, 10)
+            rank = rng.randrange(1, n + 1)
+            cols = sparse_basis(rng, n, rank, kind)
+            assert gso_rows(cols) == integral_gso_dense(gram(cols))
+            L = Lattice.from_generators(n, cols)
+            assert gso_rows(L.basis) == integral_gso_dense(gram(L.basis))
+            if rank < n:
+                # determinant reads det(Gram) off the last d of these rows
+                lower += 1
+                det = determinant(L)
+                dm = integral_gso_dense(gram(L.basis))[1][rank]
+                assert (det.value if det.squared else det.value * det.value) == dm
+    assert lower > 150
+    # cor23's HNF basis: 63 of its 67 columns are 4 e_r
+    L = build_cor23(seed=0)[1]
+    assert sum(sum(map(bool, col)) == 1 for col in L.basis) == 63
+    assert gso_rows(L.basis) == integral_gso_dense(gram(L.basis))
+
+
 def test_lll_matches_dense_gso_oracle():
     # filling each GSO row when LLL first reaches its column must give
     # exactly the basis, lam and d of LLL on a GSO computed up front
@@ -593,6 +638,53 @@ def test_sign_symmetric_walk_matches_plain_oracle():
         assert lam1 == ref_lam1
         assert _with_mirrors(leaves) == sorted(ref_leaves)
         tightened += lam1 < r0
+
+
+def qzn_lattice(rng, n, q):
+    """A random lattice containing q Z^n: the q e_j and a few columns in [0, q)."""
+    extra = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(1, n))]
+    return Lattice.from_generators(n, units(n, q) + extra)
+
+
+def test_walk_matches_levelwise_oracle():
+    # skipping a run of forced-zero levels in one loop must keep the leaves,
+    # the radius and the node count of the walk that takes them one by one
+    rng = random.Random(45)
+    cases = []  # (lattice, radius of the listing walk)
+    for rank in range(1, 9):
+        for _ in range(3):
+            cases.append((rand_lattice_of_rank(rng, rank), rng.randrange(0, 120)))
+    cases.append((construction_a(golay_code()), 4))
+    cases += [(build_cor23(seed=s)[1], 16) for s in (0, 1, 2, 373305)]
+    for q in (2, 3, 4, 6):
+        for _ in range(3):
+            R = rng.choice((q * q - 1, q * q, 2 * q * q))
+            cases.append((qzn_lattice(rng, rng.randrange(3, 7), q), R))
+    for L, R in cases:
+        reduced, lam, d = lll_reduce(L, DEFAULT_DELTA)
+        r0 = min(sum(e * e for e in c) for c in reduced)
+        for radius, shortest in ((R, False), (r0, True)):
+            ref_radius, ref_leaves, nodes = fincke_pohst_levelwise(lam, d, radius, 10**9, shortest)
+            assert _enumerate(lam, d, radius, 10**9, shortest) == (ref_radius, ref_leaves)
+            assert least_budget(lambda budget: _enumerate(lam, d, radius, budget, shortest)) == nodes
+            with pytest.raises(EnumerationBudgetExceeded):
+                fincke_pohst_levelwise(lam, d, radius, nodes - 1, shortest)
+    # diag(1, 1, 5, 5, 5, 5) at R = 4: the first descent meets levels 5..2
+    # with centre 0 and B_i = 25 > 4, so the walk opens with a forced-zero
+    # run of four nodes, and x_1 = 2 leaves level 0 forced too; the budgets
+    # 1..3 run out inside the first run
+    L = Lattice.from_generators(6, units(6, 1)[:2] + units(6, 5)[2:])
+    _, lam, d = lll_reduce(L, DEFAULT_DELTA)
+    assert d == [1, 1, 1, 25, 625, 15625, 390625]
+    nodes = fincke_pohst_levelwise(lam, d, 4, 10**9, False)[2]
+    for budget in range(nodes):
+        for walk in (_enumerate, fincke_pohst_levelwise):
+            with pytest.raises(EnumerationBudgetExceeded):
+                walk(lam, d, 4, budget, False)
+    # level 1 takes x_1 = 0, 1, 2; level 0 then takes 0..2, -1..1 and the forced 0
+    assert nodes == 4 + 3 + (3 + 3 + 1)
+    # 0, e1, 2 e1, e2 - e1, e2, e1 + e2, 2 e2: one of each +-v pair
+    assert len(_enumerate(lam, d, 4, nodes, False)[1]) == 7
 
 
 def test_coeff_interval_closed_form():
