@@ -27,7 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, lcm, prod
+from operator import neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -255,16 +257,18 @@ def determinant(L: Lattice) -> Determinant:
 def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int], k: int) -> None:
     """Fill ``lam[k][:k]`` and ``d[k+1]``, the integral GSO row of ``basis[k]``.
 
-    Rows 0..k-1 must already hold the GSO of ``basis[:k]``.  ``d[0] = 1``,
-    ``d[i+1] = det Gram(b_0..b_i) > 0`` and, for j < i,
-    ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.  All are
-    integers and every division below is exact.  Cohen's recurrence
+    Rows 0..k-1 must already hold the GSO of ``basis[:k]``, and row k must
+    still be all zero.  ``d[0] = 1``, ``d[i+1] = det Gram(b_0..b_i) > 0``
+    and, for j < i, ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.
+    All are integers and every division below is exact.  Cohen's recurrence
     u <- (d_{i+1} u - lam_ki lam_ji) / d_i starts from <b_k, b_j>, for all
     j <= k in one list pass per nonzero entry of b_k, the first one first:
     the callers pass independent columns (an HNF basis, or LLL's transform
-    of one), so b_k is not zero.  It skips the zero products: over a run
-    i = s..e-1 of them u_i / d_i is constant, so the run is the one exact
-    step u <- u d_e / d_s, which u = 0 skips too.
+    of one), so b_k is not zero.  Below the first nonzero <b_k, b_j> every
+    u stays 0, so ``lam[k][j]`` is 0 there and the recurrence starts at
+    that j; <b_k, b_k> > 0 bounds it.  It skips the zero products: over a
+    run i = s..e-1 of them u_i / d_i is constant, so the run is the one
+    exact step u <- u d_e / d_s, which u = 0 skips too.
     """
     cols = basis[:k + 1]
     bk = [(t, x) for t, x in enumerate(basis[k]) if x]
@@ -273,7 +277,7 @@ def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int],
     for t, x in bk[1:]:
         g = [a + x * bj[t] for a, bj in zip(g, cols)]
     lk, nk = lam[k], []  # nk: the columns i < j with lam[k][i] != 0
-    for j in range(k + 1):
+    for j in range(next(compress(range(k + 1), g)), k + 1):
         lj = lam[j]
         u, s = g[j], 0
         for i in nk:
@@ -292,23 +296,32 @@ def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int],
             d[k + 1] = u
 
 
-def _swap(lam: list[list[int]], d: list[int], k: int) -> None:
+def _swap(lam: list[list[int]], d: list[int], clean: list[int], k: int, kmax: int) -> None:
     """Update the integral GSO in place for swapping columns k-1 and k (Cohen SWAPI).
 
-    lam[k][k-1] is unchanged; a later row with lam_ik = lam_i,k-1 = 0 keeps
-    both zero and is skipped, as are the rows LLL has not reached yet,
-    which are still all zero.
+    Rows k-1 and k exchange their lists, so their first k-1 entries trade
+    places with no copy; only column k-1 is fixed, where lam[k][k-1] keeps
+    its value and row k-1 takes a 0.  Of the later rows only k+1..kmax are
+    visited, since the rows LLL has not reached yet are still all zero; one
+    with lam_ik = lam_i,k-1 = 0 keeps both zero and is skipped.  ``clean``
+    is :func:`lll_reduce`'s count of size-reduced leading entries per row:
+    the two swapped rows and each changed later row keep at most k-1.
     """
-    lk, lprev = lam[k], lam[k - 1]
-    lk[:k - 1], lprev[:k - 1] = lprev[:k - 1], lk[:k - 1]
-    lkk = lk[k - 1]
+    lam[k - 1], lam[k] = lam[k], lam[k - 1]
+    lprev, lk = lam[k - 1], lam[k]
+    lkk = lprev[k - 1]
+    lprev[k - 1], lk[k - 1] = 0, lkk
+    clean[k - 1] = clean[k] = k - 1
     dk, dk1 = d[k], d[k + 1]
     dnew = (d[k - 1] * dk1 + lkk * lkk) // dk
-    for li in lam[k + 1:]:
+    for i in range(k + 1, kmax + 1):
+        li = lam[i]
         t, a = li[k], li[k - 1]
         if t or a:
             li[k] = (dk1 * a - lkk * t) // dk
             li[k - 1] = (dnew * t + lkk * li[k]) // dk1
+            if clean[i] >= k:
+                clean[i] = k - 1
     d[k] = dnew
 
 
@@ -323,7 +336,17 @@ def lll_reduce(
     front.  Each step size-reduces b_k against b_{k-1} .. b_0, then tests
     the Lovasz condition with the given delta, swaps and steps back on
     failure.  The GSO of an ordered basis is unique, so the integers and
-    every decision are those of a full GSO of the HNF basis.  Exact and
+    every decision are those of a full GSO of the HNF basis.
+
+    ``clean[k]`` is the length of a prefix of ``lam[k]`` known to be
+    size-reduced (2|lam_kj| <= d_{j+1}), and the scan stops there unless
+    it reduces: a reduction at j changes only lam[k][:j+1], so the scan
+    then goes on down to 0 as before, and without one the entries below
+    ``clean[k]`` are unchanged and stay reduced.  A swap at k changes only
+    d_k, the bound of column k-1: the new rows k-1 and k, whose first k-1
+    entries come from size-reduced rows, are clean up to k-1, and so is
+    every row past k that it changes (:func:`_swap`).  So every decision,
+    basis and GSO integer is that of the full scan.  Exact and
     deterministic; L is not modified.
     """
     delta = Fraction(delta)
@@ -333,6 +356,7 @@ def lll_reduce(
     m = L.rank
     basis = list(L.basis)
     lam, d = [[0] * m for _ in range(m)], [1] * (m + 1)
+    clean = [0] * m
     if m:
         _gso_row(basis, lam, d, 0)
     k, kmax = 1, 0
@@ -340,8 +364,10 @@ def lll_reduce(
         if k > kmax:
             kmax = k
             _gso_row(basis, lam, d, k)
-        bk, lk = basis[k], lam[k]
+        bk, lk, low = basis[k], lam[k], clean[k]
         for j in range(k - 1, -1, -1):
+            if j < low:
+                break
             # |mu_kj| > 1/2  <=>  2|lam_kj| > d_{j+1}; q = floor(mu_kj + 1/2)
             lkj, dj = lk[j], d[j + 1]
             if 2 * abs(lkj) > dj:
@@ -352,14 +378,16 @@ def lll_reduce(
                 for i in range(j):
                     if lj[i]:
                         lk[i] -= q * lj[i]
+                low = 0  # lam[k][:j] changed: scan it all
         basis[k] = bk
+        clean[k] = k
         # Lovasz: B_k >= (delta - mu^2) B_{k-1}, multiplied by d_k d_{k-1} q_delta
         lkk = lk[k - 1]
         if dq * (d[k + 1] * d[k - 1] + lkk * lkk) >= dp * d[k] * d[k]:
             k += 1
             continue
         basis[k - 1], basis[k] = bk, basis[k - 1]
-        _swap(lam, d, k)
+        _swap(lam, d, clean, k, kmax)
         k = max(k - 1, 1)
     return tuple(map(tuple, basis)), lam, d
 
@@ -462,8 +490,8 @@ def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[I
     """``(radius, vectors)`` sorted by norm, then value; ``R=None`` asks for the shortest.
 
     One LLL call, through the module-level name, so callers that wrap it
-    to time LLL see every reduction.  Each leaf is rebuilt over the nonzero
-    entries of the reduced columns only.
+    to time LLL see every reduction.  Each leaf is rebuilt over its nonzero
+    coefficients and the nonzero entries of their reduced columns only.
     """
     reduced, lam, d = lll_reduce(L, delta)
     shortest = R is None
@@ -473,13 +501,12 @@ def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[I
     out = []
     for norm, coeffs in leaves:
         v = [0] * L.n
-        for xi, col in zip(coeffs, sparse):
-            if xi:
-                for t, e in col:
-                    v[t] += xi * e
+        for xi, col in compress(zip(coeffs, sparse), coeffs):
+            for t, e in col:
+                v[t] += xi * e
         out.append((norm, tuple(v)))
         if norm:
-            out.append((norm, tuple(-e for e in v)))
+            out.append((norm, tuple(map(neg, v))))
     out.sort()
     return R, [v for _, v in out]
 

@@ -464,12 +464,23 @@ def test_gso_rows_match_dense_oracle_on_sparse_columns():
     assert gso_rows(L.basis) == integral_gso_dense(gram(L.basis))
 
 
-def test_lll_matches_dense_gso_oracle():
-    # filling each GSO row when LLL first reaches its column must give
-    # exactly the basis, lam and d of LLL on a GSO computed up front
+def tower_basis(rng, n, q):
+    """A seeded basis shaped like cor23's HNF: q e_r columns, and 2-4 dense
+    0/1 columns with pivot 1 at random rows."""
+    cols = [tuple(q if t == r else 0 for t in range(n)) for r in range(n)]
+    for r in rng.sample(range(n), rng.randrange(2, 5)):
+        cols[r] = tuple(int(t == r) or (t > r and rng.randrange(2)) for t in range(n))
+    return Lattice.from_generators(n, cols)
+
+
+def test_lll_matches_dense_gso_oracle(monkeypatch):
+    # filling each GSO row when LLL first reaches its column, scanning only
+    # the entries a swap may have left unreduced, and swapping row lists
+    # must give exactly the basis, lam and d of LLL on a GSO computed up
+    # front that scans every entry and swaps every later row
     rng = random.Random(44)
     cases = [Lattice.from_generators(3, [])]
-    cases += [build_cor23(seed=s)[1] for s in range(3)]
+    cases += [build_cor23(seed=s)[1] for s in (0, 1, 2, 373305)]
     cases.append(build_cor23(m=40, seed=0)[1])
     cases.append(construction_a(golay_code()))
     cases.append(dense_construction_a(rng))
@@ -481,8 +492,21 @@ def test_lll_matches_dense_gso_oracle():
     small = [rand_lattice_of_rank(rng, rng.randrange(1, 11)) for _ in range(120)]
     assert sum(L.rank < L.n for L in small) > 30
     runs += [(L, delta) for L in small for delta in LLL_DELTAS]
+    towers = [tower_basis(rng, rng.randrange(8, 25), q) for q in (2, 3, 4) for _ in range(12)]
+    runs += [(L, delta) for L in towers for delta in (Fraction(3, 4), DEFAULT_DELTA)]
     for L, delta in runs:
         assert lll_reduce(L, delta) == lll_dense_gso(L.basis, delta)
+    # the tower bases must swap far below kmax, where the bookkeeping works
+    swap, deep = zlattice._swap, []
+
+    def counted(lam, d, clean, k, kmax):
+        deep.append(kmax - k)
+        swap(lam, d, clean, k, kmax)
+
+    monkeypatch.setattr(zlattice, "_swap", counted)
+    for L in towers:
+        lll_reduce(L)
+    assert sum(gap >= 2 for gap in deep) > 200
 
 
 def test_each_enumeration_makes_one_lll_call(monkeypatch):
