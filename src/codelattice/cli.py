@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
-from typing import Optional
 
 from .constructions import (
     DTowerInput,
@@ -179,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")

@@ -26,11 +26,11 @@ integer-lattice construction on top of that lift:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import prod
-from typing import Iterable, Sequence
 
 from .errors import (
     LengthMismatch,

@@ -22,10 +22,10 @@ tokens for the individual verification targets.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
 
 from .constructions import (
     C_STAR_CROSSCHECK_CAP,
@@ -787,7 +787,7 @@ def golay_lp_check(p) -> dict:
     }
 
 
-def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> dict:
+def verify_cstar_collapse(C: Code | None = None, seed: int = 0) -> dict:
     """Check that the nested-intersection construction equals the scaled
     mod-2 lattice, either on one given code or on seeded random codes."""
     if C is not None:
@@ -831,7 +831,7 @@ def verify_cstar_collapse(C: Optional[Code] = None, seed: int = 0) -> dict:
     }
 
 
-def verify_dbar_schur(T: Optional[CodeTower] = None) -> dict:
+def verify_dbar_schur(T: CodeTower | None = None) -> dict:
     """Check agreement between the generator-pair closure test and the
     coset-count lattice decision on a tower (default: the bundled
     non-closed tower, whose span holds a vector the set sum misses)."""

@@ -9,18 +9,19 @@ Codes are column-generated: ``Code(G)`` is the F2-span of the columns of G,
 its dimension is the F2-rank of G.  Distance, minimum-weight words and
 kissing number all read one cached sweep per code, which weighs all 2^k
 codewords bit-sliced, up to 2^16 of them per big-integer pass (see
-:meth:`Code._min_weight_bits`).  The ternary sign search does not read
-that cached sweep: :meth:`Code.light_words` lists its light words from an
-uncached pass of its own over the same chunks, and when the search radius
-passes the support cap, :meth:`Code.least_weight_above` runs one more.
-Every sweep is hard-capped at rank 28 and refuses larger inputs with
-:class:`RankTooLarge`.
+:meth:`Code._min_weight_bits`); each chunk adds only the coordinates where
+it differs from the nearer of two anchor chunks.  The ternary sign search
+does not read that cached sweep: :meth:`Code.light_words` lists its light
+words from an uncached pass of its own over the same chunks, and when the
+search radius passes the support cap, :meth:`Code.least_weight_above` runs
+one more.  Every sweep is hard-capped at rank 28 and refuses larger inputs
+with :class:`RankTooLarge`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, NotATower, RankTooLarge, ShapeMismatch, ZeroCode
 
@@ -168,7 +169,7 @@ class BinaryMatrix:
         raise AttributeError("BinaryMatrix is immutable")
 
     @classmethod
-    def from_columns(cls, columns: Sequence[BinaryVector], n: Optional[int] = None) -> "BinaryMatrix":
+    def from_columns(cls, columns: Sequence[BinaryVector], n: int | None = None) -> "BinaryMatrix":
         if not columns:
             if n is None:
                 raise ValueError("empty matrix needs an explicit row count")
@@ -305,7 +306,7 @@ def kernel_basis(M: BinaryMatrix) -> list[BinaryVector]:
     return basis
 
 
-def solve(M: BinaryMatrix, y: BinaryVector) -> Optional[BinaryVector]:
+def solve(M: BinaryMatrix, y: BinaryVector) -> BinaryVector | None:
     """Some x with Mx = y over F2, or None when y is not in the column span.
 
     Each column is tagged with its own unit vector below it, c << k | e_j,
@@ -352,21 +353,21 @@ def _chunk_width(n: int, k: int) -> int:
     return c
 
 
-def _compress(base: list[int], ints: Iterable[int]) -> list[int]:
-    """The LSB-first weight planes of ``base`` plus the 0/1 ints, carry-save.
+def _compress(pending: list[list[int]], ints: Iterable[int], at: int, width: int) -> list[int]:
+    """The LSB-first weight planes, mod 2^width, of a start weight plus 2^at times the 0/1 ints.
 
-    Each weight 2^b keeps a list of at most two pending ints, seeded with
-    base[b].  An int that meets two others there goes through a full adder:
-    their sum stays at 2^b, and their carry moves on to 2^(b+1).  At the
-    end a half adder leaves one int per weight.  A full adder costs five
+    pending[b] lists the at most two ints of weight 2^b that make up the
+    start weight, and is consumed.  An int that meets two others at its
+    weight goes through a full adder: their sum stays at 2^b, and their
+    carry moves on to 2^(b+1), or is dropped past 2^(width-1).  At the end
+    a half adder leaves one int per weight.  A full adder costs five
     big-int operations and retires one int, however far a ripple-carry add
-    would have carried, and only O(log n) ints are held beside ``ints``.
+    would have carried, and only O(width) ints are held beside ``ints``.
     Returns one plane per weight, with no zero plane on top.
     """
-    pending = [[p] for p in base]
 
     def add(b: int, x: int) -> None:
-        while x:
+        while x and b < width:
             if b == len(pending):
                 pending.append([x])
                 return
@@ -381,7 +382,7 @@ def _compress(base: list[int], ints: Iterable[int]) -> list[int]:
             b += 1
 
     for x in ints:
-        add(0, x)
+        add(at, x)
     planes = []
     b = 0
     while b < len(pending):
@@ -390,7 +391,7 @@ def _compress(base: list[int], ints: Iterable[int]) -> list[int]:
             x, y = pend
             add(b + 1, x & y)
             pend = [x ^ y]
-        planes.append(pend[0])
+        planes.append(pend[0] if pend else 0)
         b += 1
     while planes and not planes[-1]:
         planes.pop()
@@ -406,13 +407,18 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
     yields ``(offset, const, planes, full)``: the weight of word i is
     const + sum_b (bit i of planes[b]) << b, and full = 2^(2^c) - 1.
 
-    Coordinate t of word i, over all i, is one 2^c-bit int: the XOR of the
-    patterns M_j (bit i of M_j is bit j of i) of the low words that set t,
-    complemented when the offset sets t.  A coordinate no high word sets
-    is never complemented, so those are summed once into the base planes;
-    one no low word sets adds the constant bit of the offset.  Only the
-    rest vary, n - k of them at most for a reduced echelon basis; each
-    chunk sums them with the base planes by :func:`_compress`.
+    Coordinate t of word i, over all i, is one 2^c-bit int: x_t, the XOR
+    of the patterns M_j (bit i of M_j is bit j of i) of the low words that
+    set t, or x_t ^ full when the offset sets t.  A coordinate no high word
+    sets is never complemented, so those are summed once into the base
+    planes; one no low word sets adds the constant bit of the offset.  Only
+    the rest, V, vary: n - k of them at most for a reduced echelon basis.
+    Two anchors add them to the base once per sweep, T0 as x_t and T1 as
+    x_t ^ full.  A chunk whose offset sets F of V, and not G, weighs
+    T0 - |F| + 2 * sum(x_t ^ full, t in F) = T1 - |G| + 2 * sum(x_t, t in G),
+    so :func:`_compress` adds only the smaller of F and G (F at a tie), at
+    weight 2, to the nearer anchor less that count.  It works mod 2^W,
+    W = n.bit_length(), which keeps every weight, as no weight exceeds n.
     """
     low, high = basis[:c], basis[c:]
     c = len(low)
@@ -428,7 +434,7 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
         touched |= h
     fixed: list[int] = []
     varying: list[tuple[int, int]] = []
-    constant = 0
+    spread = constant = 0
     for t in range(n):
         x = 0
         for j, w in enumerate(low):
@@ -439,15 +445,29 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
                 fixed.append(x)
         elif x:
             varying.append((t, x))
+            spread |= 1 << t
         else:
             constant |= 1 << t
-    base = _compress([], fixed)
+    width = n.bit_length()
+    base = _compress([], fixed, 0, width)
+    anchors = [
+        _compress([[p] for p in base], (x ^ f for _, x in varying), 0, width) for f in (0, full)
+    ]
     offset = 0
     for g in range(1 << len(high)):
         if g:
             offset ^= high[(g & -g).bit_length() - 1]
-        planes = _compress(base, (x ^ full if offset >> t & 1 else x for t, x in varying))
-        yield offset, (offset & constant).bit_count(), planes, full
+        flips = (offset & spread).bit_count()
+        if 2 * flips <= len(varying):
+            anchor, ints = anchors[0], (x ^ full for t, x in varying if offset >> t & 1)
+        else:
+            flips = len(varying) - flips
+            anchor, ints = anchors[1], (x for t, x in varying if not offset >> t & 1)
+        seed = [[p] for p in anchor] + [[] for _ in range(width - len(anchor))]
+        for b in range(width):
+            if -flips >> b & 1:
+                seed[b].append(full)
+        yield offset, (offset & constant).bit_count(), _compress(seed, ints, 1, width), full
 
 
 def _least(planes: list[int], cand: int, m: int, cap: int) -> tuple[int, int]:
@@ -599,14 +619,16 @@ class Code:
 
         A bit-sliced sweep weighs the 2^k codewords in 2^(k-c) chunks of
         2^c, c = min(k, 16) cut down until n * 2^c <= 2^24 bits (see
-        _chunks).  Per chunk, a carry-save compressor of full adders sums
-        the at most n - k coordinate ints that vary, with the base planes,
-        into ceil(log2(n+1)) weight planes, and reading the planes from the
-        top gives the chunk's least weight and its positions.  The
-        coordinate ints hold n * 2^c <= 2^24 bits (2 MB) whatever k is, and
-        the compressor O(log n) ints of 2^c bits more.  At the rank-28 cap,
-        a systematic [48, 28] code takes about 0.4 s (a one-word Gray walk
-        about 40 s).
+        _chunks).  Two anchor chunks sum the coordinate ints that vary, at
+        most n - k of them, with the base planes once per sweep.  Every
+        other chunk starts from the nearer anchor and a carry-save
+        compressor of full adders adds only the ints where it differs, at
+        most half of them, into n.bit_length() weight planes; reading the
+        planes from the top gives the chunk's least weight and its
+        positions.  The coordinate ints hold n * 2^c <= 2^24 bits (2 MB)
+        whatever k is, and the compressor O(log n) ints of 2^c bits more.
+        At the rank-28 cap, a systematic [48, 28] code takes about 0.12 s
+        (a one-word Gray walk about 40 s).
 
         The sweep runs on the first call only; the tuple is cached on the
         code, which is immutable, so it never goes stale.
@@ -632,7 +654,7 @@ class Code:
             for b in words(offset, mask if offset else mask & ~1):
                 yield BinaryVector(self.n, b)
 
-    def least_weight_above(self, w: int) -> Optional[int]:
+    def least_weight_above(self, w: int) -> int | None:
         """Least weight > w of a codeword, or None when none weighs more than w."""
         best = self.n + 1
         for offset, const, planes, full in _chunks(self.n, *self._swept()):

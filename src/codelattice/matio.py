@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from functools import lru_cache
-from importlib import resources
 
 from .errors import ParseError
 from .gf2core import BinaryMatrix, BinaryVector, Code, CodeTower
@@ -193,13 +192,13 @@ def load_matrix_tower(path: str) -> tuple[int, list[BinaryMatrix]]:
 # ---------------------------------------------------------------------------
 
 def data_path(name: str) -> str:
-    """Filesystem path of a bundled data file."""
-    return str(resources.files("codelattice").joinpath("data", name))
+    """Filesystem path of a bundled data file, next to this module."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 def _read_bundled(name: str):
-    text = resources.files("codelattice").joinpath("data", name).read_text()
-    return parse_matrix(text, source=name)
+    with open(data_path(name), encoding="ascii") as f:
+        return parse_matrix(f.read(), source=name)
 
 
 @lru_cache(maxsize=None)

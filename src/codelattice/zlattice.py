@@ -25,12 +25,12 @@ comparisons; floating point appears nowhere.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm, prod
 from operator import neg
-from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,

@@ -424,6 +424,63 @@ def test_carry_save_chunks_match_ripple_oracle():
             assert gf2core._min_weight_words(n, C._basis, c) == min_weight_words_gray(C)
 
 
+def test_anchored_chunks_match_ripple_oracle(monkeypatch):
+    # a chunk adds only the varying coordinates V where its offset differs
+    # from the nearer anchor (none of V complemented, or all of it), at
+    # most |V|/2 of them, and its planes must equal the ripple oracle's:
+    # |V| of 0, 1, odd and even, the tie |F| = |V|/2, the chunk that
+    # complements all of V, lengths where n.bit_length() steps (each code
+    # holding the all-ones word, so weight n occurs) and code-construct's
+    # [48, 19-21] systematic codes at c = 16
+    rng = random.Random(16)
+    seen = set()
+    compress, added = gf2core._compress, []
+
+    def counted(pending, ints, at, width):
+        ints = list(ints)
+        if at:
+            added.append(len(ints))
+        return compress(pending, ints, at, width)
+
+    monkeypatch.setattr(gf2core, "_compress", counted)
+
+    def check(C, c):
+        n, basis = C.n, C._basis
+        lows = highs = 0
+        for w in basis[:c]:
+            lows |= w
+        for w in basis[c:]:
+            highs |= w
+        v = (lows & highs).bit_count()
+        seen.add(min(v, 2) + v % 2 * (v > 1))  # 0, 1, even or odd past 1
+        added.clear()
+        got = list(gf2core._chunks(n, basis, c))
+        assert got == list(chunks_ripple(n, basis, c))
+        assert len(added) == len(got) and max(added) <= v // 2
+        for offset, _, _, _ in got:
+            f = (offset & lows & highs).bit_count()
+            if v and 2 * f == v:
+                seen.add("tie")
+            if v and f == v:
+                seen.add("all")
+        assert gf2core._min_weight_words(n, basis, c) == min_weight_words_gray(C)
+
+    check(Code(BinaryMatrix.identity(6)), 3)
+    check(Code(BinaryMatrix.from_rows([[1, 0], [0, 1], [1, 1]])), 1)
+    for n in (31, 32, 63, 64, 127, 128):
+        C = Code(BinaryMatrix(n, [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(5)]))
+        for c in range(1, C.dimension + 1):
+            check(C, c)
+    for _ in range(30):
+        n = rng.randrange(2, 20)
+        C = rand_code(rng, n, rng.randrange(2, min(n, 8) + 1))
+        for c in range(1, C.dimension):
+            check(C, c)
+    for k in (19, 20, 21):
+        check(systematic_code(random.Random(k + 100), 48, k), 16)
+    assert seen == {0, 1, 2, 3, "tie", "all"}
+
+
 def test_sweep_memory_is_bounded_by_chunk_width():
     # n * 2^c <= 2^24 bits: a [2048, 15] code sweeps in chunks of 2^13
     # words, whose 2048 coordinate ints hold 2 MB together
@@ -453,21 +510,35 @@ def test_min_distance_rank_24_under_a_second():
     assert all(C.contains(w) and w.weight == 7 for w in min_weight_codewords(C))
 
 
+def assert_light_words_match_codewords(C):
+    weights = sorted(w.weight for w in C.codewords())
+    for limit in range(-1, C.n + 2):
+        want = sorted(w for w in C.codewords() if 0 < w.weight <= limit)
+        assert sorted(C.light_words(limit)) == want
+        above = [w for w in weights if w > limit]
+        assert C.least_weight_above(limit) == (above[0] if above else None)
+
+
 def test_light_words_and_least_weight_above_match_codewords():
     rng = random.Random(14)
     for _ in range(40):
         n, k = rng.randrange(1, 12), rng.randrange(0, 7)
-        C = Code(rand_matrix(rng, n, k))
-        weights = sorted(w.weight for w in C.codewords())
-        for limit in range(-1, n + 2):
-            want = sorted(w for w in C.codewords() if 0 < w.weight <= limit)
-            assert sorted(C.light_words(limit)) == want
-            above = [w for w in weights if w > limit]
-            assert C.least_weight_above(limit) == (above[0] if above else None)
+        assert_light_words_match_codewords(Code(rand_matrix(rng, n, k)))
     with pytest.raises(RankTooLarge):
         next(Code(BinaryMatrix.identity(29)).light_words(3))
     with pytest.raises(RankTooLarge):
         Code(BinaryMatrix.identity(29)).least_weight_above(3)
+
+
+def test_light_words_and_least_weight_above_across_chunks(monkeypatch):
+    # chunk widths of 2-4 below the rank, so _at_most and _least read
+    # several chunks, the zero word in chunk 0 only
+    rng = random.Random(17)
+    for _ in range(30):
+        monkeypatch.setattr(gf2core, "_CHUNK_RANK", rng.randrange(2, 5))
+        C = rand_code(rng, rng.randrange(6, 13), rng.randrange(gf2core._CHUNK_RANK + 1, 7))
+        assert C._swept()[1] == gf2core._CHUNK_RANK < C.dimension
+        assert_light_words_match_codewords(C)
 
 
 def test_min_distance_rank_cap():

@@ -1,6 +1,8 @@
 """The package imports nothing outside the Python standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,11 @@ def test_package_imports_only_the_standard_library():
                 if top != "codelattice" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {name}")
     assert foreign == []
+
+
+def test_cli_import_loads_neither_typing_nor_importlib_resources():
+    # without site hooks, which may load either for their own use
+    probe = "import sys, codelattice.cli; print(sorted({'typing', 'importlib.resources'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
