@@ -18,7 +18,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
 
 from .constructions import (
-    DTowerInput,
     construction_a,
     construction_c_star,
     construction_d,
@@ -273,7 +272,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif name == "c-star":
         L = construction_c_star(C)
     elif name == "d":
-        L = construction_d(DTowerInput(tuple(blocks)), strict=True)
+        L = construction_d(blocks, strict=True)
     elif name == "d-special":
         if len(blocks) < 2:
             raise ParseError("d-special needs at least two blocks")
@@ -324,7 +323,7 @@ def _cmd_lattice_analyze(args: argparse.Namespace) -> int:
     sv = shortest_vectors(L, budget=args.budget, delta=args.delta)
     fmt = args.fmt or "text"
     if fmt == "json":
-        _emit(_dump_json(sv.to_dict()), args.out)
+        _emit(_dump_json(sv._asdict()), args.out)
     else:
         lines = [
             f"rank = {L.rank} of n = {L.n}",

@@ -27,7 +27,6 @@ integer-lattice construction on top of that lift:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import prod
@@ -59,7 +58,6 @@ __all__ = [
     "mod2_reduction",
     "construction_a",
     "construction_a_member",
-    "DTowerInput",
     "construction_d",
     "vladut_special_d",
     "simplified_d",
@@ -129,60 +127,39 @@ def construction_a_member(C: Code, v: Sequence[int]) -> bool:
     return C.contains(mod2_reduction(v))
 
 
-@dataclass(frozen=True)
-class DTowerInput:
-    """Generator blocks K_0 .. K_a: block (K_i .. K_a) generates level C_i."""
-
-    matrices: tuple[BinaryMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.matrices) < 2:
-            raise ShapeMismatch("need at least K_0 and K_1")
-        n = self.matrices[0].n
-        for M in self.matrices:
-            if M.n != n:
-                raise ShapeMismatch("generator blocks have different row counts")
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].n
-
-    @property
-    def a(self) -> int:
-        return len(self.matrices) - 1
-
-    def _stack(self, i: int = 0) -> BinaryMatrix:
-        """The blocks K_i .. K_a side by side."""
-        return BinaryMatrix(self.n, [col for M in self.matrices[i:] for col in M.cols])
-
-    def level_code(self, i: int) -> Code:
-        """C_i, the span of blocks K_i .. K_a (C_0 is the full space)."""
-        return Code(self._stack(i))
+def _stack(n: int, blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:
+    """The blocks side by side."""
+    return BinaryMatrix(n, [col for M in blocks for col in M.cols])
 
 
-def construction_d(inp: DTowerInput, strict: bool = True) -> Lattice:
+def construction_d(blocks: Sequence[BinaryMatrix], strict: bool = True) -> Lattice:
     """Lattice generated by the scaled embedded blocks 2^(a-i) bar K_i.
 
-    Strict mode validates the tower: the concatenated blocks must be a
-    basis of F2^n (so every suffix block stack has independent columns),
-    no level C_i may be zero, and d(C_i) >= 4^i for i >= 1.  Non-strict
-    only checks shapes, which the special instances below need (they may
-    violate the distance bounds).
+    ``blocks`` are K_0 .. K_a, all with n rows; level C_i is the span of
+    K_i .. K_a.  Strict mode validates the tower: the concatenated blocks
+    must be a basis of F2^n (so every suffix block stack has independent
+    columns), no level C_i may be zero, and d(C_i) >= 4^i for i >= 1.
+    Non-strict only checks shapes, which the special instances below need
+    (they may violate the distance bounds).
     """
-    n, a = inp.n, inp.a
+    if len(blocks) < 2:
+        raise ShapeMismatch("need at least K_0 and K_1")
+    n, a = blocks[0].n, len(blocks) - 1
+    if any(M.n != n for M in blocks):
+        raise ShapeMismatch("generator blocks have different row counts")
     if strict:
-        supplied = sum(M.k for M in inp.matrices)
+        supplied = sum(M.k for M in blocks)
         if supplied != n:
             raise TowerViolation(f"blocks supply {supplied} columns for ambient dimension {n}")
-        if rank(inp._stack()) != n:
+        if rank(_stack(n, blocks)) != n:
             raise TowerViolation("concatenated blocks do not span F2^n")
         for i in range(1, a + 1):
-            Ci = inp.level_code(i)
+            Ci = Code(_stack(n, blocks[i:]))
             if Ci.dimension == 0:
                 raise TowerViolation(f"level {i} is the zero code")
             if min_distance(Ci) < 4**i:
                 raise TowerViolation(f"d(C_{i}) < 4^{i}")
-    gens = [g for i, M in enumerate(inp.matrices) for g in _lift(2 ** (a - i), M.columns())]
+    gens = [g for i, M in enumerate(blocks) for g in _lift(2 ** (a - i), M.columns())]
     return Lattice.from_generators(n, gens)
 
 
@@ -208,10 +185,10 @@ def vladut_special_d(
     total = K0.k + len(c_list) + Ka.k
     if total != n:
         raise NotFullRank(f"{total} columns for ambient dimension {n}")
-    inp = DTowerInput((K0, *[BinaryMatrix(n, (c.bits,)) for c in c_list], Ka))
-    if rank(inp._stack()) != n:
+    blocks = (K0, *[BinaryMatrix(n, (c.bits,)) for c in c_list], Ka)
+    if rank(_stack(n, blocks)) != n:
         raise NotFullRank("(K_0 | c_1 | ... | K_a) is singular over F2")
-    return construction_d(inp, strict=False)
+    return construction_d(blocks, strict=False)
 
 
 def simplified_d(C: Code) -> Lattice:

@@ -22,8 +22,8 @@ tokens for the individual verification targets.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -130,27 +130,22 @@ def stack_with_replication(top: BinaryMatrix, bottom: BinaryMatrix, m: int) -> B
     return BinaryMatrix(top.n + low.n, [t << low.n | b for t, b in zip(top.cols, low.cols)])
 
 
-@dataclass(frozen=True)
-class Thm22Gadget:
+class Thm22Gadget(namedtuple("Thm22Gadget", "A B w a m seed")):
     """Data for the scaled-tower counterexample: lattice from level matrices
     (K_0, c_1, .., c_{a-1}, K_a) where K_a = [A; B replicated m times]."""
 
-    A: BinaryMatrix
-    B: BinaryMatrix
-    w: BinaryVector
-    a: int
-    m: int
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.A.k != self.B.k or self.w.n != self.A.k:
-            raise ShapeMismatch(
-                f"A has {self.A.k} columns, B has {self.B.k}, w has length {self.w.n}"
-            )
-        if self.a < 2:
+    def __new__(
+        cls, A: BinaryMatrix, B: BinaryMatrix, w: BinaryVector, a: int, m: int, seed: int = 0
+    ):
+        if A.k != B.k or w.n != A.k:
+            raise ShapeMismatch(f"A has {A.k} columns, B has {B.k}, w has length {w.n}")
+        if a < 2:
             raise ValueError("scaling depth a must be >= 2")
-        if self.m <= 4**self.a:
-            raise ValueError(f"replication m = {self.m} must exceed 4^a = {4 ** self.a}")
+        if m <= 4**a:
+            raise ValueError(f"replication m = {m} must exceed 4^a = {4 ** a}")
+        return super().__new__(cls, A, B, w, a, m, seed)
 
     @property
     def k(self) -> int:
@@ -161,24 +156,19 @@ class Thm22Gadget:
         return self.A.n + self.m * self.B.n
 
 
-@dataclass(frozen=True)
-class Thm24Gadget:
+class Thm24Gadget(namedtuple("Thm24Gadget", "A B z m")):
     """Data for the short-span counterexample: the code [A; B replicated m
     times] whose minimum-weight codeword embeddings span a lattice with a
     member shorter than the code's minimum distance."""
 
-    A: BinaryMatrix
-    B: BinaryMatrix
-    z: IntVec
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.A.k != self.B.k or len(self.z) != self.A.k:
-            raise ShapeMismatch(
-                f"A has {self.A.k} columns, B has {self.B.k}, z has length {len(self.z)}"
-            )
-        if self.m < 1:
+    def __new__(cls, A: BinaryMatrix, B: BinaryMatrix, z: IntVec, m: int):
+        if A.k != B.k or len(z) != A.k:
+            raise ShapeMismatch(f"A has {A.k} columns, B has {B.k}, z has length {len(z)}")
+        if m < 1:
             raise ValueError("replication m must be >= 1")
+        return super().__new__(cls, A, B, z, m)
 
     @property
     def ell(self) -> int:

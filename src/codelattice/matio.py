@@ -44,10 +44,6 @@ __all__ = [
 _INT_TOKENS = re.compile(r"(?:[+-]?[0-9]+(?: |\Z))*")
 
 
-# the bit characters 0 and 1 as the bytes 0 and 1 that from_coords packs
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _parse_ints(tokens: list[str], source: str, what: str) -> list[int]:
     """The integers spelled by ``tokens``, each of the form [+-]?[0-9]+.
 
@@ -72,10 +68,10 @@ def parse_matrix(text: str, source: str = "<string>"):
     Z matrices come back as ``(rows, cols, columns)`` with ``columns`` a
     list of integer tuples (column-major, matching lattice generators).
     An F2 body whose every entry is the one character 0 or 1 is joined
-    into one string and packed column by column from its bytes, with no
-    int made per entry; any other body is read by the integer-token rule
-    and packed from those integers, so a non-bit entry is refused with the
-    same message either way.
+    into one string, and column c is the base-2 int of its slice
+    ``[c::cols]``, with no int made per entry; any other body is read by
+    the integer-token rule and packed from those integers, so a non-bit
+    entry is refused with the same message either way.
     """
     tokens = text.split()
     if len(tokens) < 3:
@@ -98,12 +94,12 @@ def parse_matrix(text: str, source: str = "<string>"):
     if field == "Z":
         entries = _parse_ints(body, source, "non-integer entry")
         return rows, cols, [tuple(entries[c::cols]) for c in range(cols)]
+    # the entries are row-major, so column c is entries[c::cols]
     digits = "".join(body)
     if len(digits) == len(body) and not digits.strip("01"):
-        entries = digits.encode().translate(_BITS)
-    else:
-        entries = _parse_ints(body, source, "non-integer entry")
-    # the entries are row-major, so column c is entries[c::cols]
+        # row 0 on top is the packed layout's most significant bit
+        return BinaryMatrix(rows, [int(digits[c::cols], 2) for c in range(cols)])
+    entries = _parse_ints(body, source, "non-integer entry")
     try:
         packed = [BinaryVector.from_coords(entries[c::cols]).bits for c in range(cols)]
     except ValueError:

@@ -24,9 +24,8 @@ comparisons; floating point appears nowhere.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm, prod
@@ -212,8 +211,7 @@ hnf = Lattice.from_generators
 contains = Lattice.contains
 
 
-@dataclass(frozen=True)
-class Determinant:
+class Determinant(namedtuple("Determinant", "value squared")):
     """Exact lattice determinant.
 
     ``squared`` False: ``value`` = det(L) (an integer for these lattices).
@@ -221,8 +219,7 @@ class Determinant:
     and det(L) = sqrt(value).
     """
 
-    value: int
-    squared: bool
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"sqrt({self.value})" if self.squared else str(self.value)
@@ -511,24 +508,10 @@ def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[I
     return R, [v for _, v in out]
 
 
-@dataclass(frozen=True)
-class ShortVectorReport:
-    """Exact shortest-vector data: squared length, kissing number, full set.
-
-    ``kissing`` counts signed vectors (v and -v separately); ``vectors``
-    is canonically ordered (ascending lexicographic).
-    """
-
-    lambda1_sq: int
-    kissing: int
-    vectors: tuple[IntVec, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda1_sq": self.lambda1_sq,
-            "kissing": self.kissing,
-            "vectors": [list(v) for v in self.vectors],
-        }
+# Exact shortest-vector data: squared length, kissing number, full set.
+# ``kissing`` counts signed vectors (v and -v separately); ``vectors`` is
+# canonically ordered (ascending lexicographic).
+ShortVectorReport = namedtuple("ShortVectorReport", "lambda1_sq kissing vectors")
 
 
 def shortest_vectors(

@@ -7,7 +7,7 @@ import pytest
 
 from codelattice import cli
 from codelattice.cli import main
-from codelattice.gf2core import BinaryMatrix, BinaryVector
+from codelattice.gf2core import BinaryMatrix, BinaryVector, complete_to_full_rank
 from codelattice.matio import data_path, read_matrix, write_f2_matrix, write_z_matrix
 from codelattice.zlattice import Lattice
 
@@ -353,6 +353,25 @@ def test_construct_d_bar_reports_verdict(capsys):
     assert rep["n"] == 4 and rep["rank"] == 4
 
 
+def test_construct_d_from_manifest(capsys, tmp_path):
+    # a = 1 with the repetition code: L_D = 2 bar K_0 + bar K_1 = L_A(C_1)
+    K1 = BinaryMatrix.from_rows([[1], [1], [1], [1]])
+    write_f2_matrix(str(tmp_path / "k0.txt"), complete_to_full_rank(K1))
+    write_f2_matrix(str(tmp_path / "k1.txt"), K1)
+    man = tmp_path / "tower.txt"
+    man.write_text("tower 4 2\nk0.txt\nk1.txt\n")
+    argv = ["construct", str(man), "--construction", "d", "--format", "json"]
+    code, out, _ = run(capsys, argv + ["--a", "1"])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["n"], rep["rank"], rep["determinant"]) == (4, 4, "8")
+    # one block is no tower: a construction error, not a crash
+    man.write_text("tower 4 1\nk0.txt\n")
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert err == "error: need at least K_0 and K_1\n"
+
+
 def test_construct_d_special_from_manifest(capsys, tmp_path):
     # blocks: K0 (3 cols), middle c1 (weight 4), Ka (1 col), n = 5
     write_f2_matrix(
@@ -485,10 +504,9 @@ def test_lattice_analyze_2z4_json(capsys, tmp_path):
     write_z_matrix(p, 4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
     code, out, _ = run(capsys, ["lattice-analyze", p, "--format", "json"])
     assert code == 0
-    rep = json.loads(out)
-    assert rep["lambda1_sq"] == 4
-    assert rep["kissing"] == 8
-    assert len(rep["vectors"]) == 8
+    vectors = sorted([s if j == i else 0 for j in range(4)] for i in range(4) for s in (2, -2))
+    expected = {"lambda1_sq": 4, "kissing": 8, "vectors": vectors}
+    assert out == json.dumps(expected, indent=2) + "\n"
     # an F2 file is a usage-level error here
     f2 = str(tmp_path / "f2.txt")
     write_f2_matrix(f2, BinaryMatrix.identity(2))

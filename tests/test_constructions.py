@@ -6,7 +6,6 @@ import pytest
 
 from codelattice import constructions, zlattice
 from codelattice.constructions import (
-    DTowerInput,
     _lift,
     c_star_definitional,
     construction_a,
@@ -169,29 +168,29 @@ def test_spanning_blocks_do_not_put_2Zn_in_construction_d():
     # for the HNF of construction_d would give a wrong basis
     K0 = BinaryMatrix.from_columns([bv((0, 1, 1, 1)), bv((1, 1, 0, 0))])
     K1 = BinaryMatrix.from_columns([bv((1, 0, 0, 1)), bv((1, 0, 1, 0))])
-    L = construction_d(DTowerInput((K0, K1)), strict=False)
+    L = construction_d((K0, K1), strict=False)
     assert [L.basis[j][r] for j, r in enumerate(L.pivots)] == [1, 2, 1, 6]
     assert determinant(L).value == 12
     assert not any(L.contains(e) for e in units(4, 2))
     assert vladut_special_d(K0, [], K1, 1) == L
 
 
-def test_dtower_input_validation():
+def test_construction_d_checks_block_shapes():
     I2 = BinaryMatrix.identity(2)
-    with pytest.raises(ShapeMismatch):
-        DTowerInput((I2,))
-    with pytest.raises(ShapeMismatch):
-        DTowerInput((I2, BinaryMatrix.identity(3)))
-    inp = DTowerInput((I2, I2))
-    assert inp.n == 2 and inp.a == 1
-    assert inp.level_code(1) == Code(I2)
+    for strict in (True, False):
+        with pytest.raises(ShapeMismatch, match="at least K_0 and K_1"):
+            construction_d((I2,), strict=strict)
+        with pytest.raises(ShapeMismatch, match="different row counts"):
+            construction_d((I2, BinaryMatrix.identity(3)), strict=strict)
+        with pytest.raises(ShapeMismatch, match="different row counts"):
+            construction_d((I2, BinaryMatrix.identity(3), I2), strict=strict)
 
 
 def test_construction_d_accepts_and_matches_a():
     # a = 1 with the repetition code: L_D = 2 bar K_0 + bar K_1 = L_A(C_1)
     K1 = BinaryMatrix.from_columns([bv((1, 1, 1, 1))])
     K0 = complete_to_full_rank(K1)
-    L = construction_d(DTowerInput((K0, K1)))
+    L = construction_d((K0, K1))
     assert L == construction_a(Code(K1))
     assert determinant(L).value == 8
 
@@ -201,22 +200,22 @@ def test_construction_d_strict_rejections():
     K0 = complete_to_full_rank(K1)
     # widths must sum to n
     with pytest.raises(TowerViolation):
-        construction_d(DTowerInput((K0.hstack(K0), K1)))
+        construction_d((K0.hstack(K0), K1))
     # concatenation must be invertible
     dup = BinaryMatrix.from_columns([bv((1, 0, 0, 0)), bv((1, 0, 0, 0)), bv((0, 1, 0, 0))])
     with pytest.raises(TowerViolation):
-        construction_d(DTowerInput((dup, K1)))
+        construction_d((dup, K1))
     # distance bound d(C_1) >= 4
     weak = BinaryMatrix.from_columns([bv((1, 0, 0, 0))])
     wide0 = complete_to_full_rank(weak)
     with pytest.raises(TowerViolation):
-        construction_d(DTowerInput((wide0, weak)))
+        construction_d((wide0, weak))
     # ... which non-strict mode skips
-    L = construction_d(DTowerInput((wide0, weak)), strict=False)
+    L = construction_d((wide0, weak), strict=False)
     assert L.rank == 4
     # empty top block: the level-a code is the zero code
     with pytest.raises(TowerViolation):
-        construction_d(DTowerInput((BinaryMatrix.identity(4), BinaryMatrix(4, ()))))
+        construction_d((BinaryMatrix.identity(4), BinaryMatrix(4, ())))
 
 
 def test_construction_d_distance_bound_second_level():
@@ -227,8 +226,8 @@ def test_construction_d_distance_bound_second_level():
     K1 = BinaryMatrix.from_columns([k1])
     K0 = complete_to_full_rank(K1.hstack(K2))
     with pytest.raises(TowerViolation, match="C_2"):
-        construction_d(DTowerInput((K0, K1, K2)))
-    L = construction_d(DTowerInput((K0, K1, K2)), strict=False)
+        construction_d((K0, K1, K2))
+    L = construction_d((K0, K1, K2), strict=False)
     assert L.contains(k2.coords())
     assert L.contains(tuple(2 * e for e in k1.coords()))
 

@@ -45,7 +45,14 @@ from codelattice.gf2core import (
     min_weight_codewords,
 )
 from codelattice.matio import cor23_matrices, cor25_matrices
-from codelattice.zlattice import Lattice, adjugate_solve, lp_power_sum_cmp, vectors_up_to
+from codelattice.zlattice import (
+    Lattice,
+    adjugate_solve,
+    determinant,
+    lp_power_sum_cmp,
+    shortest_vectors,
+    vectors_up_to,
+)
 
 from oracles import min_m_gallop, min_m_linear, sign_walk_tuples, thm22_mod4_sweep, thm24_kernel_walk
 
@@ -82,6 +89,24 @@ def test_gadget_validation():
         Thm24Gadget(A=A2, B=B2, z=(1, -1), m=4)
     with pytest.raises(ValueError):
         Thm24Gadget(A=A2, B=B2, z=z, m=0)
+
+
+def test_gadgets_and_results_refuse_every_assignment():
+    # named tuples with __slots__ = (): no field, property or new name can be set
+    A, B, w = cor23_matrices()
+    A2, B2, z = cor25_matrices()
+    L = Lattice.from_generators(2, [(1, 1)])
+    values = [
+        Thm22Gadget(A=A, B=B, w=w, a=2, m=17),
+        Thm24Gadget(A=A2, B=B2, z=z, m=4),
+        determinant(L),
+        shortest_vectors(L),
+    ]
+    for obj in values:
+        assert not hasattr(obj, "__dict__")
+        for name in (*obj._fields, "k", "n", "ell", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
 
 
 def test_thm22_hypotheses_pass_on_bundled_instance():

@@ -28,9 +28,10 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_cli_import_loads_neither_typing_nor_importlib_resources():
-    # without site hooks, which may load either for their own use
-    probe = "import sys, codelattice.cli; print(sorted({'typing', 'importlib.resources'} & set(sys.modules)))"
+def test_cli_import_loads_none_of_the_heavy_stdlib_modules():
+    # without site hooks, which may load any of them for their own use
+    heavy = "{'typing', 'importlib.resources', 'dataclasses', 'inspect'}"
+    probe = f"import sys, codelattice.cli; print(sorted({heavy} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -564,7 +564,7 @@ def test_shortest_vectors_matches_box_oracle():
         assert list(rep.vectors) == expect
         assert rep.kissing == len(expect)
         assert rep.kissing % 2 == 0  # v and -v both counted
-        d = rep.to_dict()
+        d = rep._asdict()
         assert d["lambda1_sq"] == lam and len(d["vectors"]) == rep.kissing
         shrunk += min(sum(e * e for e in c) for c in lll_reduce(L, delta)[0]) > lam
     assert shrunk >= 1
