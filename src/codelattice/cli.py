@@ -4,8 +4,8 @@ Exit codes: 0 success (and verification PASS), 1 verification failure,
 2 parse/usage error (a bad file or flag value, a flag the verify target does
 not read, an ``--out`` that cannot be written), 3 a work cap refused the
 input (sweep rank > 28, d-bar witness descent over > 2^20 digits, sign
-support > 24), 4 construction error, 5 enumeration budget exhausted,
-70 internal error (a bug, not a verdict).
+support > 24, enumeration rank > 768), 4 construction error, 5 enumeration
+budget exhausted, 70 internal error (a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .matio import (
     load_matrix_tower,
     read_matrix,
 )
-from .zlattice import DEFAULT_BUDGET, DEFAULT_DELTA, Lattice, determinant, shortest_vectors
+from .zlattice import DEFAULT_BUDGET, Lattice, determinant, shortest_vectors
 
 CONSTRUCTIONS = ("a", "d", "d-special", "simplified-d", "c-star", "d-bar")
 TEXT_VECTOR_CAP = 1000
@@ -107,10 +107,6 @@ _P_GOLAY = _p_flag(2, "a rational in [1, 2]")
 _SEED = ("--seed", dict(type=int, default=0))
 _FULL_ENUM = ("--full-enum", dict(action="store_true"))
 _BUDGET = ("--budget", _checked(int, lambda b: b >= 1, "a positive integer", DEFAULT_BUDGET))
-_DELTA = (
-    "--delta",
-    _checked(_rational, lambda q: Fraction(1, 4) < q < 1, "a rational in (1/4, 1)", DEFAULT_DELTA),
-)
 _TOWER = ("--tower", dict(help="tower manifest (default: bundled)"))
 
 # verify target -> (the flags it reads, run); each run looks its verifier up
@@ -161,12 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser("construct", help="build a lattice and print its HNF basis")
     p_con.add_argument("path", help="F2 matrix file, or a tower manifest for d/d-special/d-bar")
     p_con.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
-    p_con.add_argument("--a", type=int, default=None, help="expected scaling depth (validated)")
     common(p_con)
 
     p_an = sub.add_parser("lattice-analyze", help="exact shortest vectors of a Z matrix")
     p_an.add_argument("path")
-    common(p_an, (_BUDGET, _DELTA))
+    common(p_an, (_BUDGET,))
 
     p_ver = sub.add_parser("verify", help="run a verification target, exit 0 iff PASS")
     # shared flags live on each target: a flag given to p_ver before the target
@@ -254,16 +249,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     extras: dict = {}
     if name in ("d", "d-special"):
         _, blocks = load_matrix_tower(args.path)
-        depth = len(blocks) - 1
     elif name == "d-bar":
         T = load_code_tower(args.path)
-        depth = T.a
     else:
         C = _code_from_file(args.path)
-        depth = None
-    if args.a is not None and args.a != depth:
-        implied = f"a = {depth}" if depth is not None else "no depth a"
-        raise ParseError(f"{name} input implies {implied}, got --a {args.a}")
 
     if name == "a":
         L = construction_a(C)
@@ -280,7 +269,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         for i, mid in enumerate(mids, start=1):
             if mid.k != 1:
                 raise ParseError(f"middle block {i} must be a single column")
-        L = vladut_special_d(blocks[0], [m.column(0) for m in mids], blocks[-1], depth)
+        L = vladut_special_d(blocks[0], [m.column(0) for m in mids], blocks[-1])
     else:  # d-bar
         L = d_bar_span(T)
         ok, wit = d_bar_is_lattice(T)
@@ -320,7 +309,7 @@ def _cmd_lattice_analyze(args: argparse.Namespace) -> int:
         raise ParseError(f"{args.path}: expected a Z matrix, found an F2 matrix")
     rows, _, columns = parsed
     L = Lattice.from_generators(rows, columns)
-    sv = shortest_vectors(L, budget=args.budget, delta=args.delta)
+    sv = shortest_vectors(L, budget=args.budget)
     fmt = args.fmt or "text"
     if fmt == "json":
         _emit(_dump_json(sv._asdict()), args.out)

@@ -163,19 +163,12 @@ def construction_d(blocks: Sequence[BinaryMatrix], strict: bool = True) -> Latti
     return Lattice.from_generators(n, gens)
 
 
-def vladut_special_d(
-    K0: BinaryMatrix,
-    c_list: Sequence[BinaryVector],
-    Ka: BinaryMatrix,
-    a: int,
-) -> Lattice:
-    """L(2^a bar K_0, 2^(a-1) bar c_1, ..., 2 bar c_(a-1), bar K_a).
+def vladut_special_d(K0: BinaryMatrix, c_list: Sequence[BinaryVector], Ka: BinaryMatrix) -> Lattice:
+    """L(2^a bar K_0, 2^(a-1) bar c_1, ..., 2 bar c_(a-1), bar K_a), a = len(c_list) + 1.
 
     Validates Hamming weight ||c_i|| = 4^i and that the concatenation
     (K_0 | c_1 | ... | c_(a-1) | K_a) is square and invertible over F2.
     """
-    if a != len(c_list) + 1:
-        raise ShapeMismatch(f"a = {a} but {len(c_list)} middle vectors given")
     n = K0.n
     if Ka.n != n or any(c.n != n for c in c_list):
         raise ShapeMismatch("blocks have different block lengths")

@@ -45,7 +45,8 @@ class DimensionMismatch(ToolkitError):
 
 
 class RankTooLarge(ToolkitError):
-    """An exhaustive 2^k codeword sweep was refused (rank cap exceeded)."""
+    """A rank cap was exceeded: a 2^k codeword sweep (k > 28) or a
+    Fincke-Pohst walk (rank > 768, one recursion frame per level) was refused."""
 
 
 class ZeroCode(ToolkitError):

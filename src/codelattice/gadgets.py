@@ -347,7 +347,7 @@ def build_cor23(m: int = 17, seed: int = 0):
     code = Code(Ka)
     if min_distance(code) != 16:
         raise ArithmeticError("stacked code missed its designed distance (bug)")
-    lat = vladut_special_d(K0, [c1], Ka, a=2)
+    lat = vladut_special_d(K0, [c1], Ka)
     return gadget, lat, code
 
 

@@ -14,12 +14,13 @@ budget; it steps through a run of forced zeros (levels whose one
 candidate is 0) in one loop, one node each.  The GSO is built one row at
 a time, by one routine: LLL fills row k when it first reaches column k,
 and the determinant of a lattice of lower rank is the square root of the
-last d of all rows.
+last d of all rows.  LLL runs at delta = 99/100, and the walk, one frame
+per level, refuses a rank above ``WALK_RANK_CAP`` before LLL starts.
 Exact l_p decisions for rational p = u/v read one generator of dyadic
 brackets of the power sum, at precisions 16, 32, 64, ... bits, from
 floor v-th roots of integers; an integer p gives an exact bracket at once.
-``Fraction`` appears only for the LLL parameter delta and the exact l_p
-comparisons; floating point appears nowhere.
+``Fraction`` appears only in the exact l_p comparisons; floating point
+appears nowhere.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ from itertools import compress
 from math import isqrt, lcm, prod
 from operator import neg
 
-from .errors import (
-    DimensionMismatch,
-    EnumerationBudgetExceeded,
-    ZeroRank,
-)
+from .errors import DimensionMismatch, EnumerationBudgetExceeded, RankTooLarge, ZeroRank
 
 __all__ = [
     "IntVec",
@@ -54,14 +51,15 @@ __all__ = [
     "scale",
     "adjugate_solve",
     "iroot",
-    "DEFAULT_DELTA",
     "DEFAULT_BUDGET",
+    "WALK_RANK_CAP",
 ]
 
 IntVec = tuple[int, ...]
 
-DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_BUDGET = 10**9
+WALK_RANK_CAP = 768  # one walk frame per level, with room under the recursion limit 1000
+_DELTA = (99, 100)  # LLL's delta = 99/100, as (numerator, denominator)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -322,16 +320,14 @@ def _swap(lam: list[list[int]], d: list[int], clean: list[int], k: int, kmax: in
     d[k] = dnew
 
 
-def lll_reduce(
-    L: Lattice, delta: Fraction = DEFAULT_DELTA
-) -> tuple[tuple[IntVec, ...], list[list[int]], list[int]]:
+def lll_reduce(L: Lattice) -> tuple[tuple[IntVec, ...], list[list[int]], list[int]]:
     """``(basis, lam, d)``: the LLL-reduced basis of L and its integral GSO.
 
     Fraction-free LLL (Cohen Alg. 2.6.7) from the HNF basis: GSO row k is
     filled by :func:`_gso_row` when the loop first reaches column k
     (``kmax``), while b_k is still HNF column k, so nothing is computed up
     front.  Each step size-reduces b_k against b_{k-1} .. b_0, then tests
-    the Lovasz condition with the given delta, swaps and steps back on
+    the Lovasz condition with delta = 99/100, swaps and steps back on
     failure.  The GSO of an ordered basis is unique, so the integers and
     every decision are those of a full GSO of the HNF basis.
 
@@ -346,10 +342,7 @@ def lll_reduce(
     basis and GSO integer is that of the full scan.  Exact and
     deterministic; L is not modified.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must satisfy 1/4 < delta < 1")
-    dp, dq = delta.numerator, delta.denominator
+    dp, dq = _DELTA
     m = L.rank
     basis = list(L.basis)
     lam, d = [[0] * m for _ in range(m)], [1] * (m + 1)
@@ -378,7 +371,7 @@ def lll_reduce(
                 low = 0  # lam[k][:j] changed: scan it all
         basis[k] = bk
         clean[k] = k
-        # Lovasz: B_k >= (delta - mu^2) B_{k-1}, multiplied by d_k d_{k-1} q_delta
+        # Lovasz: B_k >= (dp/dq - mu^2) B_{k-1}, multiplied by d_k d_{k-1} dq
         lkk = lk[k - 1]
         if dq * (d[k + 1] * d[k - 1] + lkk * lkk) >= dp * d[k] * d[k]:
             k += 1
@@ -483,14 +476,17 @@ def _enumerate(
     return bound // P, leaves
 
 
-def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[IntVec]]:
+def _vectors(L: Lattice, R: int | None, budget: int) -> tuple[int, list[IntVec]]:
     """``(radius, vectors)`` sorted by norm, then value; ``R=None`` asks for the shortest.
 
-    One LLL call, through the module-level name, so callers that wrap it
-    to time LLL see every reduction.  Each leaf is rebuilt over its nonzero
+    A rank above ``WALK_RANK_CAP`` raises RankTooLarge first.  One LLL
+    call, through the module-level name, so callers that wrap it to time
+    LLL see every reduction.  Each leaf is rebuilt over its nonzero
     coefficients and the nonzero entries of their reduced columns only.
     """
-    reduced, lam, d = lll_reduce(L, delta)
+    if L.rank > WALK_RANK_CAP:
+        raise RankTooLarge(f"rank {L.rank} > walk cap {WALK_RANK_CAP}")
+    reduced, lam, d = lll_reduce(L)
     shortest = R is None
     r0 = min(sum(e * e for e in col) for col in reduced) if shortest else R
     R, leaves = _enumerate(lam, d, r0, budget, shortest)
@@ -514,9 +510,7 @@ def _vectors(L: Lattice, R: int | None, budget: int, delta) -> tuple[int, list[I
 ShortVectorReport = namedtuple("ShortVectorReport", "lambda1_sq kissing vectors")
 
 
-def shortest_vectors(
-    L: Lattice, budget: int = DEFAULT_BUDGET, delta: Fraction = DEFAULT_DELTA
-) -> ShortVectorReport:
+def shortest_vectors(L: Lattice, budget: int = DEFAULT_BUDGET) -> ShortVectorReport:
     """Exact lambda_1^2 and the complete set of vectors achieving it.
 
     Fincke-Pohst after LLL(99/100) in one walk: the radius starts at the
@@ -525,17 +519,15 @@ def shortest_vectors(
     """
     if L.rank == 0:
         raise ZeroRank("shortest vector of a rank-0 lattice")
-    lam1, found = _vectors(L, None, budget, delta)
+    lam1, found = _vectors(L, None, budget)
     return ShortVectorReport(lambda1_sq=lam1, kissing=len(found), vectors=tuple(found))
 
 
-def vectors_up_to(
-    L: Lattice, R: int, budget: int = DEFAULT_BUDGET, delta: Fraction = DEFAULT_DELTA
-) -> list[IntVec]:
+def vectors_up_to(L: Lattice, R: int, budget: int = DEFAULT_BUDGET) -> list[IntVec]:
     """All lattice vectors with squared norm <= R (zero vector included)."""
     if R < 0:
         raise ValueError("radius must be >= 0")
-    return _vectors(L, R, budget, delta)[1]
+    return _vectors(L, R, budget)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import time
@@ -9,7 +10,7 @@ from codelattice import cli
 from codelattice.cli import main
 from codelattice.gf2core import BinaryMatrix, BinaryVector, complete_to_full_rank
 from codelattice.matio import data_path, read_matrix, write_f2_matrix, write_z_matrix
-from codelattice.zlattice import Lattice
+from codelattice.zlattice import WALK_RANK_CAP, Lattice
 
 
 def run(capsys, argv):
@@ -227,9 +228,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "cor25", "--p", "20001/10003"],
         ["verify", "golay-lp", "--p", "10002/10001"],
         ["verify", "golay-lp", "--p", "1e999999999"],
-        ["lattice-analyze", "x.txt", "--delta", "9e-999999999"],
         ["lattice-analyze", "x.txt", "--budget", "0"],
-        ["lattice-analyze", "x.txt", "--delta", "1"],
         ["verify", "nope"],
         [],
     ):
@@ -361,7 +360,7 @@ def test_construct_d_from_manifest(capsys, tmp_path):
     man = tmp_path / "tower.txt"
     man.write_text("tower 4 2\nk0.txt\nk1.txt\n")
     argv = ["construct", str(man), "--construction", "d", "--format", "json"]
-    code, out, _ = run(capsys, argv + ["--a", "1"])
+    code, out, _ = run(capsys, argv)
     assert code == 0
     rep = json.loads(out)
     assert (rep["n"], rep["rank"], rep["determinant"]) == (4, 4, "8")
@@ -390,38 +389,11 @@ def test_construct_d_special_from_manifest(capsys, tmp_path):
     man.write_text("tower 5 3\nk0.txt\nc1.txt\nka.txt\n")
     code, out, _ = run(
         capsys,
-        ["construct", str(man), "--construction", "d-special", "--a", "2", "--format", "json"],
+        ["construct", str(man), "--construction", "d-special", "--format", "json"],
     )
     assert code == 0
     rep = json.loads(out)
     assert rep["determinant"] == "128"
-    # wrong --a is a usage-level parse error
-    code, _, err = run(
-        capsys, ["construct", str(man), "--construction", "d-special", "--a", "3"]
-    )
-    assert code == 2
-
-
-def test_construct_a_flag_checked_against_input_depth(capsys, tmp_path):
-    golay = data_path("golay24.txt")
-    nonclosed = data_path("tower_nonclosed.manifest.txt")
-    # constructions without a depth refuse any --a
-    for name in ("a", "simplified-d", "c-star"):
-        code, out, err = run(capsys, ["construct", golay, "--construction", name, "--a", "7"])
-        assert code == 2 and out == ""
-        assert err == f"error: {name} input implies no depth a, got --a 7\n"
-    # d-bar's depth is the number of levels in the manifest
-    code, _, err = run(capsys, ["construct", nonclosed, "--construction", "d-bar", "--a", "3"])
-    assert code == 2 and "implies a = 2, got --a 3" in err
-    code, _, _ = run(capsys, ["construct", nonclosed, "--construction", "d-bar", "--a", "2"])
-    assert code == 0
-    # the check runs before the tower is validated: wrong --a on a tower that
-    # construction d refuses (exit 4) is still a usage error
-    argv = _exit_4(tmp_path, None)
-    code, _, err = run(capsys, argv + ["--a", "2"])
-    assert code == 2 and "implies a = 1, got --a 2" in err
-    code, _, _ = run(capsys, argv + ["--a", "1"])
-    assert code == 4
 
 
 def test_verify_cor23_deterministic_output(capsys):
@@ -514,16 +486,53 @@ def test_lattice_analyze_2z4_json(capsys, tmp_path):
     assert code == 2
 
 
-def test_custom_delta_accepted(capsys, tmp_path):
-    p = str(tmp_path / "l.txt")
-    write_z_matrix(p, 2, [(7, 3), (11, 5)])
-    code1, out1, _ = run(capsys, ["lattice-analyze", p, "--format", "json"])
-    code2, out2, _ = run(
-        capsys, ["lattice-analyze", p, "--format", "json", "--delta", "3/4"]
-    )
-    assert code1 == code2 == 0
-    # same exact answers whatever the reduction quality
-    assert json.loads(out1) == json.loads(out2)
+def test_removed_settings_exit_2(capsys):
+    # LLL runs at one delta, and a tower's depth is read off its manifest
+    man = data_path("tower_nonclosed.manifest.txt")
+    for argv in (
+        ["lattice-analyze", "x.txt", "--delta", "3/4"],
+        ["construct", man, "--construction", "d-bar", "--a", "2"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_walk_rank_cap(capsys, tmp_path):
+    # the walk recurses once per level: Z^cap finishes in process, and one
+    # rank more is refused with exit 3 before LLL, not crashed on with 70
+    for n, want in ((WALK_RANK_CAP, 0), (WALK_RANK_CAP + 1, 3)):
+        p = str(tmp_path / f"z{n}.txt")
+        write_z_matrix(p, n, [tuple(int(t == j) for t in range(n)) for j in range(n)])
+        code, out, err = run(capsys, ["lattice-analyze", p, "--format", "json"])
+        assert code == want
+        if want == 0:
+            rep = json.loads(out)
+            assert (rep["lambda1_sq"], rep["kissing"]) == (1, 2 * n)
+        else:
+            assert err == f"error: rank {n} > walk cap {WALK_RANK_CAP}\n"
+    # verify cor23 --m 330 walks a rank-1006 lattice
+    code, _, err = run(capsys, ["verify", "cor23", "--m", "330", "--full-enum"])
+    assert code == 3 and err == f"error: rank 1006 > walk cap {WALK_RANK_CAP}\n"
+
+def _option_strings(parser) -> set:
+    """Every option string of ``parser`` and of its subcommands, at any depth."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_readme_names_exactly_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert documented == _option_strings(cli._PARSER) - {"-h", "--help"}
+
 
 def test_dump_json_matches_indented_json_dumps():
     # the scalars the C encoder spells differently from str(), int keys,

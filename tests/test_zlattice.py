@@ -17,7 +17,6 @@ from codelattice.gadgets import build_cor23
 from codelattice.gf2core import BinaryMatrix, BinaryVector, Code, CodeTower
 from codelattice.matio import golay_code, nonclosed_tower
 from codelattice.zlattice import (
-    DEFAULT_DELTA,
     _coeff_interval,
     _enumerate,
     _gso_row,
@@ -55,11 +54,20 @@ from oracles import (
 )
 
 
+# the one delta lll_reduce runs at, for the Fraction oracles
+DELTA = Fraction(*zlattice._DELTA)
+
+
 def rand_lattice(rng, n=None, k=None, lo=-4, hi=4):
     n = n if n is not None else rng.randrange(1, 6)
     k = k if k is not None else rng.randrange(1, n + 2)
     cols = [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(k)]
     return Lattice.from_generators(n, cols), cols
+
+
+def seeded_basis(n, seed):
+    """The lattice of n random columns in [-4, 4]^n drawn from random.Random(seed)."""
+    return rand_lattice(random.Random(seed), n=n, k=n)[0]
 
 
 def least_budget(run):
@@ -324,10 +332,7 @@ def test_lll_postconditions():
             for j in range(i):
                 assert -half <= mu[i][j] <= half
         for k in range(1, len(red)):
-            assert B[k] >= (DEFAULT_DELTA - mu[k][k - 1] ** 2) * B[k - 1]
-
-
-LLL_DELTAS = (Fraction(26, 100), Fraction(3, 4), Fraction(99, 100), Fraction(999, 1000))
+            assert B[k] >= (DELTA - mu[k][k - 1] ** 2) * B[k - 1]
 
 
 def rand_lattice_of_rank(rng, rank):
@@ -343,8 +348,7 @@ def test_lll_matches_fraction_reference():
     for rank in range(1, 13):
         for _ in range(3):
             L = rand_lattice_of_rank(rng, rank)
-            for delta in LLL_DELTAS:
-                assert list(lll_reduce(L, delta)[0]) == frac_lll(L.basis, delta)
+            assert list(lll_reduce(L)[0]) == frac_lll(L.basis, DELTA)
 
 
 def test_lll_integral_gso_matches_oracle():
@@ -352,14 +356,13 @@ def test_lll_integral_gso_matches_oracle():
     for rank in range(1, 9):
         for _ in range(3):
             L = rand_lattice_of_rank(rng, rank)
-            for delta in LLL_DELTAS:
-                red, lam, d = lll_reduce(L, delta)
-                mu, B = oracle_gso(red)
-                assert d[0] == 1
-                for i in range(rank):
-                    assert Fraction(d[i + 1], d[i]) == B[i]
-                    for j in range(i):
-                        assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+            red, lam, d = lll_reduce(L)
+            mu, B = oracle_gso(red)
+            assert d[0] == 1
+            for i in range(rank):
+                assert Fraction(d[i + 1], d[i]) == B[i]
+                for j in range(i):
+                    assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
 
 
 def gso_rows(basis):
@@ -488,14 +491,11 @@ def test_lll_matches_dense_gso_oracle(monkeypatch):
         tuple(rng.randint(-9, 9) for _ in range(30)) for _ in range(30)
     ]))
     assert cases[-1].rank == 30
-    runs = [(L, DEFAULT_DELTA) for L in cases]
     small = [rand_lattice_of_rank(rng, rng.randrange(1, 11)) for _ in range(120)]
     assert sum(L.rank < L.n for L in small) > 30
-    runs += [(L, delta) for L in small for delta in LLL_DELTAS]
     towers = [tower_basis(rng, rng.randrange(8, 25), q) for q in (2, 3, 4) for _ in range(12)]
-    runs += [(L, delta) for L in towers for delta in (Fraction(3, 4), DEFAULT_DELTA)]
-    for L, delta in runs:
-        assert lll_reduce(L, delta) == lll_dense_gso(L.basis, delta)
+    for L in cases + small + towers:
+        assert lll_reduce(L) == lll_dense_gso(L.basis, DELTA)
     # the tower bases must swap far below kmax, where the bookkeeping works
     swap, deep = zlattice._swap, []
 
@@ -524,18 +524,8 @@ def test_each_enumeration_makes_one_lll_call(monkeypatch):
     assert shortest_vectors(L).kissing == 48
     assert calls == [L]
     calls.clear()
-    assert len(vectors_up_to(L, 4, delta=Fraction(3, 4))) == 1 + 48  # zero and +-2 e_j
+    assert len(vectors_up_to(L, 4)) == 1 + 48  # zero and +-2 e_j
     assert calls == [L]
-
-
-def test_lll_delta_validation():
-    L = Lattice.from_generators(2, [(1, 0), (0, 1)])
-    for bad in (Fraction(1, 4), Fraction(1), 0, 2):
-        with pytest.raises(ValueError):
-            lll_reduce(L, Fraction(bad))
-    # a coarser delta is accepted and still spans the same lattice
-    red = lll_reduce(L, Fraction(1, 3) + Fraction(1, 100))[0]
-    assert Lattice.from_generators(2, red) == L
 
 
 def test_shortest_vectors_matches_box_oracle():
@@ -544,30 +534,26 @@ def test_shortest_vectors_matches_box_oracle():
     while len(cases) < 15:
         L, _ = rand_lattice(rng, n=rng.randrange(2, 5), lo=-4, hi=4)
         if L.rank:
-            cases.append((L, DEFAULT_DELTA))
-    # at delta = 26/100 LLL often leaves a basis whose shortest column is
-    # longer than lambda_1, so the walk has to tighten its radius
-    while len(cases) < 35:
-        n = rng.randrange(4, 7)
-        L, _ = rand_lattice(rng, n=n, k=n, lo=-4, hi=4)
-        if L.rank == n:
-            cases.append((L, Fraction(26, 100)))
+            cases.append(L)
+    # seeded bases on which LLL leaves its shortest column longer than
+    # lambda_1, so the walk has to tighten its radius
+    tight = [seeded_basis(n, seed) for n, seed in ((5, 631), (7, 1599))]
     shrunk = 0
-    for L, delta in cases:
+    for L in cases + tight:
         cols = reduce_columns([list(c) for c in L.basis])
         r0 = min(sum(e * e for e in c) for c in cols)
         ref = box_vectors(cols, r0)
         lam = min(nrm for nrm, v in ref if nrm > 0)
         expect = sorted(v for nrm, v in ref if nrm == lam)
-        rep = shortest_vectors(L, delta=delta)
+        rep = shortest_vectors(L)
         assert rep.lambda1_sq == lam
         assert list(rep.vectors) == expect
         assert rep.kissing == len(expect)
         assert rep.kissing % 2 == 0  # v and -v both counted
         d = rep._asdict()
         assert d["lambda1_sq"] == lam and len(d["vectors"]) == rep.kissing
-        shrunk += min(sum(e * e for e in c) for c in lll_reduce(L, delta)[0]) > lam
-    assert shrunk >= 1
+        shrunk += min(sum(e * e for e in c) for c in lll_reduce(L)[0]) > lam
+    assert shrunk >= len(tight)
 
 
 def test_vectors_up_to_matches_box_oracle():
@@ -638,7 +624,7 @@ def test_sign_symmetric_walk_matches_plain_oracle():
     fixed.append((construction_a(golay_code()), 4))
     fixed.append((build_cor23(seed=0)[1], 16))
     for L, R in fixed:
-        _, lam, d = lll_reduce(L, DEFAULT_DELTA)
+        _, lam, d = lll_reduce(L)
         radius, leaves = _enumerate(lam, d, R, 10**9, shortest=False)
         ref_radius, ref_leaves, plain = fincke_pohst_plain(lam, d, R, shortest=False)
         assert radius == ref_radius == R
@@ -647,21 +633,25 @@ def test_sign_symmetric_walk_matches_plain_oracle():
         nodes = least_budget(lambda budget: _enumerate(lam, d, R, budget, shortest=False))
         assert nodes == (plain + L.rank) // 2
     assert plain == 4811 and nodes == 2439  # cor23 seed 0 at R = 16
-    # at delta = 26/100 the shortest walk starts above lambda_1^2 and
-    # tightens its radius on the way down
-    tightened = 0
-    while tightened < 10:
-        n = rng.randrange(4, 7)
+    # the shortest walk starts above lambda_1^2 and tightens its radius on
+    # the way down: on the GSO of unreduced HNF bases, and after LLL on a
+    # pinned basis whose shortest reduced column is longer than lambda_1
+    walks = []
+    while len(walks) < 10:
+        n = rng.randrange(3, 6)
         L, _ = rand_lattice(rng, n=n, k=n, lo=-4, hi=4)
-        if L.rank < n:
-            continue
-        reduced, lam, d = lll_reduce(L, Fraction(26, 100))
-        r0 = min(sum(e * e for e in c) for c in reduced)
+        if L.rank == n:
+            walks.append((L.basis, *gso_rows(L.basis)))
+    walks.append(lll_reduce(seeded_basis(10, 838)))
+    tightened = []
+    for basis, lam, d in walks:
+        r0 = min(sum(e * e for e in c) for c in basis)
         lam1, leaves = _enumerate(lam, d, r0, 10**9, shortest=True)
         ref_lam1, ref_leaves, _ = fincke_pohst_plain(lam, d, r0, shortest=True)
         assert lam1 == ref_lam1
         assert _with_mirrors(leaves) == sorted(ref_leaves)
-        tightened += lam1 < r0
+        tightened.append(lam1 < r0)
+    assert tightened[-1] and sum(tightened) >= 10
 
 
 def qzn_lattice(rng, n, q):
@@ -685,7 +675,7 @@ def test_walk_matches_levelwise_oracle():
             R = rng.choice((q * q - 1, q * q, 2 * q * q))
             cases.append((qzn_lattice(rng, rng.randrange(3, 7), q), R))
     for L, R in cases:
-        reduced, lam, d = lll_reduce(L, DEFAULT_DELTA)
+        reduced, lam, d = lll_reduce(L)
         r0 = min(sum(e * e for e in c) for c in reduced)
         for radius, shortest in ((R, False), (r0, True)):
             ref_radius, ref_leaves, nodes = fincke_pohst_levelwise(lam, d, radius, 10**9, shortest)
@@ -698,7 +688,7 @@ def test_walk_matches_levelwise_oracle():
     # run of four nodes, and x_1 = 2 leaves level 0 forced too; the budgets
     # 1..3 run out inside the first run
     L = Lattice.from_generators(6, units(6, 1)[:2] + units(6, 5)[2:])
-    _, lam, d = lll_reduce(L, DEFAULT_DELTA)
+    _, lam, d = lll_reduce(L)
     assert d == [1, 1, 1, 25, 625, 15625, 390625]
     nodes = fincke_pohst_levelwise(lam, d, 4, 10**9, False)[2]
     for budget in range(nodes):
