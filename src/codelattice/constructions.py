@@ -6,9 +6,9 @@ The embedding bar, read by ``BinaryVector.coords``, lifts F2 vectors to
     bar(c + c') = bar c + bar c' - 2 * bar(c o c')
 
 with ``o`` the coordinate-wise product.  Every generator made here from
-code words, the unit columns 2^e e_j included, is a scaled lift 2^e bar(w)
-from the one helper ``_lift``.  Everything in this module is an exact
-integer-lattice construction on top of that lift:
+code words is a scaled lift 2^e bar(w) from the one helper ``_lift``; the
+unit columns 2^e e_j are written directly by ``_units``.  Everything in
+this module is an exact integer-lattice construction on top of those:
 
 * ``construction_a``      -- bar C + 2 Z^n, equivalently {z : z mod 2 in C}
 * ``construction_d``      -- scaled generator blocks 2^(a-i) bar K_i of a tower
@@ -96,6 +96,17 @@ def _lift(factor: int, words: Iterable[BinaryVector]) -> list[IntVec]:
     return [tuple([factor * e for e in w.coords()]) for w in words]
 
 
+def _units(q: int, n: int, rows: Iterable[int]) -> list[IntVec]:
+    """q * e_r in Z^n for each row r, written directly rather than lifted."""
+    col = [0] * n
+    out = []
+    for r in rows:
+        col[r] = q
+        out.append(tuple(col))
+        col[r] = 0
+    return out
+
+
 def construction_a(C: Code) -> Lattice:
     """bar C + 2 Z^n, with its canonical HNF basis written down, not computed.
 
@@ -114,9 +125,8 @@ def construction_a(C: Code) -> Lattice:
     words = C.basis()
     lead = [n - w.bits.bit_length() for w in words]
     free = sorted(set(range(n)).difference(lead))
-    units = BinaryMatrix.identity(n).columns()
     columns = dict(zip(lead, _lift(1, words)))
-    columns.update(zip(free, _lift(2, [units[r] for r in free])))
+    columns.update(zip(free, _units(2, n, free)))
     return Lattice(n, tuple(columns[r] for r in range(n)), tuple(range(n)))
 
 
@@ -192,7 +202,7 @@ def simplified_d(C: Code) -> Lattice:
 def _l_a_scaled_by(C: Code, e: int) -> Lattice:
     """2^e * L_A(C) from 2^(e+1) e_j, then the scaled codeword embeddings."""
     f = 2**e
-    gens = _lift(2 * f, BinaryMatrix.identity(C.n).columns())
+    gens = _units(2 * f, C.n, range(C.n))
     gens += _lift(f, [c for c in C.codewords() if not c.is_zero()])
     return Lattice.from_generators(C.n, gens)
 
@@ -267,7 +277,7 @@ def d_bar_span(T: CodeTower) -> Lattice:
     generators per level instead of 2^(k_i) codewords.
     """
     n, a = T.n, T.a
-    gens = _lift(2**a, BinaryMatrix.identity(n).columns())
+    gens = _units(2**a, n, range(n))
     for i, level in enumerate(T.levels, start=1):
         # sum_(r<=i) C(k, r) < 2^k, so the sweep cap still bounds the generators
         if level.dimension > SWEEP_RANK_CAP:

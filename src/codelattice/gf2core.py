@@ -10,18 +10,20 @@ its dimension is the F2-rank of G.  Distance, minimum-weight words and
 kissing number all read one cached sweep per code, which weighs all 2^k
 codewords bit-sliced, up to 2^16 of them per big-integer pass (see
 :meth:`Code._min_weight_bits`); each chunk adds only the coordinates where
-it differs from the nearer of two anchor chunks.  The ternary sign search
-does not read that cached sweep: :meth:`Code.light_words` lists its light
-words from an uncached pass of its own over the same chunks, and when the
-search radius passes the support cap, :meth:`Code.least_weight_above` runs
-one more.  Every sweep is hard-capped at rank 28 and refuses larger inputs
-with :class:`RankTooLarge`.
+it differs from the nearer of two anchor chunks, and keeps the count of
+those flips in an integer constant beside its weight planes.  The ternary
+sign search does not read that cached sweep: :meth:`Code.light_words`
+lists its light words from an uncached pass of its own over the same
+chunks, and when the search radius passes the support cap,
+:meth:`Code.least_weight_above` runs one more.  Every sweep is
+hard-capped at rank 28 and refuses larger inputs with :class:`RankTooLarge`.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 from .errors import LengthMismatch, NotATower, RankTooLarge, ShapeMismatch, ZeroCode
 
@@ -357,45 +359,72 @@ def _compress(pending: list[list[int]], ints: Iterable[int], at: int, width: int
     """The LSB-first weight planes, mod 2^width, of a start weight plus 2^at times the 0/1 ints.
 
     pending[b] lists the at most two ints of weight 2^b that make up the
-    start weight, and is consumed.  An int that meets two others at its
-    weight goes through a full adder: their sum stays at 2^b, and their
-    carry moves on to 2^(b+1), or is dropped past 2^(width-1).  At the end
-    a half adder leaves one int per weight.  A full adder costs five
-    big-int operations and retires one int, however far a ripple-carry add
-    would have carried, and only O(width) ints are held beside ``ints``.
-    Returns one plane per weight, with no zero plane on top.
+    start weight, and is consumed; it holds a list, maybe empty, for every
+    b < at.  An int that meets two others at its weight goes through a
+    full adder, written inline: their sum stays at 2^b, and their carry
+    moves on to 2^(b+1), or is dropped past 2^(width-1).  At the end one
+    ripple pass adds each weight's ints and the carry from below.  A full
+    adder costs five big-int operations and retires one int, however far a
+    ripple-carry add would have carried, and only O(width) ints are held
+    beside ``ints``.  Returns one plane per weight, with no zero plane on
+    top.
     """
-
-    def add(b: int, x: int) -> None:
-        while x and b < width:
+    for x in ints:
+        b = at
+        while b < width:
             if b == len(pending):
                 pending.append([x])
-                return
+                break
             pend = pending[b]
             if len(pend) < 2:
                 pend.append(x)
-                return
+                break
             y, z = pend
             s = x ^ y
             pending[b] = [s ^ z]
             x = x & y | s & z
+            if not x:
+                break
             b += 1
-
-    for x in ints:
-        add(at, x)
     planes = []
-    b = 0
-    while b < len(pending):
-        pend = pending[b]
-        if len(pend) == 2:
-            x, y = pend
-            add(b + 1, x & y)
-            pend = [x ^ y]
-        planes.append(pend[0] if pend else 0)
-        b += 1
+    carry = 0
+    for b in range(min(len(pending) + 1, width)):
+        pend = pending[b] if b < len(pending) else ()
+        if not carry:
+            if len(pend) == 2:
+                y, z = pend
+                carry, x = y & z, y ^ z
+            else:
+                x = pend[0] if pend else 0
+        elif len(pend) == 2:
+            y, z = pend
+            s = y ^ z
+            carry, x = y & z | s & carry, s ^ carry
+        elif pend:
+            y = pend[0]
+            carry, x = y & carry, y ^ carry
+        else:
+            carry, x = 0, carry
+        planes.append(x)
     while planes and not planes[-1]:
         planes.pop()
     return planes
+
+
+@lru_cache(maxsize=16)
+def _patterns(c: int) -> tuple[int, ...]:
+    """The patterns M_j, j < c, of 2^c bits each: bit i of M_j is bit j of i.
+
+    Built once per width and kept; chunk widths run 1 .. 16, so the table
+    holds about 240 KB when all of them have been used.
+    """
+    pattern = []
+    for j in range(c):
+        m = ((1 << (1 << j)) - 1) << (1 << j)
+        for b in range(j + 1, c):
+            m |= m << (1 << b)
+        pattern.append(m)
+    return tuple(pattern)
 
 
 def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, list[int], int]]:
@@ -405,69 +434,65 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
     offset ^ (sum of low[j] over the bits j of i), for i < 2^c, where
     offset runs over the span of high in Gray order from 0.  Each chunk
     yields ``(offset, const, planes, full)``: the weight of word i is
-    const + sum_b (bit i of planes[b]) << b, and full = 2^(2^c) - 1.
+    const + sum_b (bit i of planes[b]) << b, and full = 2^(2^c) - 1.  The
+    constant may be negative.
 
     Coordinate t of word i, over all i, is one 2^c-bit int: x_t, the XOR
-    of the patterns M_j (bit i of M_j is bit j of i) of the low words that
-    set t, or x_t ^ full when the offset sets t.  A coordinate no high word
+    of the patterns M_j (see :func:`_patterns`) of the low words that set
+    t, or x_t ^ full when the offset sets t.  A coordinate no high word
     sets is never complemented, so those are summed once into the base
     planes; one no low word sets adds the constant bit of the offset.  Only
     the rest, V, vary: n - k of them at most for a reduced echelon basis.
-    Two anchors add them to the base once per sweep, T0 as x_t and T1 as
-    x_t ^ full.  A chunk whose offset sets F of V, and not G, weighs
+    Two anchors add them to the base once per sweep, from the one sum S_V
+    of their x_t: T0 = base + S_V, and T1 = base + |V| - S_V, the sum of
+    the x_t ^ full, which is S_V complemented plane by plane plus the
+    constant |V| + 1.  A chunk whose offset sets F of V, and not G, weighs
     T0 - |F| + 2 * sum(x_t ^ full, t in F) = T1 - |G| + 2 * sum(x_t, t in G),
     so :func:`_compress` adds only the smaller of F and G (F at a tie), at
-    weight 2, to the nearer anchor less that count.  It works mod 2^W,
-    W = n.bit_length(), which keeps every weight, as no weight exceeds n.
+    weight 2, to the nearer anchor, and the chunk's constant takes the
+    -min(|F|, |G|).  The planes hold that anchor plus twice the sum, at
+    most n + |V| // 2, in W = (n + |V| // 2).bit_length() planes, so the
+    sum never wraps.
     """
     low, high = basis[:c], basis[c:]
-    c = len(low)
-    pattern = []
-    for j in range(c):
-        m = ((1 << (1 << j)) - 1) << (1 << j)
-        for b in range(j + 1, c):
-            m |= m << (1 << b)
-        pattern.append(m)
-    full = (1 << (1 << c)) - 1
-    touched = 0
+    full = (1 << (1 << len(low))) - 1
+    xs = [0] * n  # x_t at index t, the bit of coordinate n - 1 - t
+    lows = touched = 0
+    for w, m in zip(low, _patterns(len(low))):
+        lows |= w
+        while w:
+            t = w.bit_length() - 1
+            xs[t] ^= m
+            w ^= 1 << t
     for h in high:
         touched |= h
-    fixed: list[int] = []
-    varying: list[tuple[int, int]] = []
-    spread = constant = 0
-    for t in range(n):
-        x = 0
-        for j, w in enumerate(low):
-            if w >> t & 1:
-                x ^= pattern[j]
-        if not touched >> t & 1:
-            if x:
-                fixed.append(x)
-        elif x:
-            varying.append((t, x))
-            spread |= 1 << t
-        else:
-            constant |= 1 << t
-    width = n.bit_length()
-    base = _compress([], fixed, 0, width)
-    anchors = [
-        _compress([[p] for p in base], (x ^ f for _, x in varying), 0, width) for f in (0, full)
-    ]
+    spread = lows & touched
+    constant = touched ^ spread
+    varying = [(t, xs[t]) for t in range(n) if spread >> t & 1]
+    v = len(varying)
+    width = (n + v // 2).bit_length()
+
+    def summed(pending: list[list[int]], ints: Iterable[int] = ()) -> list[int]:
+        planes = _compress(pending, ints, 0, width)
+        return planes + [0] * (width - len(planes))
+
+    base = summed([], (x for t, x in enumerate(xs) if x and not touched >> t & 1))
+    total = summed([], (x for _, x in varying))
+    # |V| - S_V = (S_V complemented over the width) + |V| + 1, mod 2^width
+    rest = summed([[s ^ full] + [full] * ((v + 1) >> b & 1) for b, s in enumerate(total)])
+    anchors = [summed([[p, s] for p, s in zip(base, other)]) for other in (total, rest)]
     offset = 0
     for g in range(1 << len(high)):
         if g:
             offset ^= high[(g & -g).bit_length() - 1]
         flips = (offset & spread).bit_count()
-        if 2 * flips <= len(varying):
+        if 2 * flips <= v:
             anchor, ints = anchors[0], (x ^ full for t, x in varying if offset >> t & 1)
         else:
-            flips = len(varying) - flips
+            flips = v - flips
             anchor, ints = anchors[1], (x for t, x in varying if not offset >> t & 1)
-        seed = [[p] for p in anchor] + [[] for _ in range(width - len(anchor))]
-        for b in range(width):
-            if -flips >> b & 1:
-                seed[b].append(full)
-        yield offset, (offset & constant).bit_count(), _compress(seed, ints, 1, width), full
+        planes = _compress([[p] if p else [] for p in anchor], ints, 1, width)
+        yield offset, (offset & constant).bit_count() - flips, planes, full
 
 
 def _least(planes: list[int], cand: int, m: int, cap: int) -> tuple[int, int]:
@@ -619,15 +644,17 @@ class Code:
 
         A bit-sliced sweep weighs the 2^k codewords in 2^(k-c) chunks of
         2^c, c = min(k, 16) cut down until n * 2^c <= 2^24 bits (see
-        _chunks).  Two anchor chunks sum the coordinate ints that vary, at
-        most n - k of them, with the base planes once per sweep.  Every
-        other chunk starts from the nearer anchor and a carry-save
-        compressor of full adders adds only the ints where it differs, at
-        most half of them, into n.bit_length() weight planes; reading the
+        _chunks).  The coordinate ints that vary, v <= n - k of them, are
+        summed once per sweep, and both anchor chunks are derived from that
+        sum and the base planes.  Every other chunk starts from the nearer
+        anchor and a carry-save compressor of full adders adds only the
+        ints where it differs, at most v // 2 of them, into
+        (n + v // 2).bit_length() weight planes, while the chunk's integer
+        constant takes the count of those flips; reading the
         planes from the top gives the chunk's least weight and its
         positions.  The coordinate ints hold n * 2^c <= 2^24 bits (2 MB)
         whatever k is, and the compressor O(log n) ints of 2^c bits more.
-        At the rank-28 cap, a systematic [48, 28] code takes about 0.12 s
+        At the rank-28 cap, a systematic [48, 28] code takes about 0.09 s
         (a one-word Gray walk about 40 s).
 
         The sweep runs on the first call only; the tuple is cached on the

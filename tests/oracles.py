@@ -635,9 +635,11 @@ def chunks_ripple(n, basis, c):
     """``gf2core._chunks`` as it was before its planes were summed carry-save.
 
     The same chunks ``(offset, const, planes, full)`` of 2^c words in Gray
-    order of the high words; each coordinate int that varies is added into
-    a copy of the base planes by a ripple-carry counter, two big-int
-    operations per plane it passes.
+    order of the high words, with the same weight const + planes value at
+    every position; each coordinate int that varies is added into a copy
+    of the base planes by a ripple-carry counter, two big-int operations
+    per plane it passes.  Here const counts only the offset's bits on
+    coordinates no low word sets, so it is never negative.
     """
     low, high = basis[:c], basis[c:]
     c = len(low)

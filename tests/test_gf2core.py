@@ -402,14 +402,25 @@ def test_bit_sliced_sweep_finds_words_outside_chunk_zero():
         assert gf2core._min_weight_words(C.n, C._basis, c) == want
 
 
-def plane_values(planes, c):
-    return [sum((p >> i & 1) << b for b, p in enumerate(planes)) for i in range(1 << c)]
+def chunk_weights(chunk, n):
+    # the positions of each weight 0 .. n, one mask each, where a position
+    # weighs const + its planes value: the constant alone may differ from
+    # the ripple oracle's, which keeps every flip inside its planes
+    _, const, planes, full = chunk
+    masks = []
+    for w in range(n + 1):
+        v = w - const
+        eq = full if 0 <= v < 1 << len(planes) else 0
+        for b, p in enumerate(planes):
+            eq &= p if v >> b & 1 else ~p
+        masks.append(eq)
+    return masks
 
 
 def test_carry_save_chunks_match_ripple_oracle():
     # every chunk width c = 1 .. k against the former ripple-carry chunks:
-    # the same offsets, constants and masks, and the same weight at every
-    # position; k = 1 and k = n included
+    # the same offsets and masks, and the same weight at every position;
+    # k = 1 and k = n included
     rng = random.Random(15)
     shapes = [(1, 1), (2, 2), (7, 7), (10, 10), (40, 1), (40, 9)]
     shapes += [(n, rng.randrange(1, min(n, 9) + 1)) for n in rng.sample(range(1, 41), 14)]
@@ -418,20 +429,21 @@ def test_carry_save_chunks_match_ripple_oracle():
         for c in range(1, k + 1):
             got, want = list(gf2core._chunks(n, C._basis, c)), list(chunks_ripple(n, C._basis, c))
             assert len(got) == len(want) == 1 << (k - c)
-            for (o, const, planes, full), (o2, const2, planes2, full2) in zip(got, want):
-                assert (o, const, full) == (o2, const2, full2)
-                assert plane_values(planes, c) == plane_values(planes2, c)
+            for chunk, oracle in zip(got, want):
+                assert (chunk[0], chunk[3]) == (oracle[0], oracle[3])
+                assert chunk_weights(chunk, n) == chunk_weights(oracle, n)
             assert gf2core._min_weight_words(n, C._basis, c) == min_weight_words_gray(C)
 
 
 def test_anchored_chunks_match_ripple_oracle(monkeypatch):
     # a chunk adds only the varying coordinates V where its offset differs
     # from the nearer anchor (none of V complemented, or all of it), at
-    # most |V|/2 of them, and its planes must equal the ripple oracle's:
-    # |V| of 0, 1, odd and even, the tie |F| = |V|/2, the chunk that
-    # complements all of V, lengths where n.bit_length() steps (each code
-    # holding the all-ones word, so weight n occurs) and code-construct's
-    # [48, 19-21] systematic codes at c = 16
+    # most |V|/2 of them, onto a seed of at most one int per plane, and
+    # its weights must equal the ripple oracle's: |V| of 0, 1, odd and
+    # even, the tie |F| = |V|/2, the chunk that complements all of V,
+    # lengths where n.bit_length() steps (each code holding the all-ones
+    # word, so weight n occurs) and code-construct's [48, 19-21]
+    # systematic codes at c = 16
     rng = random.Random(16)
     seen = set()
     compress, added = gf2core._compress, []
@@ -440,6 +452,7 @@ def test_anchored_chunks_match_ripple_oracle(monkeypatch):
         ints = list(ints)
         if at:
             added.append(len(ints))
+            assert all(len(p) <= 1 for p in pending)
         return compress(pending, ints, at, width)
 
     monkeypatch.setattr(gf2core, "_compress", counted)
@@ -455,7 +468,9 @@ def test_anchored_chunks_match_ripple_oracle(monkeypatch):
         seen.add(min(v, 2) + v % 2 * (v > 1))  # 0, 1, even or odd past 1
         added.clear()
         got = list(gf2core._chunks(n, basis, c))
-        assert got == list(chunks_ripple(n, basis, c))
+        want = list(chunks_ripple(n, basis, c))
+        assert [(o, full) for o, _, _, full in got] == [(o, full) for o, _, _, full in want]
+        assert all(chunk_weights(g, n) == chunk_weights(w, n) for g, w in zip(got, want))
         assert len(added) == len(got) and max(added) <= v // 2
         for offset, _, _, _ in got:
             f = (offset & lows & highs).bit_count()
@@ -479,6 +494,44 @@ def test_anchored_chunks_match_ripple_oracle(monkeypatch):
     for k in (19, 20, 21):
         check(systematic_code(random.Random(k + 100), 48, k), 16)
     assert seen == {0, 1, 2, 3, "tie", "all"}
+
+
+def test_sweep_work_is_pinned(monkeypatch):
+    # work counter: the ints entering _compress, as arguments or in its
+    # seed planes, over one sweep of a seeded systematic [48, 20] code
+    # (16 chunks of 2^16 words); the sweep that pushed the bits of each
+    # chunk's -min(|F|, |G|) through its adders, and summed the varying
+    # ints twice, took 380 here
+    compress, count = gf2core._compress, [0]
+
+    def counted(pending, ints, at, width):
+        ints = list(ints)
+        count[0] += len(ints) + sum(map(len, pending))
+        return compress(pending, ints, at, width)
+
+    monkeypatch.setattr(gf2core, "_compress", counted)
+    C = systematic_code(random.Random(120), 48, 20)
+    assert gf2core._min_weight_words(C.n, C._basis, 16) == min_weight_words_gray(C)
+    assert count[0] == 323
+
+
+def test_patterns_are_built_once_per_width():
+    # bit i of M_j is bit j of i, for each width c = 1 .. 16; a width's
+    # patterns are built once, and the table keeps at most 16 widths
+    for c in range(1, 17):
+        want = []
+        for j in range(c):
+            m = ((1 << (1 << j)) - 1) << (1 << j)
+            for b in range(j + 1, c):
+                m |= m << (1 << b)
+            want.append(m)
+        got = gf2core._patterns(c)
+        assert list(got) == want
+        assert gf2core._patterns(c) is got
+        assert gf2core._patterns.cache_info().currsize <= 16
+    assert gf2core._patterns.cache_info().maxsize == 16
+    for j, m in enumerate(gf2core._patterns(5)):
+        assert m == sum(1 << i for i in range(32) if i >> j & 1)
 
 
 def test_sweep_memory_is_bounded_by_chunk_width():
