@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 
 from .errors import LengthMismatch, NotATower, RankTooLarge, ShapeMismatch, ZeroCode
 
@@ -366,8 +365,7 @@ def _compress(pending: list[list[int]], ints: Iterable[int], at: int, width: int
     ripple pass adds each weight's ints and the carry from below.  A full
     adder costs five big-int operations and retires one int, however far a
     ripple-carry add would have carried, and only O(width) ints are held
-    beside ``ints``.  Returns one plane per weight, with no zero plane on
-    top.
+    beside ``ints``.  Returns ``width`` planes, one per weight.
     """
     for x in ints:
         b = at
@@ -388,7 +386,7 @@ def _compress(pending: list[list[int]], ints: Iterable[int], at: int, width: int
             b += 1
     planes = []
     carry = 0
-    for b in range(min(len(pending) + 1, width)):
+    for b in range(width):
         pend = pending[b] if b < len(pending) else ()
         if not carry:
             if len(pend) == 2:
@@ -406,25 +404,25 @@ def _compress(pending: list[list[int]], ints: Iterable[int], at: int, width: int
         else:
             carry, x = 0, carry
         planes.append(x)
-    while planes and not planes[-1]:
-        planes.pop()
     return planes
 
 
-@lru_cache(maxsize=16)
-def _patterns(c: int) -> tuple[int, ...]:
+def _patterns(c: int) -> list[int]:
     """The patterns M_j, j < c, of 2^c bits each: bit i of M_j is bit j of i.
 
-    Built once per width and kept; chunk widths run 1 .. 16, so the table
-    holds about 240 KB when all of them have been used.
+    M_(c-1) is the top half of the 2^c bits, and M_(j-1) = M_j ^ (M_j >> 2^(j-1)),
+    as adding 2^(j-1) to i flips bit j of i just when bit j - 1 is set.
     """
     pattern = []
-    for j in range(c):
-        m = ((1 << (1 << j)) - 1) << (1 << j)
-        for b in range(j + 1, c):
-            m |= m << (1 << b)
+    if c:
+        h = 1 << (c - 1)
+        m = ((1 << h) - 1) << h
         pattern.append(m)
-    return tuple(pattern)
+        while h > 1:
+            h >>= 1
+            m ^= m >> h
+            pattern.append(m)
+    return pattern[::-1]
 
 
 def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, list[int], int]]:
@@ -471,16 +469,12 @@ def _chunks(n: int, basis: Sequence[int], c: int) -> Iterator[tuple[int, int, li
     varying = [(t, xs[t]) for t in range(n) if spread >> t & 1]
     v = len(varying)
     width = (n + v // 2).bit_length()
-
-    def summed(pending: list[list[int]], ints: Iterable[int] = ()) -> list[int]:
-        planes = _compress(pending, ints, 0, width)
-        return planes + [0] * (width - len(planes))
-
-    base = summed([], (x for t, x in enumerate(xs) if x and not touched >> t & 1))
-    total = summed([], (x for _, x in varying))
+    base = _compress([], (x for t, x in enumerate(xs) if x and not touched >> t & 1), 0, width)
+    total = _compress([], (x for _, x in varying), 0, width)
     # |V| - S_V = (S_V complemented over the width) + |V| + 1, mod 2^width
-    rest = summed([[s ^ full] + [full] * ((v + 1) >> b & 1) for b, s in enumerate(total)])
-    anchors = [summed([[p, s] for p, s in zip(base, other)]) for other in (total, rest)]
+    rest = [[s ^ full] + [full] * ((v + 1) >> b & 1) for b, s in enumerate(total)]
+    rest = _compress(rest, (), 0, width)
+    anchors = [_compress([[p, s] for p, s in zip(base, o)], (), 0, width) for o in (total, rest)]
     offset = 0
     for g in range(1 << len(high)):
         if g:

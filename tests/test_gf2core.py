@@ -515,23 +515,20 @@ def test_sweep_work_is_pinned(monkeypatch):
     assert count[0] == 323
 
 
-def test_patterns_are_built_once_per_width():
-    # bit i of M_j is bit j of i, for each width c = 1 .. 16; a width's
-    # patterns are built once, and the table keeps at most 16 widths
-    for c in range(1, 17):
-        want = []
-        for j in range(c):
-            m = ((1 << (1 << j)) - 1) << (1 << j)
-            for b in range(j + 1, c):
-                m |= m << (1 << b)
-            want.append(m)
+def test_patterns_match_their_definition():
+    # bit i of M_j is bit j of i, for every chunk width c = 0 .. 16 (the
+    # zero code sweeps at c = 0), at every i below 2^8 and at 200 sampled
+    # i above it
+    rng = random.Random(17)
+    for c in range(17):
         got = gf2core._patterns(c)
-        assert list(got) == want
-        assert gf2core._patterns(c) is got
-        assert gf2core._patterns.cache_info().currsize <= 16
-    assert gf2core._patterns.cache_info().maxsize == 16
-    for j, m in enumerate(gf2core._patterns(5)):
-        assert m == sum(1 << i for i in range(32) if i >> j & 1)
+        assert len(got) == c
+        size = 1 << c
+        sample = list(range(min(size, 256))) + [rng.randrange(size) for _ in range(200 * (c > 8))]
+        for j, m in enumerate(got):
+            assert m >> size == 0
+            for i in sample:
+                assert m >> i & 1 == i >> j & 1
 
 
 def test_sweep_memory_is_bounded_by_chunk_width():
