@@ -3,9 +3,9 @@
 Exit codes: 0 success (and verification PASS), 1 verification failure,
 2 parse/usage error (a bad file or flag value, a flag the verify target does
 not read, an ``--out`` that cannot be written), 3 a work cap refused the
-input (sweep rank > 28, d-bar witness descent over > 2^20 digits, sign
-support > 24, enumeration rank > 768), 4 construction error, 5 enumeration
-budget exhausted, 70 internal error (a bug, not a verdict).
+input (sweep rank > 28, d-bar witness descent past 2^20 prefix tests,
+sign support > 24, enumeration rank > 768), 4 construction error,
+5 enumeration budget exhausted, 70 internal error (a bug, not a verdict).
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ __all__ = [
     "DBAR_DESCENT_CAP",
 ]
 
-# Most digits the witness descent of a non-lattice set sum may test
+# Most prefix tests the witness descent of a non-lattice set sum may run
 DBAR_DESCENT_CAP = 1 << 20
 
 C_STAR_AMBIENT_CAP = 32
@@ -299,8 +299,8 @@ def d_bar_is_lattice(T: CodeTower):
     that count, whatever the quotient's size.  Only when the counts differ
     is the witness searched for: the first coset in the order of the HNF
     digit expansion that the set misses (see ``_first_missing_coset``).
-    That descent tests at most sum_j 2^a / pivot_j digits, which must not
-    exceed ``DBAR_DESCENT_CAP``.  Returns ``(True, None)`` or
+    That descent raises QuotientTooLarge when it would run more than
+    ``DBAR_DESCENT_CAP`` prefix tests.  Returns ``(True, None)`` or
     ``(False, witness)`` with a span vector outside the set.
     """
     n, a = T.n, T.a
@@ -314,11 +314,6 @@ def d_bar_is_lattice(T: CodeTower):
         radii.append(mod // p)
     if prod(radii) == 1 << sum(level.dimension for level in T.levels):
         return True, None
-    digits = sum(radii)
-    if digits > DBAR_DESCENT_CAP:
-        raise QuotientTooLarge(
-            f"witness descent over {digits} digits exceeds cap {DBAR_DESCENT_CAP}"
-        )
     return False, _first_missing_coset(T, L, radii)
 
 
@@ -335,7 +330,9 @@ def _first_missing_coset(T: CodeTower, L: Lattice, radii: list[int]):
     that count falls short.  Taking the first digit whose subtree misses
     one, coordinate by coordinate, reaches the first missing coset of the
     digit order without visiting the cosets before it, after at most
-    sum(radii) prefix tests.
+    a * sum(radii) prefix tests.  The tests are counted as they run, and
+    the one that would pass ``DBAR_DESCENT_CAP`` raises QuotientTooLarge
+    instead.
     """
     n, a = T.n, T.a
     mod = 2**a
@@ -343,17 +340,30 @@ def _first_missing_coset(T: CodeTower, L: Lattice, radii: list[int]):
     below = sum(r.bit_length() - 1 for r in radii)
     rep = [0] * n
     planes = [0] * a  # bit b of rep[0..t-1] mod 2^a, coordinate s at bit n-1-s
+    tests = 0
+
+    def full(t: int, e: int) -> bool:
+        """Whether every plane's prefix, with digit e at coordinate t, starts
+        a word of its level; each test counts against the cap."""
+        nonlocal tests
+        for b in range(a):
+            tests += 1
+            if tests > DBAR_DESCENT_CAP:
+                raise QuotientTooLarge(
+                    f"witness descent exceeds cap of {DBAR_DESCENT_CAP} prefix tests"
+                )
+            if not T.levels[a - 1 - b].has_prefix(
+                BinaryVector(n, planes[b] | ((e >> b) & 1) << (n - 1 - t)), t + 1
+            ):
+                return False
+        return True
+
     for t in range(n):
         below -= radii[t].bit_length() - 1  # log2 of the cosets under coordinate t
         short = sum(f > t for f in firsts) < below
         col = L.basis[t]
         for x in range(radii[t] - 1):  # the last digit left needs no test
-            e = (rep[t] + x * col[t]) % mod
-            if short or not all(
-                T.levels[a - 1 - b].has_prefix(
-                    BinaryVector(n, planes[b] | ((e >> b) & 1) << (n - 1 - t)), t + 1)
-                for b in range(a)
-            ):
+            if short or not full(t, (rep[t] + x * col[t]) % mod):
                 break
         else:
             x = radii[t] - 1

@@ -74,8 +74,9 @@ class WeightViolation(ToolkitError):
 
 
 class QuotientTooLarge(ToolkitError):
-    """The witness descent over the digits of a d-bar quotient would exceed
-    its cap (a set sum that is a lattice is decided without one)."""
+    """The witness descent over the digits of a d-bar quotient would run
+    more prefix tests than its cap; the tests are counted as they run (a
+    set sum that is a lattice is decided without a descent)."""
 
 
 class SupportTooLarge(ToolkitError):

@@ -10,9 +10,15 @@ integral Gram-Schmidt (the integers d_i and lambda_ij of Cohen Alg. 2.6.7)
 drives both the fraction-free LLL and the enumeration that follows it:
 shortest vectors come from one sign-symmetric Fincke-Pohst walk (each +-v
 pair reached once) on those integers, with no pruning and an explicit node
-budget; it steps through a run of forced zeros (levels whose one
-candidate is 0) in one loop, one node each.  The GSO is built one row at
-a time, by one routine: LLL fills row k when it first reaches column k,
+budget.  The walk runs on their least common scale: each GSO column is
+divided by the gcd of its entries and its d, and norms are scaled by the
+least common denominator of the level weights, which keeps every test
+exact and the tree the same on any scale.  A shortest-vector walk
+tightens its radius at each shorter leaf, so a candidate drawn before
+that can fall outside the new radius and is skipped.  The walk steps
+through a run of forced zeros (levels whose one candidate is 0) in one
+loop, one node each.  The GSO is built one row at a time, by one
+routine: LLL fills row k when it first reaches column k,
 and the determinant of a lattice of lower rank is the square root of the
 last d of all rows.  LLL runs at delta = 99/100, and the walk, one frame
 per level, refuses a rank above ``WALK_RANK_CAP`` before LLL starts.
@@ -29,7 +35,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import neg
 
 from .errors import DimensionMismatch, EnumerationBudgetExceeded, RankTooLarge, ZeroRank
@@ -386,15 +392,32 @@ def lll_reduce(L: Lattice) -> tuple[tuple[IntVec, ...], list[list[int]], list[in
 # Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
 
-def _coeff_interval(N: int, q: int, t: int) -> tuple[int, int]:
-    """All integers x with (x*q - N)^2 <= t (q > 0), as [lo, hi]; empty iff lo > hi.
+def _walk_scale(
+    lam: list[list[int]], d: list[int]
+) -> tuple[int, list[int], list[int], list[list[tuple[int, int]]]]:
+    """``(P, w, D, rows)``: the least common integer scale of the walk.
 
-    Closed form, exact: the condition is |x*q - N| <= r = isqrt(t).
+    Column j of the integral GSO has g_j = gcd(d_{j+1}, lam_kj for all
+    k > j).  Level j's coefficient multiplier is D_j = d_{j+1} / g_j, and
+    ``rows[k]`` holds the (j, lam_kj / g_j) pairs of row k's nonzero
+    entries.  With g_j^2 / (d_j d_{j+1}) = a_j / s_j in lowest terms,
+    P = lcm_j s_j and w_j = a_j P / s_j, an integer, so that
+
+        P ||sum_k x_k b_k||^2 = sum_j w_j (D_j x_j + sum_(k>j) x_k lam_kj / g_j)^2.
+
+    Each s_j divides d_j d_{j+1}, so P divides lcm_j(d_j d_{j+1}).
     """
-    if t < 0:
-        return 1, 0
-    r = isqrt(t)
-    return -((r - N) // q), (N + r) // q
+    r = range(len(lam))
+    nz = [list(compress(r, row)) for row in lam]
+    g = d[1:]
+    for row, js in zip(lam, nz):
+        for j in js:
+            g[j] = gcd(g[j], row[j])
+    rows = [[(j, row[j] // g[j]) for j in js] for row, js in zip(lam, nz)]
+    D = [dj // gj for dj, gj in zip(d[1:], g)]
+    den = [dj * q for dj, q in zip(d, D)]  # g_j^2 / (d_j d_{j+1}) = g_j / (d_j D_j)
+    P = lcm(*(dn // gcd(gj, dn) for gj, dn in zip(g, den)))
+    return P, [P * gj // dn for gj, dn in zip(g, den)], D, rows
 
 
 def _enumerate(
@@ -406,32 +429,37 @@ def _enumerate(
 ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """One sign-symmetric depth-first walk over coefficient vectors with norm^2 <= radius.
 
-    Walks the integral GSO (lam, d) scaled by P = lcm_i(d_i d_{i+1}): with
-    N_i = -sum_{k>i} x_k lam_ki, level i adds w_i (x_i d_{i+1} - N_i)^2,
-    w_i = P / (d_i d_{i+1}), so the walk never leaves the integers.  While
-    ``sym`` (all x_k above level i zero) N_i = 0 and only x_i >= 0 is walked.
+    Walks the integral GSO (lam, d) on the least common integer scale P of
+    :func:`_walk_scale`: with c_i = sum_(k>i) x_k lam_ki / g_i, level i adds
+    w_i (D_i x_i + c_i)^2, and a leaf's rho is P times its norm^2, so the
+    walk never leaves the integers.  Level i's candidates are the x_i with
+    |D_i x_i + c_i| <= isqrt((bound - rho) // w_i), the exact solutions of
+    w_i (D_i x_i + c_i)^2 <= bound - rho.  Every test is the rational
+    inequality that any common scale gives, so the tree, its order and its
+    node counts do not depend on P.  While ``sym`` (all x_k above level i
+    zero) c_i = 0 and only x_i >= 0 is walked.
 
     Returns ``(radius, leaves)``, leaves as ``(norm_sq, coeffs)``; a leaf of
     positive norm stands for v and -v.  Without ``shortest`` all leaves in
     the radius are kept, zero once.  With it zero is skipped and a shorter
-    leaf tightens the radius, dropping the leaves kept so far.  A node is
-    one candidate coefficient, (plain-walk nodes + rank) / 2 at a fixed
+    leaf tightens the radius, dropping the leaves kept so far; a candidate
+    of the interval taken before a deeper leaf tightened it can then land
+    past the new bound, so ``rho2 > bound`` is tested and skips it.  A node
+    is one candidate coefficient, (plain-walk nodes + rank) / 2 at a fixed
     radius; over ``budget`` nodes raise EnumerationBudgetExceeded.  A
     forced zero, a level with centre 0 and ``bound - rho < PB[i] = P B_i``
-    (isqrt(t) < q iff t < q^2 in the interval), has the one candidate 0,
-    which changes neither rho nor acc: ``rec`` steps down a run of them in
-    one loop, one node per level, so every count and budget edge stays.
+    (isqrt(t) < D_i iff t < D_i^2), has the one candidate 0, which changes
+    neither rho nor acc: ``rec`` steps down a run of them in one loop, one
+    node per level, so every count and budget edge stays.
     """
     m = len(d) - 1
     x = [0] * m
-    P = lcm(*(d[i] * d[i + 1] for i in range(m)))
-    w = [P // (d[i] * d[i + 1]) for i in range(m)]
-    PB = [wi * q * q for wi, q in zip(w, d[1:])]
+    P, w, D, rows = _walk_scale(lam, d)
+    PB = [wi * q * q for wi, q in zip(w, D)]
+    levels = list(zip(D, w, rows))
     bound = radius * P
     left = budget
     leaves: list[tuple[int, tuple[int, ...]]] = []
-    # per-level nonzero-lam column lists keep the centre updates sparse
-    nz = [[j for j in range(i) if lam[i][j]] for i in range(m)]
 
     def rec(i: int, rho: int, acc: list[int], sym: bool) -> None:
         nonlocal bound, left
@@ -450,22 +478,22 @@ def _enumerate(
                     leaves.clear()
             leaves.append((rho // P, tuple(x)))
             return
-        N, q, wi = -acc[i], d[i + 1], w[i]
-        lrow, cols = lam[i], nz[i]
-        lo, hi = _coeff_interval(N, q, (bound - rho) // wi)
-        for xi in range(0 if sym else lo, hi + 1):
+        c = acc[i]
+        q, wi, row = levels[i]
+        r = isqrt(rem // wi)
+        for xi in range(0 if sym else -((r + c) // q), (r - c) // q + 1):
             left -= 1
             if left < 0:
                 raise EnumerationBudgetExceeded(budget)
-            e = xi * q - N
+            e = xi * q + c
             rho2 = rho + wi * e * e
             if rho2 > bound:
                 continue
             x[i] = xi
             if xi:
                 acc2 = acc[:i]
-                for j in cols:
-                    acc2[j] += xi * lrow[j]
+                for j, v in row:
+                    acc2[j] += xi * v
                 rec(i - 1, rho2, acc2, False)
             else:
                 # levels below i only read acc[:i] and copy before they write

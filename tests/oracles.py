@@ -12,7 +12,10 @@ the minimum-weight words, which the bit-sliced sweep must match, its
 former plain Fincke-Pohst walk, whose leaves and node count the
 sign-symmetric walk must match, its former level-by-level sign-symmetric
 walk, whose leaves and node count the walk that skips forced-zero levels
-in one loop must match, its former dense integral GSO loop and
+in one loop must match (both walk the former full scale
+P = lcm_i(d_i d_{i+1}) through the former closed-form coefficient
+interval, so they also check the walk on the least common scale), its
+former dense integral GSO loop and
 the LLL run on it, whose integers the row-by-row GSO and LLL must match
 exactly, its former per-coordinate shift loop of ``BinaryVector.coords``,
 which the one read of the bit layout must match, its former tuple-keyed
@@ -34,7 +37,7 @@ from math import isqrt, lcm
 from codelattice.constructions import d_bar_member
 from codelattice.errors import EnumerationBudgetExceeded, QuotientTooLarge
 from codelattice.gf2core import BinaryVector
-from codelattice.zlattice import Lattice, _coeff_interval, _residue, _xgcd, lp_power_sum_cmp
+from codelattice.zlattice import Lattice, _residue, _xgcd, lp_power_sum_cmp
 
 # Most cosets the exhaustive d-bar walk below visits
 WALK_COSET_CAP = 1 << 20
@@ -356,6 +359,18 @@ def min_weight_words_gray(code):
         found.append(word)
     found.sort()
     return tuple(found)
+
+
+def _coeff_interval(N, q, t):
+    """All integers x with (x*q - N)^2 <= t (q > 0), as [lo, hi]; empty iff lo > hi.
+
+    Closed form, exact: the condition is |x*q - N| <= r = isqrt(t).  The
+    package's walk computes the same interval inline.
+    """
+    if t < 0:
+        return 1, 0
+    r = isqrt(t)
+    return -((r - N) // q), (N + r) // q
 
 
 def fincke_pohst_plain(lam, d, radius, shortest):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from codelattice import cli
+from codelattice import cli, constructions
 from codelattice.cli import main
 from codelattice.gf2core import BinaryMatrix, BinaryVector, complete_to_full_rank
 from codelattice.matio import data_path, read_matrix, write_f2_matrix, write_z_matrix
@@ -148,12 +148,13 @@ def test_exit_3_on_oversized_sweep(capsys, tmp_path):
     code, _, err = run(capsys, ["construct", str(man), "--construction", "d-bar"])
     assert code == 0 and "# is_lattice: True" in err
     # 21 levels of the even [3, 2] code, not closed under products: the
-    # witness descent would test 2^21 + 2^21 + 2^20 digits > 2^20
+    # worst case of the witness descent, 2^21 + 2^21 + 2^20 digits, passes
+    # the cap, but the descent reaches its witness after 23 prefix tests
     write_f2_matrix(str(tmp_path / "even3.txt"), BinaryMatrix.from_rows([[1, 1], [1, 0], [0, 1]]))
     man = tmp_path / "tower21.txt"
     man.write_text("tower 3 21\n" + "even3.txt\n" * 21)
     code, _, err = run(capsys, ["construct", str(man), "--construction", "d-bar"])
-    assert code == 3 and "5242880 digits" in err
+    assert code == 0 and "# is_lattice: False" in err
     # one level, the even [30, 29] code: the span's generators stop at the sweep cap
     even30 = [BinaryVector.from_support(30, (0, i)) for i in range(1, 30)]
     write_f2_matrix(str(tmp_path / "even30.txt"), BinaryMatrix.from_columns(even30, 30))
@@ -338,6 +339,22 @@ def test_construct_json_includes_basis(capsys, tmp_path):
     assert rep["construction"] == "simplified-d"
     assert rep["basis"] == [[1, 1, 1]]
     assert rep["determinant"] == "sqrt(3)"
+
+
+def test_d_bar_descent_cap_counts_prefix_tests(capsys, tmp_path, monkeypatch):
+    # 18 levels of the even [3, 2] code: the witness descent runs 20 prefix
+    # tests, so a cap of 19 refuses it and a cap of 20 decides the tower
+    write_f2_matrix(str(tmp_path / "even3.txt"), BinaryMatrix.from_rows([[1, 1], [1, 0], [0, 1]]))
+    man = tmp_path / "tower18.txt"
+    man.write_text("tower 3 18\n" + "even3.txt\n" * 18)
+    argv = ["construct", str(man), "--construction", "d-bar", "--format", "json"]
+    monkeypatch.setattr(constructions, "DBAR_DESCENT_CAP", 19)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "") and "cap of 19 prefix tests" in err
+    monkeypatch.setattr(constructions, "DBAR_DESCENT_CAP", 20)
+    code, out, _ = run(capsys, argv)
+    rep = json.loads(out)
+    assert code == 0 and rep["is_lattice"] is False and rep["witness"] == [0, 0, 2]
 
 
 def test_construct_d_bar_reports_verdict(capsys):

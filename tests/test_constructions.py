@@ -425,13 +425,16 @@ def test_d_bar_is_lattice_nonclosed_tower():
 
 
 def test_d_bar_is_lattice_coset_cap(monkeypatch):
-    # the cap bounds the witness descent only: a closed tower is decided
-    # by the count whatever the cap, a non-closed one is refused above it
-    monkeypatch.setattr(constructions, "DBAR_DESCENT_CAP", 2)
+    # the cap bounds the prefix tests the witness descent runs: a closed
+    # tower is decided by the count whatever the cap, and the bundled
+    # non-closed tower's descent runs 2 tests, so a cap of 1 refuses it
+    monkeypatch.setattr(constructions, "DBAR_DESCENT_CAP", 1)
     with pytest.raises(QuotientTooLarge):
         d_bar_is_lattice(nonclosed_tower())
     full = Code(BinaryMatrix.identity(2))
     assert d_bar_is_lattice(CodeTower([full, full])) == (True, None)
+    monkeypatch.setattr(constructions, "DBAR_DESCENT_CAP", 2)
+    assert d_bar_is_lattice(nonclosed_tower()) == (False, (0, 0, 0, 2))
 
 
 def test_d_bar_large_quotient_closed_tower_needs_no_walk():

@@ -17,7 +17,6 @@ from codelattice.gadgets import build_cor23
 from codelattice.gf2core import BinaryMatrix, BinaryVector, Code, CodeTower
 from codelattice.matio import golay_code, nonclosed_tower
 from codelattice.zlattice import (
-    _coeff_interval,
     _enumerate,
     _gso_row,
     _residue,
@@ -39,6 +38,7 @@ from codelattice.zlattice import (
 )
 
 from oracles import (
+    _coeff_interval,
     box_member,
     box_vectors,
     fincke_pohst_levelwise,
@@ -699,6 +699,42 @@ def test_walk_matches_levelwise_oracle():
     assert nodes == 4 + 3 + (3 + 3 + 1)
     # 0, e1, 2 e1, e2 - e1, e2, e1 + e2, 2 e2: one of each +-v pair
     assert len(_enumerate(lam, d, 4, nodes, False)[1]) == 7
+
+
+def test_walk_scale_is_exact():
+    # the walk's least common scale P keeps P ||sum_k x_k b_k||^2 equal to
+    # sum_j w_j e_j^2 with e_j = D_j x_j + sum_(k>j) x_k lam_kj / g_j, and P
+    # divides the full scale lcm_i(d_i d_{i+1}) that the oracle walks use;
+    # on the lattice sets of the levelwise oracle test
+    rng = random.Random(46)
+    lattices = [rand_lattice_of_rank(rng, rank) for rank in range(1, 9) for _ in range(3)]
+    lattices.append(construction_a(golay_code()))
+    lattices += [build_cor23(seed=s)[1] for s in (0, 1, 2, 373305)]
+    lattices += [qzn_lattice(rng, rng.randrange(3, 7), q) for q in (2, 3, 4, 6) for _ in range(3)]
+    scales = []
+    for L in lattices:
+        reduced, lam, d = lll_reduce(L)
+        P, w, D, rows = zlattice._walk_scale(lam, d)
+        assert math.lcm(*(d[i] * d[i + 1] for i in range(L.rank))) % P == 0
+        for _ in range(6):
+            x = [rng.randint(-3, 3) for _ in range(L.rank)]
+            e = [q * xj for q, xj in zip(D, x)]
+            for xk, row in zip(x, rows):
+                for j, v in row:
+                    e[j] += xk * v
+            vec = [sum(xk * col[t] for xk, col in zip(x, reduced)) for t in range(L.n)]
+            assert sum(wj * ej * ej for wj, ej in zip(w, e)) == P * sum(t * t for t in vec)
+        scales.append(P)
+    # Golay Construction A and cor23 seed 0: the least common denominators
+    # of their norms, where the full scale has 66 and 523 bits
+    assert scales[24:26] == [6120, 90090]
+    # rank 0 walks the empty scale to the zero vector alone
+    assert zlattice._walk_scale([], [1]) == (1, [], [], [])
+    assert vectors_up_to(Lattice.from_generators(2, []), 9) == [(0, 0)]
+    # rank 1: 5Z has d = [1, 25], g_0 = 25, D_0 = 1 and w_0 = 25 at P = 1
+    L = Lattice.from_generators(1, [(5,)])
+    assert zlattice._walk_scale(*lll_reduce(L)[1:]) == (1, [25], [1], [[]])
+    assert shortest_vectors(L) == (25, 2, ((-5,), (5,)))
 
 
 def test_coeff_interval_closed_form():
