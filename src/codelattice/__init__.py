@@ -15,6 +15,7 @@ from .errors import (
     ModTwoMismatch,
     NotATower,
     NotFullRank,
+    OutputTooLarge,
     ParseError,
     QuotientTooLarge,
     RankTooLarge,

@@ -29,6 +29,7 @@ from .constructions import (
 from .errors import (
     EnumerationBudgetExceeded,
     HypothesesFail,
+    OutputTooLarge,
     ParseError,
     QuotientTooLarge,
     RankTooLarge,
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RankTooLarge, QuotientTooLarge, SupportTooLarge) as e:
+    except (RankTooLarge, QuotientTooLarge, SupportTooLarge, OutputTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except EnumerationBudgetExceeded as e:

@@ -22,6 +22,7 @@ __all__ = [
     "QuotientTooLarge",
     "SupportTooLarge",
     "ModTwoMismatch",
+    "OutputTooLarge",
     "EnumerationBudgetExceeded",
     "HypothesesFail",
     "ParseError",
@@ -86,6 +87,11 @@ class SupportTooLarge(ToolkitError):
 class ModTwoMismatch(ToolkitError):
     """The lattice's mod-2 reduction is not contained in the given code,
     so the support-restricted ternary search would be incomplete."""
+
+
+class OutputTooLarge(ToolkitError):
+    """A Fincke-Pohst walk would keep more than 2^24 entries (vectors times
+    n, v and -v counted apart) of output, counted at each kept leaf."""
 
 
 class EnumerationBudgetExceeded(ToolkitError):

@@ -25,6 +25,7 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .constructions import (
@@ -477,7 +478,8 @@ def ternary_sign_search(L: Lattice, C: Code, bound: int) -> list[IntVec]:
     if C.n != L.n:
         raise LengthMismatch(f"code length {C.n} != lattice dimension {L.n}")
     for col in L.basis:
-        if not C.contains(mod2_reduction(col)):
+        # a column with no odd entry reduces to the zero word, which C holds
+        if any(map((1).__and__, compress(col, col))) and not C.contains(mod2_reduction(col)):
             raise ModTwoMismatch(
                 "a basis column does not reduce into the code mod 2; "
                 "the support restriction would be unsound"
@@ -556,7 +558,8 @@ def verify_cor23(
     if full_enum:
         try:
             vecs = vectors_up_to(lat, 16, budget)
-            bad = [v for v in vecs if any(v) and max(map(abs, v)) <= 1]
+            ternary = {-1, 0, 1}
+            bad = [v for v in vecs if any(v) and ternary.issuperset(v)]
             conclusions.append(
                 _item(
                     "claim",

@@ -21,7 +21,8 @@ loop, one node each.  The GSO is built one row at a time, by one
 routine: LLL fills row k when it first reaches column k,
 and the determinant of a lattice of lower rank is the square root of the
 last d of all rows.  LLL runs at delta = 99/100, and the walk, one frame
-per level, refuses a rank above ``WALK_RANK_CAP`` before LLL starts.
+per level, refuses a rank above ``WALK_RANK_CAP`` before LLL starts and
+a kept set past ``WALK_OUTPUT_CAP`` entries (vectors times n) as it grows.
 Exact l_p decisions for rational p = u/v read one generator of dyadic
 brackets of the power sum, at precisions 16, 32, 64, ... bits, from
 floor v-th roots of integers; an integer p gives an exact bracket at once.
@@ -36,9 +37,9 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
-from operator import neg
+from operator import getitem, neg
 
-from .errors import DimensionMismatch, EnumerationBudgetExceeded, RankTooLarge, ZeroRank
+from .errors import DimensionMismatch, EnumerationBudgetExceeded, OutputTooLarge, RankTooLarge, ZeroRank
 
 __all__ = [
     "IntVec",
@@ -59,12 +60,14 @@ __all__ = [
     "iroot",
     "DEFAULT_BUDGET",
     "WALK_RANK_CAP",
+    "WALK_OUTPUT_CAP",
 ]
 
 IntVec = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**9
 WALK_RANK_CAP = 768  # one walk frame per level, with room under the recursion limit 1000
+WALK_OUTPUT_CAP = 1 << 24  # entries a walk may keep: vectors times n, v and -v apart
 _DELTA = (99, 100)  # LLL's delta = 99/100, as (numerator, denominator)
 
 
@@ -263,7 +266,8 @@ def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int],
     and, for j < i, ``lam[i][j] = d[j+1] * mu_ij``; so ``B_i = d[i+1] / d[i]``.
     All are integers and every division below is exact.  Cohen's recurrence
     u <- (d_{i+1} u - lam_ki lam_ji) / d_i starts from <b_k, b_j>, for all
-    j <= k in one list pass per nonzero entry of b_k, the first one first:
+    j <= k in one list pass per nonzero entry of b_k (one ``compress``
+    finds them; a column q e_r has one), the first one first:
     the callers pass independent columns (an HNF basis, or LLL's transform
     of one), so b_k is not zero.  Below the first nonzero <b_k, b_j> every
     u stays 0, so ``lam[k][j]`` is 0 there and the recurrence starts at
@@ -271,11 +275,13 @@ def _gso_row(basis: Sequence[Sequence[int]], lam: list[list[int]], d: list[int],
     run i = s..e-1 of them u_i / d_i is constant, so the run is the one
     exact step u <- u d_e / d_s, which u = 0 skips too.
     """
-    cols = basis[:k + 1]
-    bk = [(t, x) for t, x in enumerate(basis[k]) if x]
-    t, x = bk[0]
+    cols, bk = basis[:k + 1], basis[k]
+    ts = compress(range(len(bk)), bk)  # the rows where b_k is nonzero
+    t = next(ts)
+    x = bk[t]
     g = [x * bj[t] for bj in cols]  # g[j] = <b_k, b_j>
-    for t, x in bk[1:]:
+    for t in ts:
+        x = bk[t]
         g = [a + x * bj[t] for a, bj in zip(g, cols)]
     lk, nk = lam[k], []  # nk: the columns i < j with lam[k][i] != 0
     for j in range(next(compress(range(k + 1), g)), k + 1):
@@ -344,9 +350,11 @@ def lll_reduce(L: Lattice) -> tuple[tuple[IntVec, ...], list[list[int]], list[in
     ``clean[k]`` are unchanged and stay reduced.  A swap at k changes only
     d_k, the bound of column k-1: the new rows k-1 and k, whose first k-1
     entries come from size-reduced rows, are clean up to k-1, and so is
-    every row past k that it changes (:func:`_swap`).  So every decision,
-    basis and GSO integer is that of the full scan.  Exact and
-    deterministic; L is not modified.
+    every row past k that it changes (:func:`_swap`).  A zero lam_kj
+    needs no reduction, so the scan tests only the nonzero ones, and a
+    reduction at j changes b_k and lam[k][i] only where b_j and lam_ji are
+    nonzero.  So every decision, basis and GSO integer is that of the full
+    scan.  Exact and deterministic; L is not modified.
     """
     dp, dq = _DELTA
     m = L.rank
@@ -365,15 +373,16 @@ def lll_reduce(L: Lattice) -> tuple[tuple[IntVec, ...], list[list[int]], list[in
             if j < low:
                 break
             # |mu_kj| > 1/2  <=>  2|lam_kj| > d_{j+1}; q = floor(mu_kj + 1/2)
-            lkj, dj = lk[j], d[j + 1]
-            if 2 * abs(lkj) > dj:
+            lkj = lk[j]
+            if lkj and 2 * abs(lkj) > (dj := d[j + 1]):
                 q = (2 * lkj + dj) // (2 * dj)
-                bk = [x - q * y for x, y in zip(bk, basis[j])]
+                bj, bk = basis[j], list(bk)
+                for t in compress(range(len(bj)), bj):
+                    bk[t] -= q * bj[t]
                 lj = lam[j]
                 lk[j] = lkj - q * dj
-                for i in range(j):
-                    if lj[i]:
-                        lk[i] -= q * lj[i]
+                for i in compress(range(j), lj):
+                    lk[i] -= q * lj[i]
                 low = 0  # lam[k][:j] changed: scan it all
         basis[k] = bk
         clean[k] = k
@@ -426,6 +435,7 @@ def _enumerate(
     radius: int,
     budget: int,
     shortest: bool,
+    n: int = 1,
 ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """One sign-symmetric depth-first walk over coefficient vectors with norm^2 <= radius.
 
@@ -437,7 +447,10 @@ def _enumerate(
     w_i (D_i x_i + c_i)^2 <= bound - rho.  Every test is the rational
     inequality that any common scale gives, so the tree, its order and its
     node counts do not depend on P.  While ``sym`` (all x_k above level i
-    zero) c_i = 0 and only x_i >= 0 is walked.
+    zero) c_i = 0 and only x_i >= 0 is walked.  Each kept leaf charges the
+    kept set n entries per vector it stands for (n the ambient dimension;
+    1 counts vectors), and a set past ``WALK_OUTPUT_CAP`` entries raises
+    OutputTooLarge with the count and the radius at the time.
 
     Returns ``(radius, leaves)``, leaves as ``(norm_sq, coeffs)``; a leaf of
     positive norm stands for v and -v.  Without ``shortest`` all leaves in
@@ -458,11 +471,11 @@ def _enumerate(
     PB = [wi * q * q for wi, q in zip(w, D)]
     levels = list(zip(D, w, rows))
     bound = radius * P
-    left = budget
+    left, kept = budget, 0
     leaves: list[tuple[int, tuple[int, ...]]] = []
 
     def rec(i: int, rho: int, acc: list[int], sym: bool) -> None:
-        nonlocal bound, left
+        nonlocal bound, left, kept
         rem = bound - rho
         while i >= 0 and not acc[i] and rem < PB[i]:
             left -= 1
@@ -476,6 +489,13 @@ def _enumerate(
                 if rho < bound:
                     bound = rho
                     leaves.clear()
+                    kept = 0
+            kept += 2 * n if rho else n
+            if kept > WALK_OUTPUT_CAP:
+                raise OutputTooLarge(
+                    f"walk keeps {kept} entries > output cap {WALK_OUTPUT_CAP}"
+                    f" at squared radius {bound // P}"
+                )
             leaves.append((rho // P, tuple(x)))
             return
         c = acc[i]
@@ -507,7 +527,9 @@ def _enumerate(
 def _vectors(L: Lattice, R: int | None, budget: int) -> tuple[int, list[IntVec]]:
     """``(radius, vectors)`` sorted by norm, then value; ``R=None`` asks for the shortest.
 
-    A rank above ``WALK_RANK_CAP`` raises RankTooLarge first.  One LLL
+    A rank above ``WALK_RANK_CAP`` raises RankTooLarge first, and a walk
+    that would keep more than ``WALK_OUTPUT_CAP`` entries of these vectors
+    raises OutputTooLarge before they are built.  One LLL
     call, through the module-level name, so callers that wrap it to time
     LLL see every reduction.  Each leaf is rebuilt over its nonzero
     coefficients and the nonzero entries of their reduced columns only.
@@ -517,7 +539,7 @@ def _vectors(L: Lattice, R: int | None, budget: int) -> tuple[int, list[IntVec]]
     reduced, lam, d = lll_reduce(L)
     shortest = R is None
     r0 = min(sum(e * e for e in col) for col in reduced) if shortest else R
-    R, leaves = _enumerate(lam, d, r0, budget, shortest)
+    R, leaves = _enumerate(lam, d, r0, budget, shortest, L.n)
     sparse = [[(t, e) for t, e in enumerate(col) if e] for col in reduced]
     out = []
     for norm, coeffs in leaves:
@@ -662,14 +684,18 @@ def adjugate_solve(L: Lattice, v: Sequence[int]) -> tuple[int, list[int], list[i
     them.  X and w are linear in v, and v lies in L iff D divides every
     X_i and w = 0: batches of membership tests become sums of these keys,
     which the sign-pattern search joins meet-in-the-middle.  At full rank
-    D = det(L) and w = 0.
+    D = det(L) and w = 0.  Only the nonzero entries of v are scaled by D, so
+    the key of a unit vector costs one product before the reduction.
     """
     if L.rank == 0:
         raise ZeroRank("adjugate solve of a rank-0 lattice")
     if len(v) != L.n:
         raise DimensionMismatch(f"vector length {len(v)} != ambient {L.n}")
-    D = prod(col[r] for col, r in zip(L.basis, L.pivots))
-    X, w = _residue(L.basis, L.pivots, [D * x for x in v])
-    if any(w[r] for r in L.pivots):
+    D = prod(map(getitem, L.basis, L.pivots))
+    Dv = [0] * L.n
+    for t in compress(range(L.n), v):
+        Dv[t] = D * v[t]
+    X, w = _residue(L.basis, L.pivots, Dv)
+    if any(map(w.__getitem__, L.pivots)):
         raise ArithmeticError("adjugate solve lost integrality (bug)")
     return D, X, w

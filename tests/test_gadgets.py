@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from codelattice import gadgets
 from codelattice.constructions import construction_a, simplified_d
 from codelattice.errors import (
     HypothesesFail,
@@ -252,6 +253,21 @@ def test_ternary_sign_search_guards():
     rep25 = Code(BinaryMatrix.from_columns([bv((1,) * 25)]))
     with pytest.raises(SupportTooLarge):
         ternary_sign_search(construction_a(rep25), rep25, 5)
+
+
+def test_mod_two_check_skips_only_columns_with_no_odd_entry():
+    # the check skips columns with no odd entry, which reduce to the zero
+    # word; the odd column (0, 0, 2, 1), whose first nonzero entry is even,
+    # comes after two skipped columns and reduces outside C
+    C = Code(BinaryMatrix.from_columns([bv((1, 1, 0, 0))]))
+    L = Lattice.from_generators(4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 1), (0, 0, 0, 4)])
+    assert L.basis == ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 1), (0, 0, 0, 4))
+    with pytest.raises(ModTwoMismatch):
+        ternary_sign_search(L, C, 2)
+    # a basis of even columns only reduces into every code
+    L = Lattice.from_generators(4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 4), (0, 0, 0, 4)])
+    assert ternary_sign_search(L, C, 2) == []
+    assert ternary_sign_search(L, Code(BinaryMatrix.from_columns([bv((0, 0, 0, 1))])), 2) == []
 
 
 def test_sign_search_refuses_iff_a_support_between_cap_and_bound():
@@ -602,6 +618,20 @@ def test_verify_cor23_full_enum_budget_overflow_is_reported():
     assert passed(rep)  # overflow is recorded, not failed
     assert rep["exact_values"]["full_enum_status"].startswith("budget exhausted")
     assert len(rep["conclusions"]) == 3
+
+
+def test_verify_cor23_full_enum_claim_fails_on_a_ternary_vector(monkeypatch):
+    # no cor23 lattice holds a nonzero ternary vector, so the enumeration
+    # claim's failing path is reached by adding one to what the walk
+    # returns; a vector with one entry -2 is not ternary and keeps it passing
+    claim = "exhaustive enumeration to squared norm 16 finds no nonzero ternary vector"
+    walk = gadgets.vectors_up_to
+    for extra, ok in (((-1, 1) + (0,) * 64 + (1,), False), ((1, -2) + (0,) * 64 + (1,), True)):
+        monkeypatch.setattr(gadgets, "vectors_up_to", lambda *args: walk(*args) + [extra])
+        rep = verify_cor23(full_enum=True)
+        (item,) = [c for c in rep["conclusions"] if c["claim"] == claim]
+        assert item["pass"] is ok and passed(rep) is ok
+        assert rep["exact_values"]["norm_le16_nonzero_count"] == 150 + 1  # the added vector
 
 
 def test_sign_search_control_finds_vectors_when_they_exist():

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from codelattice import cli, zlattice
 from codelattice.zlattice import WALK_RANK_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -170,3 +171,17 @@ def test_hostile_input(case, tmp_path):
         check(json.loads(proc.stdout))
     else:
         assert proc.stdout == "" and error in proc.stderr
+
+
+def test_walk_output_cap_exits_3(tmp_path, monkeypatch, capsys):
+    """The n = 32 Hamming file keeps 19,904 vectors of 32 entries: exit 0
+    with the closed-form count, and exit 3 once the output cap is below it."""
+    argv, check = hamming_construction_a(tmp_path, random.Random(4), 5)
+    assert cli.main(argv) == 0
+    check(json.loads(capsys.readouterr().out))
+    entries = 19904 * 32
+    monkeypatch.setattr(zlattice, "WALK_OUTPUT_CAP", entries - 1)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"error: walk keeps {entries} entries > output cap {entries - 1} at squared radius 4\n"
+    )

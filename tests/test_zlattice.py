@@ -11,6 +11,7 @@ from codelattice.constructions import construction_a, d_bar_span, simplified_d
 from codelattice.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
+    OutputTooLarge,
     ZeroRank,
 )
 from codelattice.gadgets import build_cor23
@@ -509,6 +510,30 @@ def test_lll_matches_dense_gso_oracle(monkeypatch):
     assert sum(gap >= 2 for gap in deep) > 200
 
 
+def test_lll_matches_fraction_reference_on_sparse_q_lattices():
+    # Construction A HNFs and small q-lattices are mostly q e_r columns, so
+    # most lam_kj that LLL's size-reduction scan and _gso_row meet are zero
+    # and skipped; the basis must still be the Fraction LLL's, and the GSO
+    # rows those of the dense loop, on the HNF and on the reduced basis
+    rng = random.Random(48)
+    cases = []
+    for n in range(2, 13):
+        for _ in range(3):
+            words = [rng.getrandbits(n) for _ in range(rng.randrange(1, n))]
+            cases.append(construction_a(Code(BinaryMatrix(n, words))))
+        cases += [qzn_lattice(rng, n, q) for q in (2, 3, 4)]
+    zero = lower = 0
+    for L in cases:
+        lam, d = gso_rows(L.basis)
+        assert (lam, d) == integral_gso_dense(gram(L.basis))
+        zero += sum(row[:i].count(0) for i, row in enumerate(lam))
+        lower += L.rank * (L.rank - 1) // 2
+        red, lam, d = lll_reduce(L)
+        assert list(red) == frac_lll(L.basis, DELTA)
+        assert (lam, d) == integral_gso_dense(gram(red))
+    assert 3 * zero > lower  # over a third of the HNF GSO entries are zero
+
+
 def test_each_enumeration_makes_one_lll_call(monkeypatch):
     # a benchmark trace times LLL by wrapping the module-level lll_reduce,
     # so the enumeration entry points must reach LLL through it, once
@@ -699,6 +724,27 @@ def test_walk_matches_levelwise_oracle():
     assert nodes == 4 + 3 + (3 + 3 + 1)
     # 0, e1, 2 e1, e2 - e1, e2, e1 + e2, 2 e2: one of each +-v pair
     assert len(_enumerate(lam, d, 4, nodes, False)[1]) == 7
+
+
+def test_walk_output_cap_counts_the_kept_set(monkeypatch):
+    # a leaf of positive norm charges 2 n entries (v and -v), the zero leaf
+    # n; diag(1, 1, 5, 5, 5, 5) at R = 4 keeps 7 leaves, 13 vectors of n = 6
+    L = Lattice.from_generators(6, units(6, 1)[:2] + units(6, 5)[2:])
+    _, lam, d = lll_reduce(L)
+    monkeypatch.setattr(zlattice, "WALK_OUTPUT_CAP", 13 * 6)
+    assert len(_enumerate(lam, d, 4, 10**9, False, 6)[1]) == 7
+    monkeypatch.setattr(zlattice, "WALK_OUTPUT_CAP", 13 * 6 - 1)
+    with pytest.raises(OutputTooLarge, match="keeps 78 entries > output cap 77 at squared radius 4$"):
+        _enumerate(lam, d, 4, 10**9, False, 6)
+    # this shortest walk keeps one pair at radius 35, then two, then drops
+    # both for the one pair at 34: three pairs are charged in all, but the
+    # cap checks the set kept at the time, at most two pairs (n = 5 here)
+    _, lam, d = lll_reduce(seeded_basis(10, 838))
+    monkeypatch.setattr(zlattice, "WALK_OUTPUT_CAP", 4 * 5)
+    assert _enumerate(lam, d, 35, 10**9, True, 5)[0] == 34
+    monkeypatch.setattr(zlattice, "WALK_OUTPUT_CAP", 4 * 5 - 1)
+    with pytest.raises(OutputTooLarge, match="keeps 20 entries > output cap 19 at squared radius 35$"):
+        _enumerate(lam, d, 35, 10**9, True, 5)
 
 
 def test_walk_scale_is_exact():
