@@ -4,7 +4,8 @@ Exit codes: 0 success (and verification PASS), 1 verification failure,
 2 parse/usage error (a bad file or flag value, a flag the verify target does
 not read, an ``--out`` that cannot be written), 3 a work cap refused the
 input (sweep rank > 28, d-bar witness descent past 2^20 prefix tests,
-sign support > 24, enumeration rank > 768), 4 construction error,
+sign support > 24, enumeration rank > 768, an enumeration keeping more
+than 2^24 vector entries), 4 construction error,
 5 enumeration budget exhausted, 70 internal error (a bug, not a verdict).
 """
 
@@ -248,22 +249,14 @@ def _cmd_code_info(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     name = args.construction
     extras: dict = {}
-    if name in ("d", "d-special"):
-        _, blocks = load_matrix_tower(args.path)
-    elif name == "d-bar":
-        T = load_code_tower(args.path)
-    else:
-        C = _code_from_file(args.path)
-
-    if name == "a":
-        L = construction_a(C)
-    elif name == "simplified-d":
-        L = simplified_d(C)
-    elif name == "c-star":
-        L = construction_c_star(C)
+    if name in ("a", "simplified-d", "c-star"):
+        # built at call time, as THEOREMS looks its verifiers up, so a traced construction runs
+        build = {"a": construction_a, "simplified-d": simplified_d, "c-star": construction_c_star}
+        L = build[name](_code_from_file(args.path))
     elif name == "d":
-        L = construction_d(blocks, strict=True)
+        L = construction_d(load_matrix_tower(args.path)[1], strict=True)
     elif name == "d-special":
+        _, blocks = load_matrix_tower(args.path)
         if len(blocks) < 2:
             raise ParseError("d-special needs at least two blocks")
         mids = blocks[1:-1]
@@ -272,6 +265,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 raise ParseError(f"middle block {i} must be a single column")
         L = vladut_special_d(blocks[0], [m.column(0) for m in mids], blocks[-1])
     else:  # d-bar
+        T = load_code_tower(args.path)
         L = d_bar_span(T)
         ok, wit = d_bar_is_lattice(T)
         extras["is_lattice"] = ok

@@ -22,6 +22,7 @@ hard-capped at rank 28 and refuses larger inputs with :class:`RankTooLarge`.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, NotATower, RankTooLarge, ShapeMismatch, ZeroCode
@@ -56,7 +57,9 @@ _PACK = b"01" + b"x" * 254  # bit values to digit characters, other bytes to "x"
 class BinaryVector:
     """Immutable vector over F2.
 
-    Coordinate i lives at bit position (n - 1 - i) of ``bits``.
+    Coordinate i lives at bit position (n - 1 - i) of ``bits``.  Unlike the
+    named-tuple value types it is a sequence of its coordinates, so it keeps
+    its own slots: a tuple base would change ``iter``, ``in`` and ``bytes()``.
     """
 
     __slots__ = ("n", "bits")
@@ -148,26 +151,26 @@ def schur_product(x: BinaryVector, y: BinaryVector) -> BinaryVector:
     return BinaryVector(x.n, x.bits & y.bits)
 
 
-class BinaryMatrix:
+class BinaryMatrix(namedtuple("BinaryMatrix", "n cols")):
     """Matrix over F2 stored column-wise; n rows, k columns.
 
     Each column uses the BinaryVector bit layout (row 0 at the MSB).
     """
 
-    __slots__ = ("n", "k", "cols")
+    __slots__ = ()
 
-    def __init__(self, n: int, cols: Sequence[int]) -> None:
+    def __new__(cls, n: int, cols: Sequence[int]):
         if n < 0:
             raise ValueError("negative row count")
+        cols = tuple(cols)  # once, so a one-shot iterator is checked and kept alike
         for c in cols:
             if c < 0 or c >> n:
                 raise ValueError("column out of range for row count")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", len(cols))
-        object.__setattr__(self, "cols", tuple(cols))
+        return super().__new__(cls, n, cols)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("BinaryMatrix is immutable")
+    @property
+    def k(self) -> int:
+        return len(self.cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[BinaryVector], n: int | None = None) -> "BinaryMatrix":
@@ -226,19 +229,6 @@ class BinaryMatrix:
         if m < 1:
             raise ValueError("replication factor must be >= 1")
         return BinaryMatrix.from_rows([row for row in self.to_rows() for _ in range(m)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.n == other.n
-            and self.cols == other.cols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.cols))
-
-    def __repr__(self) -> str:
-        return f"BinaryMatrix({self.n}x{self.k})"
 
 
 def _reduce(bits: int, pivots: dict[int, int]) -> int:
@@ -573,7 +563,11 @@ def _min_weight_words(n: int, basis: Sequence[int], c: int) -> tuple[int, ...]:
 
 
 class Code:
-    """F2-linear code given as the span of generator-matrix columns."""
+    """F2-linear code given as the span of generator-matrix columns.
+
+    Not a named tuple: it caches its sweep in a slot, and two codes are
+    equal when their spans are, whatever generators they came from.
+    """
 
     __slots__ = ("gen", "_basis", "_pivots", "_min_words")
 
@@ -720,16 +714,16 @@ def code_kissing_number(C: Code) -> int:
     return len(C._min_weight_bits())
 
 
-class CodeTower:
+class CodeTower(namedtuple("CodeTower", "levels")):
     """Nested codes C_1 >= C_2 >= ... >= C_a of common block length.
 
     levels[0] is the largest code C_1.  C_0 = F2^n is implicit.  Inclusions
     are validated at construction; violations raise :class:`NotATower`.
     """
 
-    __slots__ = ("levels",)
+    __slots__ = ()
 
-    def __init__(self, levels: Sequence[Code]) -> None:
+    def __new__(cls, levels: Sequence[Code]):
         if not levels:
             raise NotATower("a tower needs at least one level")
         n = levels[0].n
@@ -739,10 +733,7 @@ class CodeTower:
         for i in range(len(levels) - 1):
             if not is_subcode(levels[i + 1], levels[i]):
                 raise NotATower(f"level {i + 2} is not a subcode of level {i + 1}")
-        object.__setattr__(self, "levels", tuple(levels))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("CodeTower is immutable")
+        return super().__new__(cls, tuple(levels))
 
     @property
     def n(self) -> int:
@@ -751,10 +742,6 @@ class CodeTower:
     @property
     def a(self) -> int:
         return len(self.levels)
-
-    def __repr__(self) -> str:
-        dims = ",".join(str(C.dimension) for C in self.levels)
-        return f"CodeTower(n={self.n}, dims=[{dims}])"
 
 
 def is_schur_closed_tower(T: CodeTower):

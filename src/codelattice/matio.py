@@ -192,17 +192,12 @@ def data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
-def _read_bundled(name: str):
-    with open(data_path(name), encoding="ascii") as f:
-        return parse_matrix(f.read(), source=name)
-
-
 @lru_cache(maxsize=None)
 def golay_code() -> Code:
     """The extended [24,12,8] binary Golay code, revalidated on first load."""
     from .gf2core import code_kissing_number, min_distance
 
-    G = _read_bundled("golay24.txt")
+    G = read_matrix(data_path("golay24.txt"))
     C = Code(G)
     if C.dimension != 12 or min_distance(C) != 8 or code_kissing_number(C) != 759:
         raise ParseError("bundled Golay generator failed its invariants")
@@ -212,24 +207,24 @@ def golay_code() -> Code:
 @lru_cache(maxsize=None)
 def cor23_matrices() -> tuple[BinaryMatrix, BinaryMatrix, BinaryVector]:
     """Bundled 16x3 / 3x3 gadget matrices and the all-ones kernel vector."""
-    A = _read_bundled("cor23_A.txt")
-    B = _read_bundled("cor23_B.txt")
-    w = _read_bundled("cor23_w.txt")
+    A = read_matrix(data_path("cor23_A.txt"))
+    B = read_matrix(data_path("cor23_B.txt"))
+    w = read_matrix(data_path("cor23_w.txt"))
     return A, B, w.column(0)
 
 
 @lru_cache(maxsize=None)
 def cor25_matrices() -> tuple[BinaryMatrix, BinaryMatrix, tuple[int, ...]]:
     """Bundled 2x4 / 4x4 gadget matrices and the integer sign vector."""
-    A = _read_bundled("cor25_A.txt")
-    B = _read_bundled("cor25_B.txt")
-    _, _, zcols = _read_bundled("cor25_z.txt")
+    A = read_matrix(data_path("cor25_A.txt"))
+    B = read_matrix(data_path("cor25_B.txt"))
+    _, _, zcols = read_matrix(data_path("cor25_z.txt"))
     return A, B, zcols[0]
 
 
 @lru_cache(maxsize=None)
 def nonclosed_tower() -> CodeTower:
     """Bundled two-level tower that is not Schur-closed."""
-    c1 = _read_bundled("tower_nonclosed_c1.txt")
-    c2 = _read_bundled("tower_nonclosed_c2.txt")
+    c1 = read_matrix(data_path("tower_nonclosed_c1.txt"))
+    c2 = read_matrix(data_path("tower_nonclosed_c2.txt"))
     return CodeTower([Code(c1), Code(c2)])

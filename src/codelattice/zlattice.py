@@ -167,22 +167,15 @@ def _hnf_columns(n: int, columns: Iterable[Sequence[int]]) -> tuple[tuple[IntVec
     return tuple(map(tuple, basis)), tuple(order)
 
 
-class Lattice:
+class Lattice(namedtuple("Lattice", "n basis pivots")):
     """Integer lattice with a canonical HNF basis.
 
     Construct via :meth:`from_generators` (alias :func:`hnf`); direct
-    instances must already be canonical.
+    instances must already be canonical, so tuple equality is lattice
+    equality (the pivots follow from the basis).
     """
 
-    __slots__ = ("n", "basis", "pivots")
-
-    def __init__(self, n: int, basis: tuple[IntVec, ...], pivots: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Lattice is immutable")
+    __slots__ = ()
 
     @classmethod
     def from_generators(cls, n: int, columns: Iterable[Sequence[int]]) -> "Lattice":
@@ -199,17 +192,7 @@ class Lattice:
             raise DimensionMismatch(f"vector length {len(v)} != ambient {self.n}")
         return not any(_residue(self.basis, self.pivots, v)[1])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.n == other.n
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.basis))
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # the default would print the whole basis
         return f"Lattice(n={self.n}, rank={self.rank})"
 
 

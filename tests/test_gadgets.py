@@ -102,10 +102,13 @@ def test_gadgets_and_results_refuse_every_assignment():
         Thm24Gadget(A=A2, B=B2, z=z, m=4),
         determinant(L),
         shortest_vectors(L),
+        L,
+        A,
+        CodeTower([Code(A), Code(A.hstack(A))]),
     ]
     for obj in values:
-        assert not hasattr(obj, "__dict__")
-        for name in (*obj._fields, "k", "n", "ell", "extra"):
+        assert isinstance(obj, tuple) and not hasattr(obj, "__dict__")
+        for name in (*obj._fields, "k", "n", "ell", "rank", "a", "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, 0)
 

@@ -137,6 +137,18 @@ def test_matrix_rows_empty_shapes_and_ragged():
         BinaryMatrix.from_rows([[1, 0], [0, 2]])
 
 
+def test_matrix_constructor_refuses_bad_shapes():
+    with pytest.raises(ValueError, match="negative row count"):
+        BinaryMatrix(-1, ())
+    for cols in ((4,), (-1,), (1, 4)):
+        with pytest.raises(ValueError, match="column out of range"):
+            BinaryMatrix(2, cols)
+    # the columns are read once, so an iterator is checked and kept alike
+    assert BinaryMatrix(2, iter((3, 1))) == BinaryMatrix(2, (3, 1))
+    with pytest.raises(ValueError, match="column out of range"):
+        BinaryMatrix(2, iter((3, 4)))
+
+
 def test_matrix_mul_matches_column_xor():
     rng = random.Random(5)
     for _ in range(30):
