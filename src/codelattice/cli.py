@@ -37,7 +37,7 @@ from .errors import (
     SupportTooLarge,
     ToolkitError,
 )
-from .gf2core import Code, min_distance, min_weight_codewords
+from .gf2core import BinaryMatrix, Code, min_distance, min_weight_codewords
 from .gadgets import (
     Thm22Gadget,
     build_cor25,
@@ -213,7 +213,7 @@ def _dump_json(obj, pad: str = "") -> str:
 
 def _code_from_file(path: str) -> Code:
     M = read_matrix(path)
-    if not hasattr(M, "mul"):
+    if not isinstance(M, BinaryMatrix):
         raise ParseError(f"{path}: expected an F2 matrix")
     return Code(M)
 
@@ -300,7 +300,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_lattice_analyze(args: argparse.Namespace) -> int:
     parsed = read_matrix(args.path)
-    if hasattr(parsed, "mul"):
+    if isinstance(parsed, BinaryMatrix):
         raise ParseError(f"{args.path}: expected a Z matrix, found an F2 matrix")
     rows, _, columns = parsed
     L = Lattice.from_generators(rows, columns)

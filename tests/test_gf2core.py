@@ -603,6 +603,184 @@ def test_light_words_and_least_weight_above_across_chunks(monkeypatch):
         assert_light_words_match_codewords(C)
 
 
+def information_sets(C):
+    """The information sets the search weighs on: the leading rows of the
+    reduced echelon basis, then the keys of the second basis if there is one."""
+    lead = 0
+    for v in C._basis:
+        lead |= 1 << (v.bit_length() - 1)
+    other = gf2core._second_basis(C._basis, lead)
+    return [lead] if other is None else [lead, other[1]]
+
+
+def test_second_basis_is_systematic_on_disjoint_coordinates():
+    # same span, keys outside the leading rows, each word alone on its
+    # key; None exactly when the other coordinates have rank below k
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randrange(2, 20)
+        C = rand_code(rng, n, rng.randrange(1, n + 1))
+        lead = 0
+        for v in C._basis:
+            lead |= 1 << (v.bit_length() - 1)
+        other = gf2core._second_basis(C._basis, lead)
+        rest = Code(BinaryMatrix(n, [v & ~lead for v in C._basis])).dimension
+        outcomes.add(other is None)
+        if other is None:
+            assert rest < C.dimension
+            continue
+        words, info = other
+        assert rest == C.dimension
+        assert Code(BinaryMatrix(n, words)) == C
+        assert not info & lead and info.bit_count() == C.dimension
+        for v in words:
+            # v alone sets its key, the highest of its bits outside lead
+            key = 1 << ((v & ~lead).bit_length() - 1)
+            assert key & info and [u & key != 0 for u in words].count(True) == 1
+    assert outcomes == {True, False}
+
+
+def test_layer_patterns_and_words_follow_colex_order():
+    # bit s of pattern i is set when the s-th w-subset of range(k) in colex
+    # order holds i, and _layer_words reads each position back to the XOR
+    # of that subset's words
+    from itertools import combinations
+
+    rng = random.Random(42)
+    for k in range(1, 11):
+        words = [rng.getrandbits(30) for _ in range(k)]
+        patterns = [1 << i for i in range(k)]
+        for w in range(1, k + 1):
+            if w > 1:
+                patterns = gf2core._layer_patterns(patterns, w)
+            subsets = sorted(combinations(range(k), w), key=lambda s: s[::-1])
+            for i, p in enumerate(patterns):
+                assert p == sum(1 << s for s, sub in enumerate(subsets) if i in sub)
+            xors = []
+            for sub in subsets:
+                x = 0
+                for i in sub:
+                    x ^= words[i]
+                xors.append(x)
+            mask = (1 << len(subsets)) - 1
+            assert gf2core._layer_words(words, w, mask) == xors[::-1]
+
+
+def test_information_set_search_matches_gray_oracle(monkeypatch):
+    # the search on its own (no hand-over: _LAYER_COST = 0) against the
+    # one-word Gray walk, with two disjoint bases and with a complement of
+    # rank < k (one basis); codes whose stop bound is tight, d = 2w + 1 and
+    # d = 2w + 2 with some minimum-weight word first weighed on the very
+    # pass the stop rule ends on, must occur, so a search that stops one
+    # pass or one layer early fails here
+    monkeypatch.setattr(gf2core, "_LAYER_COST", 0)
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(500):
+        n = rng.randrange(4, 22)
+        C = rand_code(rng, n, rng.randrange(2, min(n, 9) + 1))
+        want = min_weight_words_gray(C)
+        assert gf2core._information_set_words(n, C._basis) == want
+        infos = information_sets(C)
+        nb, d = len(infos), want[0].bit_count()
+        seen.add(("bases", nb))
+        # the pass nb * w + j weighs layer w in basis j, and the search ends
+        # on pass d + 1
+        last = max(
+            min(nb * (word & info).bit_count() + j for j, info in enumerate(infos, 1))
+            for word in want
+        )
+        assert last <= d + 1
+        if last == d + 1:
+            seen.add(("tight", nb, d % nb))
+    assert {("bases", 1), ("bases", 2), ("tight", 1, 0), ("tight", 2, 0), ("tight", 2, 1)} <= seen
+
+
+def test_information_set_search_on_code_construct_shapes(monkeypatch):
+    # code-construct's [48, 19-21] systematic codes with two disjoint bases
+    # take the search, not the sweep, and keep the sweep's answers: d,
+    # kissing number and words; seed 201 draws a [48, 20] code whose other
+    # 28 coordinates have rank 19, and its one basis would need layers up
+    # to 8, so it hands over to the sweep
+    calls = []
+    search = gf2core._information_set_words
+
+    def counted(n, basis):
+        calls.append(search(n, basis))
+        return calls[-1]
+
+    monkeypatch.setattr(gf2core, "_information_set_words", counted)
+    for seed in (200, 202, 203, 204, 205, 201):
+        C = systematic_code(random.Random(seed), 48, 19 + (seed - 200) % 3)
+        assert len(information_sets(C)) == (1 if seed == 201 else 2)
+        want = gf2core._min_weight_words(48, C._basis, 16)
+        words = min_weight_codewords(C)
+        assert tuple(w.bits for w in words) == want
+        assert calls[-1] == (None if seed == 201 else want)
+        assert (min_distance(C), code_kissing_number(C)) == (want[0].bit_count(), len(want))
+    C = systematic_code(random.Random(203), 48, 19)
+    assert C._min_weight_bits() == calls[-1] == min_weight_words_gray(C)
+    assert len(calls) == 7
+
+
+def test_information_set_search_hands_over_to_the_sweep(monkeypatch):
+    # a [64, 17] code of distance 14 needs more passes than the sweep costs,
+    # and a layer past 2^24 bits is refused: both decided from layer 1 alone,
+    # before any bit-sliced pass, and the code still gets the sweep's answer
+    def no_pass(*args):
+        raise AssertionError("a bit-sliced pass ran")
+
+    C = systematic_code(random.Random(44), 64, 17)
+    monkeypatch.setattr(gf2core, "_layer_patterns", no_pass)
+    assert gf2core._information_set_words(64, C._basis) is None
+    monkeypatch.undo()
+    assert C._min_weight_bits() == min_weight_words_gray(C)
+    assert min_distance(C) == 14
+    D = systematic_code(random.Random(45), 48, 20)
+    monkeypatch.setattr(gf2core, "_layer_patterns", no_pass)
+    monkeypatch.setattr(gf2core, "_CHUNK_BITS", 1 << 12)
+    assert gf2core._information_set_words(48, D._basis) is None
+    monkeypatch.undo()
+    want = gf2core._min_weight_words(48, D._basis, 16)
+    assert gf2core._information_set_words(48, D._basis) == want
+
+
+def test_rank_16_and_below_go_straight_to_the_sweep(monkeypatch):
+    # the bundled codes (Golay [24, 12], the cor23 [67, 3] and cor25 stacked
+    # codes, the non-closed tower's levels) and a [48, 16] code never try
+    # the search, and keep their answers; forced through the search, they
+    # get the same ones
+    from codelattice.gadgets import stack_with_replication
+    from codelattice.matio import cor23_matrices, cor25_matrices, golay_code, nonclosed_tower
+
+    A, B, _ = cor23_matrices()
+    A5, B5, _ = cor25_matrices()
+    codes = [
+        golay_code(),
+        Code(stack_with_replication(A, B, 17)),
+        Code(stack_with_replication(A5, B5, 4)),
+        *nonclosed_tower().levels,
+        systematic_code(random.Random(46), 48, 16),
+    ]
+    pinned = [(24, 12, 8, 759), (67, 3, 16, 1), (18, 3, 9, 4), (4, 2, 2, 1), (4, 2, 2, 1)]
+    want = [min_weight_words_gray(C) for C in codes]
+
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(gf2core, "_information_set_words", refuse)
+    for C, words in zip(codes, want):
+        fresh = Code(C.gen)
+        assert fresh._min_weight_bits() == words
+    for C, pin in zip(codes, pinned):
+        assert (C.n, C.dimension, min_distance(C), code_kissing_number(C)) == pin
+    monkeypatch.undo()
+    monkeypatch.setattr(gf2core, "_LAYER_COST", 0)
+    for C, words in zip(codes, want):
+        assert gf2core._information_set_words(C.n, C._basis) == words
+
+
 def test_min_distance_rank_cap():
     with pytest.raises(RankTooLarge):
         min_distance(Code(BinaryMatrix.identity(29)))
