@@ -92,7 +92,12 @@ def mod2_reduction(v: Sequence[int]) -> BinaryVector:
 
 
 def _lift(factor: int, words: Iterable[BinaryVector]) -> list[IntVec]:
-    """factor * bar(w) for each word w: the one lift of code words to Z^n."""
+    """factor * bar(w) for each word w: the one lift of code words to Z^n.
+
+    With factor 1 the lift is ``coords()`` itself, with no product per entry.
+    """
+    if factor == 1:
+        return [w.coords() for w in words]
     return [tuple([factor * e for e in w.coords()]) for w in words]
 
 

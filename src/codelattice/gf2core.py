@@ -10,10 +10,11 @@ its dimension is the F2-rank of G.  Distance, minimum-weight words and
 kissing number all read one cached search per code (see
 :meth:`Code._min_weight_bits`).  A code of rank k > 16 first tries
 Brouwer-Zimmermann on two information sets: it weighs the messages of
-weight w = 1, 2, ... in two disjoint systematic bases, one bit-sliced pass
-per basis and weight, and stops once every unweighed word is provably
-heavier than the least weight found.  It hands over to the sweep when the
-layers it would still need cost more than the sweep.  The sweep is the
+weight w = 1, 2, ... in two systematic bases, disjoint as far as the code
+allows, one bit-sliced pass per basis and weight, and stops once every
+unweighed word is provably heavier than the least weight found.  It hands
+over to the sweep when the layers it would still need cost more than the
+sweep.  The sweep is the
 general path: it weighs all 2^k codewords bit-sliced, up to 2^16 of them
 per big-integer pass, and each chunk adds only the coordinates where it
 differs from the nearer of two anchor chunks, keeping the count of those
@@ -271,15 +272,23 @@ def _reduced_echelon(vecs: Iterable[int]) -> tuple[int, ...]:
 
     Each pivot bit occurs in exactly one basis vector, so the tuple is a
     span invariant: two generating sets span the same subspace iff their
-    reduced echelon tuples are equal.
+    reduced echelon tuples are equal.  The pivot rows of :func:`_echelon`
+    are reduced from the lowest leading bit up: a row only carries leading
+    bits below its own, and XORs in just the reduced rows whose leading bit
+    it carries, one per set bit of ``row & leads`` (a reduced row changes
+    no other row's leading bit, so their order does not matter).
     """
-    pivots = _echelon(vecs)
-    for h in sorted(pivots, reverse=True):
-        v = pivots[h]
-        for g in pivots:
-            if g != h and (pivots[g] >> h) & 1:
-                pivots[g] ^= v
-    return tuple(sorted(pivots.values(), reverse=True))
+    rows: dict[int, int] = {}  # leading bit position -> reduced row, ascending
+    leads = 0
+    for h, v in sorted(_echelon(vecs).items()):
+        hits = v & leads
+        while hits:
+            g = hits.bit_length() - 1
+            v ^= rows[g]
+            hits ^= 1 << g
+        rows[h] = v
+        leads |= 1 << h
+    return tuple(rows.values())[::-1]
 
 
 def rank(M: BinaryMatrix) -> int:
@@ -620,23 +629,24 @@ def _layer_words(basis: Sequence[int], w: int, mask: int) -> list[int]:
     return out
 
 
-def _second_basis(basis: Sequence[int], lead: int) -> tuple[list[int], int] | None:
-    """A basis of the same span, systematic on k coordinates outside ``lead``, and their mask.
+def _second_basis(basis: Sequence[int], lead: int) -> tuple[list[int], int]:
+    """A basis of the same span, systematic on k coordinates, and their mask.
 
-    Gauss-Jordan elimination keyed on the highest bit outside the mask
-    ``lead``: each word keeps its own key and is cleared from every other
-    word, so no word sets another's key.  None when the coordinates outside
-    ``lead`` have rank below k, as a word then reduces to zero on them.
+    As many of the k as the rank allows lie outside the mask ``lead``.
+
+    Gauss-Jordan elimination keyed on each word's highest bit outside
+    ``lead``, or on its highest bit when it has none left there: each
+    word keeps its own key and is cleared from every other word, so no word
+    sets another's key.  A word left with no bit outside ``lead`` has its
+    part there in the span of the earlier keyed words' parts, so r keys lie
+    outside ``lead``, r the rank of the coordinates there, and k - r inside.
     """
     rest = ~lead
     words = list(basis)
     keys = 0
     for r in range(len(words)):
         v = words[r]
-        h = (v & rest).bit_length() - 1
-        if h < 0:
-            return None
-        key = 1 << h
+        key = 1 << ((v & rest or v).bit_length() - 1)
         keys |= key
         words = [u ^ v if u & key else u for u in words]
         words[r] = v
@@ -661,72 +671,90 @@ def _groups(n: int, words: Sequence[int], info: int, g: int) -> list[tuple[int, 
     return [ix for ix in zip(*indices) if any(ix)]
 
 
+def _passes(k: int, best: int, overlap: int) -> list[tuple[int, int, int]]:
+    """The bit-sliced passes ``(w, j, bound)`` still needed while ``best`` is the least weight found.
+
+    Pass (w, j) weighs layer w in basis j, for w = 2, 3, ...: the first
+    basis, then the second, whose information set shares ``overlap``
+    coordinates with the first's.  A word that no pass before (w, j) has
+    weighed has over w ones on the information set of each basis done at
+    layer w, and over w - 1 on the other: at least w + j on the first, and
+    max(0, w - overlap) more on the rest of the second.  ``bound`` is that
+    sum, and the list ends before the first pass whose bound exceeds
+    ``best``, when every minimum-weight word has been weighed.
+    """
+    out = []
+    for w in range(2, k + 1):
+        rest = max(0, w - overlap)
+        for j in (0, 1):
+            if w + j + rest > best:
+                return out
+            out.append((w, j, w + j + rest))
+    return out
+
+
 def _information_set_words(n: int, basis: Sequence[int]) -> tuple[int, ...] | None:
     """Sorted minimum-weight words by Brouwer-Zimmermann, or None to hand over.
 
     ``basis`` is reduced echelon, so systematic on its leading coordinates;
-    :func:`_second_basis` adds one systematic on k others when it can.  The
-    messages of weight w in a basis form layer w: layer 1 is the basis
-    words themselves, and from w = 2 on one bit-sliced pass per basis
-    weighs all C(k, w).  Each coordinate int outside the basis's
+    :func:`_second_basis` adds one systematic on k others: all outside
+    them when those coordinates have rank k, else r outside and k - r
+    inside.  The messages of weight w in a basis form layer w: layer 1 is
+    the basis words themselves, and from w = 2 on one bit-sliced pass per
+    basis weighs all C(k, w).  Each coordinate int outside the basis's
     information set is the XOR of the patterns (:func:`_layer_patterns`)
     of the words that set it, read from four tables of the XORs of
     g = ceil(k / 4) patterns each; :func:`_compress` sums those ints, and
-    the information set adds exactly w.  A word not yet weighed, after
-    layer w of the first ``done`` of the nb bases and layer w - 1 of the
-    rest, has over w ones on the information sets of the first and over
-    w - 1 on the others, which are disjoint, so it weighs at least
-    nb * w + done; once that exceeds the least weight found, every
-    minimum-weight word has been seen.
+    the information set adds exactly w.  The passes (see :func:`_passes`)
+    stop before the first whose bound, the least weight of a word no pass
+    has weighed, exceeds the least weight found.  After layer w of the
+    first ``done`` bases that bound is 2w + done for two disjoint bases,
+    and 2w + done - 1 when one key of the second lies inside the first
+    information set.
 
     As the least weight found only falls, the passes it still requires
     after layer 1 bound all the rest.  When those would cost more than the
     sweep (see _LAYER_COST), or one of them would hold more than 2^24 bits
-    in its at most 2n + 2^(g+2) ints of C(k, w) bits, it returns None at once.
+    in its at most 2n + 2^(g+2) ints of C(k, w) bits, it returns None at
+    once.
     """
     k = len(basis)
     g = -(-k // 4)
     lead = 0
     for v in basis:
         lead |= 1 << (v.bit_length() - 1)
-    bases = [(basis, lead)]
-    other = _second_basis(basis, lead)
-    if other is not None:
-        bases.append(other)
-    nb = len(bases)
-    layer1 = [v for words, _ in bases for v in words]
+    other, keys = _second_basis(basis, lead)
+    layer1 = [*basis, *other]
     best = min(v.bit_count() for v in layer1)
     found = {v for v in layer1 if v.bit_count() == best}
-    # pass q = nb * w + done weighs layer w in basis number done, and the
-    # last one the least weight still requires is q = best + 1
-    sizes = [comb(k, (q - 1) // nb) for q in range(2 * nb + 1, best + 2)]
+    bases = [(basis, lead), (other, keys)]
+    passes = _passes(k, best, (keys & lead).bit_count())
+    sizes = [comb(k, w) for w, _, _ in passes]
     peak = (2 * n + (4 << g)) * max(sizes, default=0)
     if _LAYER_COST * sum(sizes) > 1 << k or peak > _CHUNK_BITS:
         return None
     groups = [_groups(n, words, info, g) for words, info in bases]
     patterns = [1 << i for i in range(k)]
-    for w in range(2, k + 1):
-        if nb * w > best:
+    for w, j, bound in passes:
+        if bound > best:
             break
-        patterns = _layer_patterns(patterns, w)
-        tables = []
-        for j in range(0, 4 * g, g):
-            table = [0]
-            for p in patterns[j:j + g]:
-                table += [x ^ p for x in table]
-            tables.append(table)
-        t0, t1, t2, t3 = tables
-        full = (1 << comb(k, w)) - 1
-        for done, ((words, _), index) in enumerate(zip(bases, groups), 1):
-            xs = [t0[a] ^ t1[b] ^ t2[c] ^ t3[d] for a, b, c, d in index]
-            planes = _compress([], xs, 0, len(xs).bit_length())
-            m, mask = _least(planes, full, w, best)
-            if m <= best:
-                if m < best:
-                    best, found = m, set()
-                found.update(_layer_words(words, w, mask))
-            if nb * w + done > best:
-                break
+        if not j:
+            patterns = _layer_patterns(patterns, w)
+            tables = []
+            for i in range(0, 4 * g, g):
+                table = [0]
+                for p in patterns[i:i + g]:
+                    table += [x ^ p for x in table]
+                tables.append(table)
+            t0, t1, t2, t3 = tables
+            full = (1 << comb(k, w)) - 1
+        xs = [t0[a] ^ t1[b] ^ t2[c] ^ t3[d] for a, b, c, d in groups[j]]
+        planes = _compress([], xs, 0, len(xs).bit_length())
+        m, mask = _least(planes, full, w, best)
+        if m <= best:
+            if m < best:
+                best, found = m, set()
+            found.update(_layer_words(bases[j][0], w, mask))
     return tuple(sorted(found))
 
 
@@ -802,15 +830,15 @@ class Code:
         Rank k <= 16, which the sweep weighs in one pass at n <= 256, goes
         straight to the sweep.  Above that, Brouwer-Zimmermann runs first
         (see _information_set_words): a second basis, systematic on k
-        coordinates disjoint from the leading rows of the reduced echelon
-        basis, when those have rank k; one bit-sliced pass per basis over
-        the messages of each weight w; and a stop once (number of bases) *
-        w + (bases done at w) exceeds the least weight found.  With no
-        disjoint basis the same layers run on the one basis, with bound
-        w + 1.  From the least weight of the basis words it decides once
+        coordinates, as many of them outside the leading rows of the
+        reduced echelon basis as those rows' complement has rank; one
+        bit-sliced pass per basis over the messages of each weight w; and
+        a stop once the least weight of a word no pass has weighed (2w +
+        bases done at w, for disjoint bases) exceeds the least weight
+        found.  From the least weight of the basis words it decides once
         whether the passes still needed fit the sweep's cost and 2^24-bit
-        memory; if not it hands over.  A systematic [48, 20] code takes
-        about 0.35 ms this way, against about 1 ms for the sweep.
+        memory; if not it hands over.  A systematic [48, 20] code takes about 0.35 ms this way,
+        against about 1 ms for the sweep.
 
         The sweep is the general path.  It weighs the 2^k codewords in
         2^(k-c) chunks of 2^c, c = min(k, 16) cut down until

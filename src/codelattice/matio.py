@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+# the byte values 0..9 to their digit characters, the inverse of gf2core's _DIGITS
+_DECIMAL = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 # whitespace-free tokens joined by single spaces, each of them [+-]?[0-9]+
 _INT_TOKENS = re.compile(r"(?:[+-]?[0-9]+(?: |\Z))*")
 
@@ -69,9 +72,11 @@ def parse_matrix(text: str, source: str = "<string>"):
     list of integer tuples (column-major, matching lattice generators).
     An F2 body whose every entry is the one character 0 or 1 is joined
     into one string, and column c is the base-2 int of its slice
-    ``[c::cols]``, with no int made per entry; any other body is read by
-    the integer-token rule and packed from those integers, so a non-bit
-    entry is refused with the same message either way.
+    ``[c::cols]``, with no int made per entry.  That test counts the
+    characters 0 and 1, two scans in C, rather than stripping them.  Any
+    other body is read by the integer-token rule and packed from those
+    integers, so a non-bit entry is refused with the same message either
+    way.
     """
     tokens = text.split()
     if len(tokens) < 3:
@@ -96,7 +101,7 @@ def parse_matrix(text: str, source: str = "<string>"):
         return rows, cols, [tuple(entries[c::cols]) for c in range(cols)]
     # the entries are row-major, so column c is entries[c::cols]
     digits = "".join(body)
-    if len(digits) == len(body) and not digits.strip("01"):
+    if len(digits) == len(body) and digits.count("0") + digits.count("1") == len(digits):
         # row 0 on top is the packed layout's most significant bit
         return BinaryMatrix(rows, [int(digits[c::cols], 2) for c in range(cols)])
     entries = _parse_ints(body, source, "non-integer entry")
@@ -124,8 +129,32 @@ def format_f2_matrix(M: BinaryMatrix) -> str:
 
 
 def format_z_matrix(rows: int, columns) -> str:
+    """The matrix text of ``columns``, each a column of ``rows`` integers.
+
+    When every column holds ``rows`` entries and every entry is a digit
+    0..9, as in Construction A's HNF basis (entries in [0, pivot), pivots
+    1 or 2), the body is built in bulk, with
+    no str made per entry: ``bytes`` packs the columns into one byte
+    string, refusing any entry outside 0..255; strided slices read it row
+    by row, ``_DECIMAL`` turns each byte into its digit character, and the
+    separators are laid between them by slice assignment.  Any other entry,
+    negative or of two digits or more, as in c-star's 2^(n-1)-scaled bases,
+    sends the whole matrix through ``str`` per entry, which writes every
+    integer exactly whatever its size; so do ragged columns, which it
+    refuses as it always has.
+    """
     cols = len(columns)
-    lines = [f"{rows} {cols} Z"]
+    head = f"{rows} {cols} Z"
+    try:
+        raw = b"".join(map(bytes, columns))  # column-major
+    except (TypeError, ValueError):
+        raw = b""
+    if raw and all(len(c) == rows for c in columns) and max(raw) < 10:
+        body = bytearray(b" ") * (2 * len(raw))
+        body[::2] = b"".join([raw[r::rows] for r in range(rows)]).translate(_DECIMAL)
+        body[2 * cols - 1::2 * cols] = b"\n" * rows
+        return f"{head}\n{body.decode()}"
+    lines = [head]
     for r in range(rows):
         lines.append(" ".join(str(col[r]) for col in columns))
     return "\n".join(lines) + "\n"

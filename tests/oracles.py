@@ -27,7 +27,11 @@ bisection-seeded root must match,
 its former ripple-carry chunks of the bit-sliced sweep, whose weight
 planes the carry-save planes must match at every position, and its former
 HNF elimination, which combines every pivot pair on all n rows and whose
-basis and pivots the one that leaves a dividing pivot alone must match.
+basis and pivots the one that leaves a dividing pivot alone must match,
+its former Z matrix writer, one ``str`` per entry, whose text the bulk
+digit writer must match byte for byte, and its former reduced echelon
+form, a pivot map then a pairwise sweep over every pivot pair, whose
+canonical tuple the reduction driven by carried leading bits must match.
 """
 
 from fractions import Fraction
@@ -725,3 +729,38 @@ def hnf_columns_dense(n, columns):
             basis[j] = [-e for e in basis[j]]
     basis = [_residue(basis[i + 1:], order[i + 1:], basis[i])[1] for i in range(len(order))]
     return tuple(map(tuple, basis)), tuple(order)
+
+
+def format_z_matrix_entrywise(rows, columns):
+    """The Z matrix text, one ``str`` per entry.
+
+    ``matio.format_z_matrix`` as it was before the bulk digit path.
+    """
+    cols = len(columns)
+    lines = [f"{rows} {cols} Z"]
+    for r in range(rows):
+        lines.append(" ".join(str(col[r]) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+def reduced_echelon_pivot_sweep(vecs):
+    """Canonical reduced echelon basis of the span, sorted descending.
+
+    ``gf2core._reduced_echelon`` as it was before the reduction driven by
+    carried leading bits: the pivot map of ``gf2core._echelon``, written
+    out here, then every pivot cleared from every other pivot row.
+    """
+    pivots = {}
+    for v in vecs:
+        while v:
+            p = pivots.get(v.bit_length() - 1)
+            if p is None:
+                pivots[v.bit_length() - 1] = v
+                break
+            v ^= p
+    for h in sorted(pivots, reverse=True):
+        v = pivots[h]
+        for g in pivots:
+            if g != h and (pivots[g] >> h) & 1:
+                pivots[g] ^= v
+    return tuple(sorted(pivots.values(), reverse=True))

@@ -603,19 +603,27 @@ def test_light_words_and_least_weight_above_across_chunks(monkeypatch):
         assert_light_words_match_codewords(C)
 
 
-def information_sets(C):
-    """The information sets the search weighs on: the leading rows of the
-    reduced echelon basis, then the keys of the second basis if there is one."""
-    lead = 0
-    for v in C._basis:
-        lead |= 1 << (v.bit_length() - 1)
-    other = gf2core._second_basis(C._basis, lead)
-    return [lead] if other is None else [lead, other[1]]
+def information_sets(C, monkeypatch):
+    """The information sets the search weighs on, recorded from its calls
+    to ``_groups``: the leading rows of the reduced echelon basis, then the
+    keys of the second basis."""
+    infos = []
+    groups = gf2core._groups
+
+    def recorded(n, words, info, g):
+        infos.append(info)
+        return groups(n, words, info, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(gf2core, "_groups", recorded)
+        found = gf2core._information_set_words(C.n, C._basis)
+    return found, infos
 
 
 def test_second_basis_is_systematic_on_disjoint_coordinates():
-    # same span, keys outside the leading rows, each word alone on its
-    # key; None exactly when the other coordinates have rank below k
+    # same span, each word alone on its key and setting no other key; the
+    # keys are r coordinates outside the leading rows, r the rank there,
+    # and k - r inside them; both r = k and r < k occur
     rng = random.Random(41)
     outcomes = set()
     for _ in range(300):
@@ -624,20 +632,15 @@ def test_second_basis_is_systematic_on_disjoint_coordinates():
         lead = 0
         for v in C._basis:
             lead |= 1 << (v.bit_length() - 1)
-        other = gf2core._second_basis(C._basis, lead)
+        words, info = gf2core._second_basis(C._basis, lead)
         rest = Code(BinaryMatrix(n, [v & ~lead for v in C._basis])).dimension
-        outcomes.add(other is None)
-        if other is None:
-            assert rest < C.dimension
-            continue
-        words, info = other
-        assert rest == C.dimension
+        outcomes.add(rest < C.dimension)
         assert Code(BinaryMatrix(n, words)) == C
-        assert not info & lead and info.bit_count() == C.dimension
+        assert (info & ~lead).bit_count() == rest
+        assert (info & lead).bit_count() == C.dimension - rest
         for v in words:
-            # v alone sets its key, the highest of its bits outside lead
-            key = 1 << ((v & ~lead).bit_length() - 1)
-            assert key & info and [u & key != 0 for u in words].count(True) == 1
+            assert (v & info).bit_count() == 1
+        assert len({v & info for v in words}) == C.dimension
     assert outcomes == {True, False}
 
 
@@ -669,40 +672,63 @@ def test_layer_patterns_and_words_follow_colex_order():
 
 def test_information_set_search_matches_gray_oracle(monkeypatch):
     # the search on its own (no hand-over: _LAYER_COST = 0) against the
-    # one-word Gray walk, with two disjoint bases and with a complement of
-    # rank < k (one basis); codes whose stop bound is tight, d = 2w + 1 and
-    # d = 2w + 2 with some minimum-weight word first weighed on the very
-    # pass the stop rule ends on, must occur, so a search that stops one
-    # pass or one layer early fails here
+    # one-word Gray walk, with two disjoint bases and with a second basis
+    # keyed partly inside the first information set; codes whose
+    # stop bound is tight (some minimum-weight word first weighed on the
+    # very pass the stop rule ends on) must occur for each, so a search
+    # that stops one pass or one layer early fails here
     monkeypatch.setattr(gf2core, "_LAYER_COST", 0)
     rng = random.Random(43)
     seen = set()
-    for _ in range(500):
+    for _ in range(800):
         n = rng.randrange(4, 22)
         C = rand_code(rng, n, rng.randrange(2, min(n, 9) + 1))
         want = min_weight_words_gray(C)
-        assert gf2core._information_set_words(n, C._basis) == want
-        infos = information_sets(C)
-        nb, d = len(infos), want[0].bit_count()
-        seen.add(("bases", nb))
-        # the pass nb * w + j weighs layer w in basis j, and the search ends
-        # on pass d + 1
-        last = max(
-            min(nb * (word & info).bit_count() + j for j, info in enumerate(infos, 1))
+        found, infos = information_sets(C, monkeypatch)
+        assert found == want
+        k, d = C.dimension, want[0].bit_count()
+        assert len(infos) == 2 and all(info.bit_count() == k for info in infos)
+        overlaps = [0, (infos[0] & infos[1]).bit_count()]
+        kind = min(overlaps[1], 1)
+        seen.add(("bases", kind))
+
+        def bound(w, done):
+            # a word unweighed after layer w of bases 1..done and w - 1 of
+            # the rest has over w_j ones on information set j, overlaps[j]
+            # of which may lie on the first one's
+            return sum(max(0, w + (j < done) - o) for j, o in enumerate(overlaps))
+
+        # the pass (w, j) weighs layer w in basis j; the search ends on the
+        # first one after which the bound exceeds d
+        end = next(
+            (w, j)
+            for w in range(2, k + 2)
+            for j in (1, 2)
+            if bound(w, j) > d or w > k
+        )
+        first = max(
+            min(((word & info).bit_count(), j) for j, info in enumerate(infos, 1))
             for word in want
         )
-        assert last <= d + 1
-        if last == d + 1:
-            seen.add(("tight", nb, d % nb))
-    assert {("bases", 1), ("bases", 2), ("tight", 1, 0), ("tight", 2, 0), ("tight", 2, 1)} <= seen
+        assert first <= end
+        if first == end:
+            seen.add(("tight", kind, d % 2))
+    assert {
+        ("bases", 0), ("bases", 1),
+        ("tight", 0, 0), ("tight", 0, 1), ("tight", 1, 0), ("tight", 1, 1),
+    } <= seen, seen
 
 
 def test_information_set_search_on_code_construct_shapes(monkeypatch):
-    # code-construct's [48, 19-21] systematic codes with two disjoint bases
-    # take the search, not the sweep, and keep the sweep's answers: d,
+    # code-construct's [48, 19-21] systematic codes take the search, not
+    # the sweep, and keep the sweep's and the Gray walk's answers: d,
     # kissing number and words; seed 201 draws a [48, 20] code whose other
-    # 28 coordinates have rank 19, and its one basis would need layers up
-    # to 8, so it hands over to the sweep
+    # 28 coordinates have rank 19, so one key of its second basis lies
+    # inside the first information set, and it bounds an unweighed word by
+    # 2w + 1 rather than 2w + 2 after layer w
+    def no_chunk(*args):
+        raise AssertionError("a sweep chunk ran")
+
     calls = []
     search = gf2core._information_set_words
 
@@ -710,18 +736,22 @@ def test_information_set_search_on_code_construct_shapes(monkeypatch):
         calls.append(search(n, basis))
         return calls[-1]
 
-    monkeypatch.setattr(gf2core, "_information_set_words", counted)
     for seed in (200, 202, 203, 204, 205, 201):
         C = systematic_code(random.Random(seed), 48, 19 + (seed - 200) % 3)
-        assert len(information_sets(C)) == (1 if seed == 201 else 2)
         want = gf2core._min_weight_words(48, C._basis, 16)
-        words = min_weight_codewords(C)
-        assert tuple(w.bits for w in words) == want
-        assert calls[-1] == (None if seed == 201 else want)
-        assert (min_distance(C), code_kissing_number(C)) == (want[0].bit_count(), len(want))
-    C = systematic_code(random.Random(203), 48, 19)
-    assert C._min_weight_bits() == calls[-1] == min_weight_words_gray(C)
-    assert len(calls) == 7
+        assert want == min_weight_words_gray(C)
+        found, infos = information_sets(C, monkeypatch)
+        assert found == want and len(infos) == 2
+        shared = (infos[0] & infos[1]).bit_count()
+        assert shared == (1 if seed == 201 else 0)
+        with monkeypatch.context() as m:
+            m.setattr(gf2core, "_chunks", no_chunk)
+            m.setattr(gf2core, "_information_set_words", counted)
+            words = min_weight_codewords(C)
+            assert (min_distance(C), code_kissing_number(C)) == (want[0].bit_count(), len(want))
+        assert tuple(w.bits for w in words) == want and calls[-1] == want
+    # one search per code, cached on it
+    assert len(calls) == 6
 
 
 def test_information_set_search_hands_over_to_the_sweep(monkeypatch):
