@@ -37,7 +37,7 @@ from .errors import (
     SupportTooLarge,
     ToolkitError,
 )
-from .gf2core import BinaryMatrix, Code, min_distance, min_weight_codewords
+from .gf2core import BinaryMatrix, Code, min_weight_codewords
 from .gadgets import (
     Thm22Gadget,
     build_cor25,
@@ -220,8 +220,8 @@ def _code_from_file(path: str) -> Code:
 
 def _cmd_code_info(args: argparse.Namespace) -> int:
     C = _code_from_file(args.path)
-    d = min_distance(C)
     S = min_weight_codewords(C)
+    d = S[0].weight
     sample = [list(c.coords()) for c in S[:5]]
     rep = {
         "n": C.n,
@@ -326,20 +326,15 @@ def _report_text(d: dict) -> str:
     lines = [f"theorem: {d['theorem']}"]
     if d["params"]:
         lines.append("params: " + " ".join(f"{k}={v}" for k, v in d["params"].items()))
-    if d["hypotheses"]:
-        lines.append("hypotheses:")
-        for h in d["hypotheses"]:
-            tag = "pass" if h["pass"] else "FAIL"
-            lines.append(f"  [{tag}] {h['name']}")
-            if "witness" in h:
-                lines.append(f"         witness: {h['witness']}")
-    if d["conclusions"]:
-        lines.append("conclusions:")
-        for c in d["conclusions"]:
-            tag = "pass" if c["pass"] else "FAIL"
-            lines.append(f"  [{tag}] {c['claim']}")
-            if "certificate" in c:
-                lines.append(f"         certificate: {c['certificate']}")
+    parts = (("hypotheses", "name", "witness"), ("conclusions", "claim", "certificate"))
+    for part, key, extra in parts:
+        if d[part]:
+            lines.append(f"{part}:")
+            for item in d[part]:
+                tag = "pass" if item["pass"] else "FAIL"
+                lines.append(f"  [{tag}] {item[key]}")
+                if extra in item:
+                    lines.append(f"         {extra}: {item[extra]}")
     if d["exact_values"]:
         lines.append("exact values:")
         for k, v in d["exact_values"].items():

@@ -30,11 +30,11 @@ from math import gcd
 
 from .constructions import (
     C_STAR_CROSSCHECK_CAP,
+    _lift,
     c_star_definitional,
     construction_a,
     d_bar_is_lattice,
     mod2_reduction,
-    simplified_d,
     vladut_special_d,
 )
 from .errors import (
@@ -50,7 +50,6 @@ from .gf2core import (
     BinaryVector,
     Code,
     CodeTower,
-    code_kissing_number,
     complete_to_full_rank,
     is_schur_closed_tower,
     kernel_basis,
@@ -58,7 +57,7 @@ from .gf2core import (
     min_weight_codewords,
     solve,
 )
-from .matio import cor23_matrices, cor25_matrices, golay_code
+from .matio import cor23_matrices, cor25_matrices, golay_code, nonclosed_tower
 from .zlattice import (
     DEFAULT_BUDGET,
     IntVec,
@@ -283,8 +282,8 @@ def check_thm24_hypotheses(g: Thm24Gadget) -> dict:
     images = BinaryMatrix(g.B.n, [g.B.mul(v).bits for v in kerA.columns()])
     img_code = Code(images)
     out_witness = None
-    if img_code.dimension and min_distance(img_code) <= dB:
-        bx = min_weight_codewords(img_code)[0]
+    bx = min_weight_codewords(img_code)[0] if img_code.dimension else None
+    if bx is not None and bx.weight <= dB:
         x = kerA.mul(solve(images, bx))
         out_witness = {"x": list(x.coords()), "Bx_weight": bx.weight}
     hyps.append(
@@ -522,7 +521,8 @@ def verify_cor23(
     rep["params"] = {"m": m, "seed": seed, "full_enum": full_enum}
     conclusions, exact = rep["conclusions"], rep["exact_values"]
 
-    d = min_distance(code)
+    S = min_weight_codewords(code)
+    d = S[0].weight
     conclusions.append(_item("claim", "code minimum distance equals 16", d == 16, {"observed": d}))
 
     ternary = ternary_sign_search(lat, code, 4)
@@ -535,7 +535,6 @@ def verify_cor23(
         )
     )
 
-    S = min_weight_codewords(code)
     embedded_in = [c for c in S if lat.contains(c.coords())]
     conclusions.append(
         _item(
@@ -623,7 +622,8 @@ def verify_thm24(g: Thm24Gadget, p=2) -> dict:
 
     Gm = g.level_matrix()
     Cm = Code(Gm)
-    d = min_distance(Cm)
+    S = min_weight_codewords(Cm)
+    d = S[0].weight
     conclusions = [
         _item(
             "claim",
@@ -644,7 +644,7 @@ def verify_thm24(g: Thm24Gadget, p=2) -> dict:
         )
     )
 
-    L = simplified_d(Cm)
+    L = Lattice.from_generators(Cm.n, _lift(1, S))
     witness = _int_image(Gm, g.z)
     wit_nonzero = any(witness)
     wit_member = L.contains(witness)
@@ -734,8 +734,8 @@ def golay_lp_check(p) -> dict:
     if not 1 <= p <= 2:
         raise ValueError("p must lie in [1, 2]")
     G = golay_code()
-    d = min_distance(G)
-    k0 = code_kissing_number(G)
+    S = min_weight_codewords(G)
+    d, k0 = S[0].weight, len(S)
     hyps = [
         _item("name", "code distance is exactly 8", d == 8, {"observed": d}),
         _item("name", "code kissing number is exactly 759", k0 == 759, {"observed": k0}),
@@ -747,7 +747,7 @@ def golay_lp_check(p) -> dict:
             "claim", "no strict witness is required at p = 2 (distance is attainable)", True
         )
     else:
-        L = simplified_d(G)
+        L = Lattice.from_generators(G.n, _lift(1, S))
         n = L.n
         witness = None
         found = 0
@@ -829,8 +829,6 @@ def verify_dbar_schur(T: CodeTower | None = None) -> dict:
     coset-count lattice decision on a tower (default: the bundled
     non-closed tower, whose span holds a vector the set sum misses)."""
     if T is None:
-        from .matio import nonclosed_tower
-
         T = nonclosed_tower()
     closed, schur_witness = is_schur_closed_tower(T)
     is_lat, span_witness = d_bar_is_lattice(T)

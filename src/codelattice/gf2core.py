@@ -5,10 +5,12 @@ most significant bit is coordinate 0.  With that layout, comparing backing
 integers compares coordinate tuples lexicographically, so sorting vectors
 needs no conversion.
 
-Codes are column-generated: ``Code(G)`` is the F2-span of the columns of G,
-its dimension is the F2-rank of G.  Distance, minimum-weight words and
-kissing number all read one cached search per code (see
-:meth:`Code._min_weight_bits`).  A code of rank k > 16 first tries
+Every elimination keeps one dense pivot table: entry h holds the row whose
+leading bit is h, or 0 (see :func:`_echelon`).  Codes are column-generated:
+``Code(G)`` is the F2-span of the columns of G, held as its reduced pivot
+table, and its dimension is the F2-rank of G.  Distance, minimum-weight
+words and kissing number each run one search per call, with nothing cached
+(see :meth:`Code._min_weight_bits`).  A code of rank k > 16 first tries
 Brouwer-Zimmermann on two information sets: it weighs the messages of
 weight w = 1, 2, ... in two systematic bases, disjoint as far as the code
 allows, one bit-sliced pass per basis and weight, and stops once every
@@ -19,8 +21,8 @@ general path: it weighs all 2^k codewords bit-sliced, up to 2^16 of them
 per big-integer pass, and each chunk adds only the coordinates where it
 differs from the nearer of two anchor chunks, keeping the count of those
 flips in an integer constant beside its weight planes.  The ternary sign
-search does not read the cached answer: :meth:`Code.light_words` lists its
-light words from an uncached sweep of its own, and when the search radius
+search reads no minimum-weight words: :meth:`Code.light_words` lists its
+light words from a sweep of its own, and when the search radius
 passes the support cap, :meth:`Code.least_weight_above` runs one more.
 Every search is hard-capped at rank 28 and refuses larger inputs with
 :class:`RankTooLarge`.
@@ -246,20 +248,23 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "n cols")):
         return BinaryMatrix.from_rows([row for row in self.to_rows() for _ in range(m)])
 
 
-def _reduce(bits: int, pivots: dict[int, int]) -> int:
-    """Reduce an integer bitset against pivot rows keyed by leading bit position."""
+def _reduce(bits: int, pivots: Sequence[int]) -> int:
+    """Reduce an integer bitset against a pivot table (see :func:`_echelon`)."""
     while bits:
-        h = bits.bit_length() - 1
-        p = pivots.get(h)
-        if p is None:
+        p = pivots[bits.bit_length() - 1]
+        if not p:
             return bits
         bits ^= p
     return 0
 
 
-def _echelon(vecs: Iterable[int]) -> dict[int, int]:
-    """Pivot map (leading-bit position -> vector) for the span of ``vecs``."""
-    pivots: dict[int, int] = {}
+def _echelon(vecs: Iterable[int], width: int) -> list[int]:
+    """Pivot table of the span of ``vecs``, each below 2^width.
+
+    Entry h holds the row whose leading bit is h, or 0 when no row leads
+    there, so the table has ``width`` entries and width - rank zeros.
+    """
+    pivots = [0] * width
     for v in vecs:
         r = _reduce(v, pivots)
         if r:
@@ -267,33 +272,34 @@ def _echelon(vecs: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _reduced_echelon(vecs: Iterable[int]) -> tuple[int, ...]:
-    """Canonical reduced echelon basis of the span, sorted descending.
+def _reduced_echelon(vecs: Iterable[int], width: int) -> tuple[int, ...]:
+    """The pivot table of :func:`_echelon`, reduced: the span's canonical form.
 
-    Each pivot bit occurs in exactly one basis vector, so the tuple is a
-    span invariant: two generating sets span the same subspace iff their
-    reduced echelon tuples are equal.  The pivot rows of :func:`_echelon`
-    are reduced from the lowest leading bit up: a row only carries leading
-    bits below its own, and XORs in just the reduced rows whose leading bit
-    it carries, one per set bit of ``row & leads`` (a reduced row changes
-    no other row's leading bit, so their order does not matter).
+    Each pivot bit occurs in exactly one row, so the table is a span
+    invariant: two generating sets of vectors below 2^width span the same
+    subspace iff their reduced tables are equal.  The rows are reduced in
+    place from the lowest leading bit up: a row only carries leading bits
+    below its own, and XORs in just the reduced rows whose leading bit it
+    carries, one per set bit of ``row & leads`` (a reduced row changes no
+    other row's leading bit, so their order does not matter).
     """
-    rows: dict[int, int] = {}  # leading bit position -> reduced row, ascending
+    rows = _echelon(vecs, width)
     leads = 0
-    for h, v in sorted(_echelon(vecs).items()):
-        hits = v & leads
-        while hits:
-            g = hits.bit_length() - 1
-            v ^= rows[g]
-            hits ^= 1 << g
-        rows[h] = v
-        leads |= 1 << h
-    return tuple(rows.values())[::-1]
+    for h, v in enumerate(rows):
+        if v:
+            hits = v & leads
+            while hits:
+                g = hits.bit_length() - 1
+                v ^= rows[g]
+                hits ^= 1 << g
+            rows[h] = v
+            leads |= 1 << h
+    return tuple(rows)
 
 
 def rank(M: BinaryMatrix) -> int:
     """F2-rank of the matrix."""
-    return len(_echelon(M.cols))
+    return M.n - _echelon(M.cols, M.n).count(0)
 
 
 def kernel_basis(M: BinaryMatrix) -> list[BinaryVector]:
@@ -304,17 +310,16 @@ def kernel_basis(M: BinaryMatrix) -> list[BinaryVector]:
     lexicographic order.  Empty list iff M has full column rank.
     """
     k = M.k
-    # reduced echelon rows of M; bit h is column k-1-h, free unless it leads a row
-    rows = _reduced_echelon(BinaryVector.from_coords(row).bits for row in M.to_rows())
-    leads = {r.bit_length() - 1 for r in rows}
+    # reduced echelon rows of M; bit h is column k-1-h, free unless a row leads there
+    rows = _reduced_echelon((BinaryVector.from_coords(row).bits for row in M.to_rows()), k)
     basis = []
     for f in range(k):
-        if f in leads:
+        if rows[f]:
             continue
         bits = 1 << f
-        for r in rows:
+        for h, r in enumerate(rows):
             if (r >> f) & 1:
-                bits |= 1 << (r.bit_length() - 1)
+                bits |= 1 << h
         basis.append(BinaryVector(k, bits))
     basis.sort(key=lambda v: v.bits)
     return basis
@@ -330,7 +335,7 @@ def solve(M: BinaryMatrix, y: BinaryVector) -> BinaryVector | None:
     if y.n != M.n:
         raise ShapeMismatch(f"vector length {y.n} != row count {M.n}")
     k = M.k
-    pivots = _echelon(c << k | 1 << (k - 1 - j) for j, c in enumerate(M.cols))
+    pivots = _echelon((c << k | 1 << (k - 1 - j) for j, c in enumerate(M.cols)), M.n + k)
     r = _reduce(y.bits << k, pivots)
     if r >> k:
         return None
@@ -345,7 +350,7 @@ def complete_to_full_rank(M: BinaryMatrix, seed: int = 0) -> BinaryMatrix:
     columns (n - rank(M) of them), in the order they were picked.
     """
     n = M.n
-    pivots = _echelon(M.cols)
+    pivots = _echelon(M.cols, n)
     order = list(range(n))
     if seed != 0:
         random.Random(seed).shuffle(order)
@@ -758,35 +763,30 @@ def _information_set_words(n: int, basis: Sequence[int]) -> tuple[int, ...] | No
     return tuple(sorted(found))
 
 
-class Code:
-    """F2-linear code given as the span of generator-matrix columns.
+class Code(namedtuple("Code", "n pivots")):
+    """F2-linear code: the span of the columns of a generator matrix.
 
-    Not a named tuple: it caches its minimum-weight words in a slot, and
-    two codes are equal when their spans are, whatever generators they
-    came from.
+    ``Code(G)`` keeps the length and the span's pivot table, the reduced
+    echelon rows of :func:`_reduced_echelon` over n bits: entry h holds
+    the word whose leading bit is h, or 0.  The table is a span invariant,
+    so two codes are equal, and hash alike, exactly when their lengths and
+    spans are, whatever generators they came from.  Nothing is cached on
+    a code: each search runs when it is called.
     """
 
-    __slots__ = ("gen", "_basis", "_pivots", "_min_words")
+    __slots__ = ()
 
-    def __init__(self, gen: BinaryMatrix) -> None:
-        object.__setattr__(self, "gen", gen)
-        basis = _reduced_echelon(gen.cols)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(
-            self, "_pivots", {b.bit_length() - 1: b for b in basis}
-        )
-        object.__setattr__(self, "_min_words", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Code is immutable")
+    def __new__(cls, gen: BinaryMatrix):
+        return super().__new__(cls, gen.n, _reduced_echelon(gen.cols, gen.n))
 
     @property
-    def n(self) -> int:
-        return self.gen.n
+    def words(self) -> tuple[int, ...]:
+        """The reduced basis words' backing ints, in ascending order of leading row."""
+        return tuple(filter(None, reversed(self.pivots)))
 
     @property
     def dimension(self) -> int:
-        return len(self._basis)
+        return self.n - self.pivots.count(0)
 
     def basis(self) -> list[BinaryVector]:
         """Canonical reduced-echelon basis of the span.
@@ -795,25 +795,25 @@ class Code:
         The words come in ascending order of leading row, and each word is
         zero on every other word's leading row.
         """
-        return [BinaryVector(self.n, b) for b in self._basis]
+        return [BinaryVector(self.n, b) for b in self.words]
 
     def contains(self, v: BinaryVector) -> bool:
         if v.n != self.n:
             raise LengthMismatch(f"{v.n} != {self.n}")
-        return _reduce(v.bits, self._pivots) == 0
+        return _reduce(v.bits, self.pivots) == 0
 
     def has_prefix(self, v: BinaryVector, length: int) -> bool:
         """Whether some codeword agrees with v on coordinates 0..length-1."""
         if v.n != self.n:
             raise LengthMismatch(f"{v.n} != {self.n}")
-        return _reduce(v.bits, self._pivots).bit_length() <= self.n - length
+        return _reduce(v.bits, self.pivots).bit_length() <= self.n - length
 
     def _swept(self) -> tuple[tuple[int, ...], int]:
         """The basis and chunk width of a sweep, refused past the rank cap."""
         r = self.dimension
         if r > SWEEP_RANK_CAP:
             raise RankTooLarge(f"rank {r} > sweep cap {SWEEP_RANK_CAP}")
-        return self._basis, _chunk_width(self.n, r)
+        return self.words, _chunk_width(self.n, r)
 
     def codewords(self) -> Iterator[BinaryVector]:
         """All 2^k codewords via a Gray-code walk (zero word first)."""
@@ -855,20 +855,19 @@ class Code:
         At the rank-28 cap, a systematic [48, 28] code takes about 0.09 s
         (a one-word Gray walk about 40 s).
 
-        The search runs on the first call only; the tuple is cached on the
-        code, which is immutable, so it never goes stale.
+        The search runs on every call, and nothing is cached: a caller
+        that needs the distance and the words reads both off one
+        :func:`min_weight_codewords`.
         """
-        if self._min_words is None:
-            basis, c = self._swept()
-            if not basis:
-                raise ZeroCode("the zero code has no nonzero codeword")
-            found = None
-            if len(basis) > _CHUNK_RANK:
-                found = _information_set_words(self.n, basis)
-            if found is None:
-                found = _min_weight_words(self.n, basis, c)
-            object.__setattr__(self, "_min_words", found)
-        return self._min_words
+        basis, c = self._swept()
+        if not basis:
+            raise ZeroCode("the zero code has no nonzero codeword")
+        found = None
+        if len(basis) > _CHUNK_RANK:
+            found = _information_set_words(self.n, basis)
+        if found is None:
+            found = _min_weight_words(self.n, basis, c)
+        return found
 
     def light_words(self, limit: int) -> Iterator[BinaryVector]:
         """The nonzero codewords of weight <= limit, one bit-sliced chunk at a time.
@@ -892,25 +891,15 @@ class Code:
                 best = min(best, _least(planes, cand, const, best)[0])
         return best if best <= self.n else None
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Code)
-            and self.n == other.n
-            and self._basis == other._basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._basis))
-
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.dimension})"
 
 
 def is_subcode(sub: Code, sup: Code) -> bool:
-    """True iff every generator column of ``sub`` lies in the span of ``sup``."""
+    """True iff every basis word of ``sub`` lies in the span of ``sup``."""
     if sub.n != sup.n:
         raise LengthMismatch(f"{sub.n} != {sup.n}")
-    return all(sup.contains(BinaryVector(sub.n, c)) for c in sub.gen.cols)
+    return all(sup.contains(w) for w in sub.basis())
 
 
 def min_distance(C: Code) -> int:

@@ -20,7 +20,7 @@ import sys
 from functools import lru_cache
 
 from .errors import ParseError
-from .gf2core import BinaryMatrix, BinaryVector, Code, CodeTower
+from .gf2core import BinaryMatrix, BinaryVector, Code, CodeTower, min_weight_codewords
 
 __all__ = [
     "read_matrix",
@@ -224,11 +224,9 @@ def data_path(name: str) -> str:
 @lru_cache(maxsize=None)
 def golay_code() -> Code:
     """The extended [24,12,8] binary Golay code, revalidated on first load."""
-    from .gf2core import code_kissing_number, min_distance
-
-    G = read_matrix(data_path("golay24.txt"))
-    C = Code(G)
-    if C.dimension != 12 or min_distance(C) != 8 or code_kissing_number(C) != 759:
+    C = Code(read_matrix(data_path("golay24.txt")))
+    S = min_weight_codewords(C) if C.dimension == 12 else ()
+    if len(S) != 759 or S[0].weight != 8:
         raise ParseError("bundled Golay generator failed its invariants")
     return C
 
@@ -254,6 +252,4 @@ def cor25_matrices() -> tuple[BinaryMatrix, BinaryMatrix, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def nonclosed_tower() -> CodeTower:
     """Bundled two-level tower that is not Schur-closed."""
-    c1 = read_matrix(data_path("tower_nonclosed_c1.txt"))
-    c2 = read_matrix(data_path("tower_nonclosed_c2.txt"))
-    return CodeTower([Code(c1), Code(c2)])
+    return load_code_tower(data_path("tower_nonclosed.manifest.txt"))

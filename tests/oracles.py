@@ -31,16 +31,20 @@ basis and pivots the one that leaves a dividing pivot alone must match,
 its former Z matrix writer, one ``str`` per entry, whose text the bulk
 digit writer must match byte for byte, and its former reduced echelon
 form, a pivot map then a pairwise sweep over every pivot pair, whose
-canonical tuple the reduction driven by carried leading bits must match.
+canonical tuple the reduction driven by carried leading bits must match,
+and its former pivot dict keyed by leading bit, with the reduced echelon
+form and the rank, solve, completion and kernel built on it, whose answers
+the dense pivot table must match.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 
 from codelattice.constructions import d_bar_member
 from codelattice.errors import EnumerationBudgetExceeded, QuotientTooLarge
-from codelattice.gf2core import BinaryVector
+from codelattice.gf2core import BinaryMatrix, BinaryVector
 from codelattice.zlattice import Lattice, _residue, _xgcd, lp_power_sum_cmp
 
 # Most cosets the exhaustive d-bar walk below visits
@@ -348,7 +352,7 @@ def min_weight_words_gray(code):
     The Gray walk over all 2^k codewords that ``Code._min_weight_bits``
     ran before the bit-sliced sweep replaced it.
     """
-    basis = code._basis
+    basis = code.words
     word = 0
     best = code.n + 1
     found = []
@@ -764,3 +768,95 @@ def reduced_echelon_pivot_sweep(vecs):
             if g != h and (pivots[g] >> h) & 1:
                 pivots[g] ^= v
     return tuple(sorted(pivots.values(), reverse=True))
+
+
+def reduce_pivot_dict(bits, pivots):
+    """Reduce an integer bitset against pivot rows keyed by leading bit position.
+
+    This and the pivot-dict functions below are ``gf2core``'s elimination
+    as it was before the dense pivot table: ``_reduce``, ``_echelon``,
+    ``_reduced_echelon``, ``rank``, ``kernel_basis``, ``solve`` and
+    ``complete_to_full_rank``.
+    """
+    while bits:
+        h = bits.bit_length() - 1
+        p = pivots.get(h)
+        if p is None:
+            return bits
+        bits ^= p
+    return 0
+
+
+def echelon_pivot_dict(vecs):
+    """Pivot map (leading-bit position -> vector) for the span of ``vecs``."""
+    pivots = {}
+    for v in vecs:
+        r = reduce_pivot_dict(v, pivots)
+        if r:
+            pivots[r.bit_length() - 1] = r
+    return pivots
+
+
+def reduced_echelon_pivot_dict(vecs):
+    """Canonical reduced echelon basis of the span, sorted descending."""
+    rows = {}  # leading bit position -> reduced row, ascending
+    leads = 0
+    for h, v in sorted(echelon_pivot_dict(vecs).items()):
+        hits = v & leads
+        while hits:
+            g = hits.bit_length() - 1
+            v ^= rows[g]
+            hits ^= 1 << g
+        rows[h] = v
+        leads |= 1 << h
+    return tuple(rows.values())[::-1]
+
+
+def rank_pivot_dict(M):
+    """F2-rank of the matrix."""
+    return len(echelon_pivot_dict(M.cols))
+
+
+def kernel_basis_pivot_dict(M):
+    """Basis of {x in F2^k : Mx = 0}, reduced echelon, ascending."""
+    k = M.k
+    rows = reduced_echelon_pivot_dict(BinaryVector.from_coords(row).bits for row in M.to_rows())
+    leads = {r.bit_length() - 1 for r in rows}
+    basis = []
+    for f in range(k):
+        if f in leads:
+            continue
+        bits = 1 << f
+        for r in rows:
+            if (r >> f) & 1:
+                bits |= 1 << (r.bit_length() - 1)
+        basis.append(BinaryVector(k, bits))
+    basis.sort(key=lambda v: v.bits)
+    return basis
+
+
+def solve_pivot_dict(M, y):
+    """Some x with Mx = y over F2 from the tagged columns, or None."""
+    k = M.k
+    pivots = echelon_pivot_dict(c << k | 1 << (k - 1 - j) for j, c in enumerate(M.cols))
+    r = reduce_pivot_dict(y.bits << k, pivots)
+    if r >> k:
+        return None
+    return BinaryVector(k, r)
+
+
+def complete_to_full_rank_pivot_dict(M, seed=0):
+    """Standard basis columns completing M to rank n, greedy in seeded order."""
+    n = M.n
+    pivots = echelon_pivot_dict(M.cols)
+    order = list(range(n))
+    if seed != 0:
+        random.Random(seed).shuffle(order)
+    added = []
+    for i in order:
+        e = 1 << (n - 1 - i)
+        r = reduce_pivot_dict(e, pivots)
+        if r:
+            pivots[r.bit_length() - 1] = r
+            added.append(e)
+    return BinaryMatrix(n, added)

@@ -105,7 +105,7 @@ def test_z_writer_matches_entrywise_reference_on_every_construction(monkeypatch)
     lattices.append(vladut_special_d(K0, [c1], Ka))
     for n in (8, 12):
         top = rand_code(rng, n, 5)
-        lattices.append(d_bar_span(CodeTower([top, Code(BinaryMatrix(n, top._basis[:2]))])))
+        lattices.append(d_bar_span(CodeTower([top, Code(BinaryMatrix(n, top.words[:2]))])))
     assert any(e < 0 for L in lattices for col in L.basis for e in col)
     assert any(e >= 256 for L in lattices for col in L.basis for e in col)
     for L in lattices:
@@ -126,9 +126,11 @@ def test_reduced_echelon_matches_pivot_sweep():
         for _ in range(rng.randrange(3)):
             if vecs:
                 vecs.insert(rng.randrange(len(vecs) + 1), rng.choice(vecs) ^ rng.choice(vecs))
-        assert gf2core._reduced_echelon(vecs) == reduced_echelon_pivot_sweep(vecs)
-        assert Code(BinaryMatrix(n, vecs))._basis == reduced_echelon_pivot_sweep(vecs)
-    assert gf2core._reduced_echelon([]) == ()
+        table = gf2core._reduced_echelon(vecs, n)
+        assert len(table) == n
+        assert tuple(filter(None, reversed(table))) == reduced_echelon_pivot_sweep(vecs)
+        assert Code(BinaryMatrix(n, vecs)).words == reduced_echelon_pivot_sweep(vecs)
+    assert gf2core._reduced_echelon([], 0) == ()
 
 
 def test_construction_a_columns_are_the_lift_of_the_basis():

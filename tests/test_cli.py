@@ -436,6 +436,34 @@ def test_verify_text_format(capsys):
     assert "[pass] code parameters are exactly [18, 3, 9]" in out
 
 
+def test_verify_text_lists_witnesses_and_certificates(capsys):
+    # the whole text of a report whose hypotheses carry witnesses and whose
+    # conclusion carries a certificate, pinned literally
+    code, out, _ = run(capsys, ["verify", "golay-lp", "--p", "1", "--format", "text", "--no-timing"])
+    assert code == 0
+    vector = ", ".join(["2", "-2"] + ["0"] * 22)
+    assert out == (
+        "theorem: golay-lp\n"
+        "params: p=1\n"
+        "hypotheses:\n"
+        "  [pass] code distance is exactly 8\n"
+        "         witness: {'observed': 8}\n"
+        "  [pass] code kissing number is exactly 759\n"
+        "         witness: {'observed': 759}\n"
+        "conclusions:\n"
+        "  [pass] a nonzero member has p-power sum strictly below 8\n"
+        f"         certificate: {{'vector': [{vector}], 'l1': 4, 'l2sq': 8}}\n"
+        "exact values:\n"
+        "  d = 8\n"
+        "  kappa0 = 759\n"
+        "  p = 1\n"
+        "  pair_members_found = 276\n"
+        "  pairs_probed = 276\n"
+        "  witness_l1 = 4\n"
+        "verdict: PASS\n"
+    )
+
+
 @pytest.mark.parametrize("target", cli.THEOREMS)
 def test_verify_runtime_is_timed_by_the_cli(capsys, target):
     # the command line times the whole target and appends runtime_ms as the

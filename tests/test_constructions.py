@@ -131,8 +131,9 @@ def test_construction_a_matches_generators_before_units():
     rng = random.Random(33)
     for _ in range(40):
         n = rng.randrange(1, 21)
-        C = rand_code(rng, n, rng.randrange(1, n + 2))
-        ref = Lattice.from_generators(n, [c.coords() for c in C.gen.columns()] + units(n, 2))
+        cols = [bv(tuple(rng.randrange(2) for _ in range(n))) for _ in range(rng.randrange(1, n + 2))]
+        C = Code(BinaryMatrix.from_columns(cols, n=n))
+        ref = Lattice.from_generators(n, [c.coords() for c in cols] + units(n, 2))
         L = construction_a(C)
         assert (L.basis, L.pivots) == (ref.basis, ref.pivots)
 

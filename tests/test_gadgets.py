@@ -105,6 +105,7 @@ def test_gadgets_and_results_refuse_every_assignment():
         L,
         A,
         CodeTower([Code(A), Code(A.hstack(A))]),
+        Code(A),
     ]
     for obj in values:
         assert isinstance(obj, tuple) and not hasattr(obj, "__dict__")
@@ -325,7 +326,7 @@ def test_ternary_sign_search_partial_hits_match_brute_force():
         C = Code(BinaryMatrix.from_columns(cols, n=n))
         twice = [BinaryVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 3))]
         m = rng.choice((4, 8))
-        gens = [tuple(rng.choice((-1, 1)) * e for e in c.coords()) for c in C.gen.columns()]
+        gens = [tuple(rng.choice((-1, 1)) * e for e in c.coords()) for c in cols]
         gens += [tuple(2 * e for e in c.coords()) for c in twice]
         gens += [tuple(m * (t == i) for t in range(n)) for i in range(n)]
         L = Lattice.from_generators(n, gens)

@@ -28,7 +28,17 @@ from codelattice.gf2core import (
     schur_product,
     solve,
 )
-from oracles import chunks_ripple, coords_shift_loop, min_weight_words_gray
+from oracles import (
+    chunks_ripple,
+    complete_to_full_rank_pivot_dict,
+    coords_shift_loop,
+    echelon_pivot_dict,
+    kernel_basis_pivot_dict,
+    min_weight_words_gray,
+    rank_pivot_dict,
+    reduced_echelon_pivot_dict,
+    solve_pivot_dict,
+)
 
 bv = BinaryVector.from_coords
 
@@ -239,6 +249,47 @@ def test_solve_matches_brute_force():
         solve(BinaryMatrix.identity(3), bv((1, 0)))
 
 
+def seeded_matrix(rng, n, k):
+    """An n x k matrix of random columns, with zero columns and columns
+    that are sums of earlier ones mixed in."""
+    cols = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append(0)
+        elif roll < 0.35 and cols:
+            cols.append(rng.choice(cols) ^ rng.choice(cols))
+        else:
+            cols.append(rng.getrandbits(n))
+    return BinaryMatrix(n, cols)
+
+
+@pytest.mark.parametrize("seed", [59, 60])
+def test_pivot_table_matches_pivot_dict_references(seed):
+    # the dense pivot table gives the former pivot dict's rows, reduced
+    # form, rank, kernel, completions (seed 0 and a shuffled order) and
+    # solutions, in and out of the span, on random matrices with n <= 96
+    # and k <= 30, zero and dependent columns and 0-row, 0-column and
+    # 0 x 0 matrices included
+    rng = random.Random(seed)
+    shapes = [(0, 0), (0, 3), (5, 0)] + [(rng.randrange(97), rng.randrange(31)) for _ in range(300)]
+    for n, k in shapes:
+        M = seeded_matrix(rng, n, k)
+        table = gf2core._echelon(M.cols, n)
+        assert len(table) == n
+        assert {h: r for h, r in enumerate(table) if r} == echelon_pivot_dict(M.cols)
+        reduced = gf2core._reduced_echelon(M.cols, n)
+        assert tuple(filter(None, reversed(reduced))) == reduced_echelon_pivot_dict(M.cols)
+        assert rank(M) == rank_pivot_dict(M)
+        assert kernel_basis(M) == kernel_basis_pivot_dict(M)
+        for order in (0, seed):
+            assert complete_to_full_rank(M, order) == complete_to_full_rank_pivot_dict(M, order)
+        inside = M.mul(BinaryVector(k, rng.getrandbits(k)))
+        for y in (inside, BinaryVector(n, rng.getrandbits(n))):
+            assert solve(M, y) == solve_pivot_dict(M, y)
+        assert solve(M, inside) is not None
+
+
 def test_complete_to_full_rank():
     M = BinaryMatrix.from_columns([bv((1, 1, 0)), bv((0, 1, 1))])
     added = complete_to_full_rank(M)
@@ -342,12 +393,12 @@ def test_min_distance_brute_force():
         )  # sorted, unique
         assert all(w.weight == min(weights) for w in words)
         assert code_kissing_number(C) == weights.count(min(weights))
-        # a fresh code queried in reverse order sweeps once and agrees
+        # a fresh code queried in reverse order agrees
         fresh = Code(M)
         assert code_kissing_number(fresh) == len(words)
         assert min_weight_codewords(fresh) == words
         assert min_distance(fresh) == min(weights)
-        # callers own the returned list: mutating it leaves the cache intact
+        # callers own the returned list: mutating it changes no later answer
         words.append(BinaryVector(n, 0))
         min_weight_codewords(fresh).clear()
         assert min_weight_codewords(fresh) == words[:-1]
@@ -384,18 +435,18 @@ def test_bit_sliced_sweep_matches_gray_oracle():
                 # spread the code over n + zeros coordinates, zeros of them never set
                 gaps = sorted(rng.sample(range(n + zeros), zeros))
                 cols = []
-                for col in C.gen.cols:
+                for col in C.words:
                     for g in gaps:
                         col = col >> g << 1 | col & ((1 << g) - 1)
                     cols.append(col)
                 C = Code(BinaryMatrix(n + zeros, cols))
-                assert sweep(C.n, C._basis, c) == min_weight_words_gray(C)
+                assert sweep(C.n, C.words, c) == min_weight_words_gray(C)
     one = Code(BinaryMatrix(1, (1,)))
     for c in (1, 3, 8, 16):
-        assert sweep(1, one._basis, c) == (1,)
+        assert sweep(1, one.words, c) == (1,)
     for k in (19, 20, 21):
         C = systematic_code(random.Random(k), 48, k)
-        assert sweep(C.n, C._basis, 16) == min_weight_words_gray(C)
+        assert sweep(C.n, C.words, 16) == min_weight_words_gray(C)
 
 
 def test_bit_sliced_sweep_finds_words_outside_chunk_zero():
@@ -406,12 +457,12 @@ def test_bit_sliced_sweep_finds_words_outside_chunk_zero():
         for _ in range(200):
             C = rand_code(rng, c + 6, c + 2)
             want = min_weight_words_gray(C)
-            chunk0 = Code(BinaryMatrix(C.n, C._basis[:c]))
+            chunk0 = Code(BinaryMatrix(C.n, C.words[:c]))
             if min_weight_words_gray(chunk0)[0].bit_count() > want[0].bit_count():
                 break
         else:
             pytest.fail(f"no code with its minimum words outside chunk 0 at width {c}")
-        assert gf2core._min_weight_words(C.n, C._basis, c) == want
+        assert gf2core._min_weight_words(C.n, C.words, c) == want
 
 
 def chunk_weights(chunk, n):
@@ -439,12 +490,12 @@ def test_carry_save_chunks_match_ripple_oracle():
     for n, k in shapes:
         C = rand_code(rng, n, k)
         for c in range(1, k + 1):
-            got, want = list(gf2core._chunks(n, C._basis, c)), list(chunks_ripple(n, C._basis, c))
+            got, want = list(gf2core._chunks(n, C.words, c)), list(chunks_ripple(n, C.words, c))
             assert len(got) == len(want) == 1 << (k - c)
             for chunk, oracle in zip(got, want):
                 assert (chunk[0], chunk[3]) == (oracle[0], oracle[3])
                 assert chunk_weights(chunk, n) == chunk_weights(oracle, n)
-            assert gf2core._min_weight_words(n, C._basis, c) == min_weight_words_gray(C)
+            assert gf2core._min_weight_words(n, C.words, c) == min_weight_words_gray(C)
 
 
 def test_anchored_chunks_match_ripple_oracle(monkeypatch):
@@ -470,7 +521,7 @@ def test_anchored_chunks_match_ripple_oracle(monkeypatch):
     monkeypatch.setattr(gf2core, "_compress", counted)
 
     def check(C, c):
-        n, basis = C.n, C._basis
+        n, basis = C.n, C.words
         lows = highs = 0
         for w in basis[:c]:
             lows |= w
@@ -523,7 +574,7 @@ def test_sweep_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(gf2core, "_compress", counted)
     C = systematic_code(random.Random(120), 48, 20)
-    assert gf2core._min_weight_words(C.n, C._basis, 16) == min_weight_words_gray(C)
+    assert gf2core._min_weight_words(C.n, C.words, 16) == min_weight_words_gray(C)
     assert count[0] == 323
 
 
@@ -616,8 +667,42 @@ def information_sets(C, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(gf2core, "_groups", recorded)
-        found = gf2core._information_set_words(C.n, C._basis)
+        found = gf2core._information_set_words(C.n, C.words)
     return found, infos
+
+
+def test_code_equality_and_hash_follow_the_span():
+    # a random invertible mix of the generator columns, with dependent
+    # columns added and the order shuffled, spans the same code: equal and
+    # hashing alike; one more column outside the span, or the same words
+    # at another length, make a different code
+    rng = random.Random(67)
+    for _ in range(300):
+        n = rng.randrange(0, 49)
+        gens = [rng.getrandbits(n) for _ in range(rng.randrange(0, 21))]
+        C = Code(BinaryMatrix(n, gens))
+        mixed = list(gens)
+        for _ in range(3 * len(mixed)):
+            i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+            if i != j:
+                mixed[i] ^= mixed[j]  # an elementary column operation
+        for _ in range(rng.randrange(4)):
+            extra = 0
+            for g in gens:
+                if rng.random() < 0.5:
+                    extra ^= g
+            mixed.append(extra)
+        rng.shuffle(mixed)
+        D = Code(BinaryMatrix(n, mixed))
+        assert D == C and hash(D) == hash(C) and len({C, D}) == 1
+        assert D.words == C.words and D.dimension == C.dimension
+        if C.dimension < n:
+            v = rng.getrandbits(n)
+            while C.contains(BinaryVector(n, v)):
+                v = rng.getrandbits(n)
+            assert Code(BinaryMatrix(n, gens + [v])) != C
+        longer = Code(BinaryMatrix(n + 1, gens))
+        assert longer.words == C.words and longer != C
 
 
 def test_second_basis_is_systematic_on_disjoint_coordinates():
@@ -630,10 +715,10 @@ def test_second_basis_is_systematic_on_disjoint_coordinates():
         n = rng.randrange(2, 20)
         C = rand_code(rng, n, rng.randrange(1, n + 1))
         lead = 0
-        for v in C._basis:
+        for v in C.words:
             lead |= 1 << (v.bit_length() - 1)
-        words, info = gf2core._second_basis(C._basis, lead)
-        rest = Code(BinaryMatrix(n, [v & ~lead for v in C._basis])).dimension
+        words, info = gf2core._second_basis(C.words, lead)
+        rest = Code(BinaryMatrix(n, [v & ~lead for v in C.words])).dimension
         outcomes.add(rest < C.dimension)
         assert Code(BinaryMatrix(n, words)) == C
         assert (info & ~lead).bit_count() == rest
@@ -738,7 +823,7 @@ def test_information_set_search_on_code_construct_shapes(monkeypatch):
 
     for seed in (200, 202, 203, 204, 205, 201):
         C = systematic_code(random.Random(seed), 48, 19 + (seed - 200) % 3)
-        want = gf2core._min_weight_words(48, C._basis, 16)
+        want = gf2core._min_weight_words(48, C.words, 16)
         assert want == min_weight_words_gray(C)
         found, infos = information_sets(C, monkeypatch)
         assert found == want and len(infos) == 2
@@ -750,8 +835,9 @@ def test_information_set_search_on_code_construct_shapes(monkeypatch):
             words = min_weight_codewords(C)
             assert (min_distance(C), code_kissing_number(C)) == (want[0].bit_count(), len(want))
         assert tuple(w.bits for w in words) == want and calls[-1] == want
-    # one search per code, cached on it
-    assert len(calls) == 6
+    # one search per call: min_weight_codewords, min_distance and
+    # code_kissing_number each search, on each of the six codes
+    assert len(calls) == 18
 
 
 def test_information_set_search_hands_over_to_the_sweep(monkeypatch):
@@ -763,17 +849,17 @@ def test_information_set_search_hands_over_to_the_sweep(monkeypatch):
 
     C = systematic_code(random.Random(44), 64, 17)
     monkeypatch.setattr(gf2core, "_layer_patterns", no_pass)
-    assert gf2core._information_set_words(64, C._basis) is None
+    assert gf2core._information_set_words(64, C.words) is None
     monkeypatch.undo()
     assert C._min_weight_bits() == min_weight_words_gray(C)
     assert min_distance(C) == 14
     D = systematic_code(random.Random(45), 48, 20)
     monkeypatch.setattr(gf2core, "_layer_patterns", no_pass)
     monkeypatch.setattr(gf2core, "_CHUNK_BITS", 1 << 12)
-    assert gf2core._information_set_words(48, D._basis) is None
+    assert gf2core._information_set_words(48, D.words) is None
     monkeypatch.undo()
-    want = gf2core._min_weight_words(48, D._basis, 16)
-    assert gf2core._information_set_words(48, D._basis) == want
+    want = gf2core._min_weight_words(48, D.words, 16)
+    assert gf2core._information_set_words(48, D.words) == want
 
 
 def test_rank_16_and_below_go_straight_to_the_sweep(monkeypatch):
@@ -801,14 +887,13 @@ def test_rank_16_and_below_go_straight_to_the_sweep(monkeypatch):
 
     monkeypatch.setattr(gf2core, "_information_set_words", refuse)
     for C, words in zip(codes, want):
-        fresh = Code(C.gen)
-        assert fresh._min_weight_bits() == words
+        assert C._min_weight_bits() == words
     for C, pin in zip(codes, pinned):
         assert (C.n, C.dimension, min_distance(C), code_kissing_number(C)) == pin
     monkeypatch.undo()
     monkeypatch.setattr(gf2core, "_LAYER_COST", 0)
     for C, words in zip(codes, want):
-        assert gf2core._information_set_words(C.n, C._basis) == words
+        assert gf2core._information_set_words(C.n, C.words) == words
 
 
 def test_min_distance_rank_cap():
