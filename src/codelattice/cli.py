@@ -4,9 +4,10 @@ Exit codes: 0 success (and verification PASS), 1 verification failure,
 2 parse/usage error (a bad file or flag value, a flag the verify target does
 not read, an ``--out`` that cannot be written), 3 a work cap refused the
 input (sweep rank > 28, d-bar witness descent past 2^20 prefix tests,
-sign support > 24, enumeration rank > 768, an enumeration keeping more
-than 2^24 vector entries), 4 construction error,
-5 enumeration budget exhausted, 70 internal error (a bug, not a verdict).
+enumeration rank > 768, an enumeration keeping more than 2^24 vector
+entries; sign support > 24 is a library refusal no command reaches),
+4 construction error, 5 enumeration budget exhausted, 70 internal error
+(a bug, not a verdict).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from time import perf_counter
 
 from .constructions import (
+    _d_bar_verdict,
     construction_a,
     construction_c_star,
     construction_d,
-    d_bar_is_lattice,
     d_bar_span,
     simplified_d,
     vladut_special_d,
@@ -138,13 +139,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="codelattice",
         description="Exact lattices from binary linear codes: build, analyze, verify.",
     )
+    # nothing reads args.command; the dest names the missing command in the usage error
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, flags=(), timing: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, run, fmt: str, flags=(), timing=False) -> None:
+        """Add the shared flags; ``run`` handles the command, ``fmt`` is its default format."""
         for flag, spec in flags:
             p.add_argument(flag, **spec)
         p.add_argument("--out", help="write the main output to this file")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"), default=None)
+        p.add_argument("--format", dest="fmt", choices=("text", "json"))
+        p.set_defaults(run=run, fmt=fmt)
         if timing:
             p.add_argument(
                 "--no-timing",
@@ -154,32 +158,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("code-info", help="n, k, d, kissing number of an F2 code")
     p_info.add_argument("path")
-    common(p_info)
+    common(p_info, _cmd_code_info, "text")
 
     p_con = sub.add_parser("construct", help="build a lattice and print its HNF basis")
     p_con.add_argument("path", help="F2 matrix file, or a tower manifest for d/d-special/d-bar")
     p_con.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
-    common(p_con)
+    common(p_con, _cmd_construct, "text")
 
     p_an = sub.add_parser("lattice-analyze", help="exact shortest vectors of a Z matrix")
     p_an.add_argument("path")
-    common(p_an, (_BUDGET,))
+    common(p_an, _cmd_lattice_analyze, "text", (_BUDGET,))
 
     p_ver = sub.add_parser("verify", help="run a verification target, exit 0 iff PASS")
     # shared flags live on each target: a flag given to p_ver before the target
     # would be overwritten by the target's default for the same dest
     targets = p_ver.add_subparsers(dest="theorem", required=True)
     for name, (flags, _) in THEOREMS.items():
-        common(targets.add_parser(name), flags, timing=True)
+        common(targets.add_parser(name), _cmd_verify, "json", flags, timing=True)
     return parser
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _dump_json(obj, pad: str = "") -> str:
@@ -230,9 +236,8 @@ def _cmd_code_info(args: argparse.Namespace) -> int:
         "kappa0": len(S),
         "min_weight_sample": sample,
     }
-    fmt = args.fmt or "text"
-    if fmt == "json":
-        _emit(_dump_json(rep), args.out)
+    if args.fmt == "json":
+        text = _dump_json(rep)
     else:
         lines = [
             f"block length n = {C.n}",
@@ -242,7 +247,8 @@ def _cmd_code_info(args: argparse.Namespace) -> int:
         ]
         for c in sample:
             lines.append("  min-weight word: " + " ".join(str(e) for e in c))
-        _emit("\n".join(lines), args.out)
+        text = "\n".join(lines)
+    _emit(text, args.out)
     return 0
 
 
@@ -267,34 +273,31 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # d-bar
         T = load_code_tower(args.path)
         L = d_bar_span(T)
-        ok, wit = d_bar_is_lattice(T)
+        ok, wit = _d_bar_verdict(T, L)
         extras["is_lattice"] = ok
         if wit is not None:
             extras["witness"] = list(wit)
 
-    det = determinant(L)
-    matrix_text = format_z_matrix(L.n, L.basis)
     rep = {
         "construction": name,
         "n": L.n,
         "rank": L.rank,
-        "determinant": str(det),
+        "determinant": str(determinant(L)),
         **extras,
     }
-    fmt = args.fmt or "text"
-    if fmt == "json":
+    if args.fmt == "json":
         rep["basis"] = [list(col) for col in L.basis]
-        if args.out:
-            _emit(matrix_text, args.out)
-        _emit(_dump_json(rep), None)
+        report = _dump_json(rep)
+    elif args.out:
+        report = "\n".join(f"{k}: {v}" for k, v in rep.items())
     else:
-        if args.out:
-            _emit(matrix_text, args.out)
-            lines = [f"{k}: {v}" for k, v in rep.items()]
-            _emit("\n".join(lines), None)
-        else:
-            sys.stderr.write("".join(f"# {k}: {v}\n" for k, v in rep.items()))
-            _emit(matrix_text, None)
+        # stdout carries the matrix alone, so the report goes to stderr as comments
+        sys.stderr.write("".join(f"# {k}: {v}\n" for k, v in rep.items()))
+        report = None
+    if args.out or report is None:
+        _emit(format_z_matrix(L.n, L.basis), args.out)
+    if report is not None:
+        _emit(report, None)
     return 0
 
 
@@ -305,9 +308,8 @@ def _cmd_lattice_analyze(args: argparse.Namespace) -> int:
     rows, _, columns = parsed
     L = Lattice.from_generators(rows, columns)
     sv = shortest_vectors(L, budget=args.budget)
-    fmt = args.fmt or "text"
-    if fmt == "json":
-        _emit(_dump_json(sv._asdict()), args.out)
+    if args.fmt == "json":
+        text = _dump_json(sv._asdict())
     else:
         lines = [
             f"rank = {L.rank} of n = {L.n}",
@@ -318,7 +320,8 @@ def _cmd_lattice_analyze(args: argparse.Namespace) -> int:
             lines.append("  " + " ".join(str(e) for e in v))
         if sv.kissing > TEXT_VECTOR_CAP:
             lines.append(f"  ... ({sv.kissing - TEXT_VECTOR_CAP} more)")
-        _emit("\n".join(lines), args.out)
+        text = "\n".join(lines)
+    _emit(text, args.out)
     return 0
 
 
@@ -350,11 +353,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ms = (perf_counter() - t0) * 1000.0
     if not args.no_timing:
         rep["runtime_ms"] = round(ms, 3)
-    fmt = args.fmt or "json"
-    if fmt == "json":
-        _emit(_dump_json(rep), args.out)
-    else:
-        _emit(_report_text(rep), args.out)
+    _emit(_dump_json(rep) if args.fmt == "json" else _report_text(rep), args.out)
     return 0 if passed(rep) else 1
 
 
@@ -363,14 +362,8 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    handlers = {
-        "code-info": _cmd_code_info,
-        "construct": _cmd_construct,
-        "lattice-analyze": _cmd_lattice_analyze,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

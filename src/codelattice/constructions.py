@@ -308,8 +308,12 @@ def d_bar_is_lattice(T: CodeTower):
     ``DBAR_DESCENT_CAP`` prefix tests.  Returns ``(True, None)`` or
     ``(False, witness)`` with a span vector outside the set.
     """
+    return _d_bar_verdict(T, d_bar_span(T))
+
+
+def _d_bar_verdict(T: CodeTower, L: Lattice):
+    """``d_bar_is_lattice(T)`` given the span ``L = d_bar_span(T)``."""
     n, a = T.n, T.a
-    L = d_bar_span(T)
     mod = 2**a
     radii = []
     for j in range(n):

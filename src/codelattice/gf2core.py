@@ -168,6 +168,12 @@ def schur_product(x: BinaryVector, y: BinaryVector) -> BinaryVector:
     return BinaryVector(x.n, x.bits & y.bits)
 
 
+def _same_type_eq(self, other) -> bool:
+    """Tuple equality that also asks for the type: a ``Code`` and a
+    ``BinaryMatrix`` both hold an int and a tuple of ints."""
+    return isinstance(other, type(self)) and tuple.__eq__(self, other)
+
+
 class BinaryMatrix(namedtuple("BinaryMatrix", "n cols")):
     """Matrix over F2 stored column-wise; n rows, k columns.
 
@@ -175,6 +181,9 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "n cols")):
     """
 
     __slots__ = ()
+    # object.__ne__ negates __eq__, where a tuple's would still call the
+    # pair equal; defining __eq__ drops the inherited __hash__
+    __eq__, __ne__, __hash__ = _same_type_eq, object.__ne__, tuple.__hash__
 
     def __new__(cls, n: int, cols: Sequence[int]):
         if n < 0:
@@ -771,10 +780,11 @@ class Code(namedtuple("Code", "n pivots")):
     the word whose leading bit is h, or 0.  The table is a span invariant,
     so two codes are equal, and hash alike, exactly when their lengths and
     spans are, whatever generators they came from.  Nothing is cached on
-    a code: each search runs when it is called.
+    a code: each search runs when it is called.  A code equals only a code.
     """
 
     __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_type_eq, object.__ne__, tuple.__hash__
 
     def __new__(cls, gen: BinaryMatrix):
         return super().__new__(cls, gen.n, _reduced_echelon(gen.cols, gen.n))

@@ -112,13 +112,17 @@ def parse_matrix(text: str, source: str = "<string>"):
     return BinaryMatrix(rows, packed)
 
 
-def read_matrix(path: str):
+def _read_text(path: str) -> str:
+    """An input file's text; an unreadable file or a non-ASCII byte is a ParseError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return parse_matrix(text, source=path)
+
+
+def read_matrix(path: str):
+    return parse_matrix(_read_text(path), source=path)
 
 
 def format_f2_matrix(M: BinaryMatrix) -> str:
@@ -172,11 +176,9 @@ def write_z_matrix(path: str, rows: int, columns) -> None:
 
 def read_tower_manifest(path: str) -> tuple[int, list[str]]:
     """Returns (block_length, matrix file paths resolved against the manifest)."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh.readlines()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    # split on "\n" alone, as a text-mode read does: splitlines would also
+    # break a line at \x0b, \x0c or \x1c-\x1e
+    lines = [ln.strip() for ln in _read_text(path).split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"{path}: empty manifest")

@@ -20,10 +20,19 @@ def run(capsys, argv):
 
 
 def test_code_info_golay_text(capsys):
-    code, out, _ = run(capsys, ["code-info", data_path("golay24.txt")])
-    assert code == 0
-    assert "min distance d = 8" in out
-    assert "kissing kappa0 = 759" in out
+    code, out, err = run(capsys, ["code-info", data_path("golay24.txt")])
+    assert (code, err) == (0, "")
+    assert out == (
+        "block length n = 24\n"
+        "dimension    k = 12\n"
+        "min distance d = 8\n"
+        "kissing kappa0 = 759\n"
+        "  min-weight word: 0 0 0 0 0 0 0 0 0 0 0 1 0 1 0 1 1 1 0 0 0 1 1 1\n"
+        "  min-weight word: 0 0 0 0 0 0 0 0 0 0 1 0 1 0 1 1 1 0 0 0 1 1 0 1\n"
+        "  min-weight word: 0 0 0 0 0 0 0 0 0 0 1 1 1 1 1 0 0 1 0 0 1 0 1 0\n"
+        "  min-weight word: 0 0 0 0 0 0 0 0 0 1 0 0 0 0 1 0 1 1 0 1 1 1 1 0\n"
+        "  min-weight word: 0 0 0 0 0 0 0 0 0 1 0 1 0 1 1 1 0 0 0 1 1 0 0 1\n"
+    )
 
 
 def test_code_info_golay_json(capsys, tmp_path):
@@ -341,6 +350,65 @@ def test_construct_json_includes_basis(capsys, tmp_path):
     assert rep["determinant"] == "sqrt(3)"
 
 
+REP3_MATRIX = "3 3 Z\n1 0 0\n1 2 0\n1 0 2\n"
+REP3_JSON = json.dumps(
+    {"construction": "a", "n": 3, "rank": 3, "determinant": "4",
+     "basis": [[1, 1, 1], [0, 2, 0], [0, 0, 2]]},
+    indent=2,
+) + "\n"
+REP3_LINES = "construction: a\nn: 3\nrank: 3\ndeterminant: 4\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, to_file, want_out, want_err, want_file",
+    [
+        ("text", False, REP3_MATRIX, "# construction: a\n# n: 3\n# rank: 3\n# determinant: 4\n", None),
+        ("text", True, REP3_LINES, "", REP3_MATRIX),
+        ("json", False, REP3_JSON, "", None),
+        ("json", True, REP3_JSON, "", REP3_MATRIX),
+    ],
+)
+def test_construct_output_modes(capsys, tmp_path, fmt, to_file, want_out, want_err, want_file):
+    # text: the report goes to stdout beside an --out file, else to stderr
+    # with the matrix on stdout; json: the report (basis included) always
+    # goes to stdout, and the matrix only to an --out file
+    src = str(tmp_path / "rep3.txt")
+    write_f2_matrix(src, BinaryMatrix.from_rows([[1], [1], [1]]))
+    dest = tmp_path / "lattice.txt"
+    argv = ["construct", src, "--construction", "a", "--format", fmt]
+    code, out, err = run(capsys, argv + (["--out", str(dest)] if to_file else []))
+    assert (code, out, err) == (0, want_out, want_err)
+    assert (dest.read_text() if dest.exists() else None) == want_file
+
+
+def test_construct_json_formats_no_matrix_text(capsys, tmp_path, monkeypatch):
+    # without --out the JSON report carries the basis, so no matrix text is made
+    src = str(tmp_path / "rep3.txt")
+    write_f2_matrix(src, BinaryMatrix.from_rows([[1], [1], [1]]))
+
+    def refuse(rows, columns):
+        raise AssertionError("matrix text formatted but never written")
+
+    monkeypatch.setattr(cli, "format_z_matrix", refuse)
+    code, out, err = run(capsys, ["construct", src, "--construction", "a", "--format", "json"])
+    assert (code, out, err) == (0, REP3_JSON, "")
+
+
+def test_construct_d_bar_builds_its_span_once(capsys, monkeypatch):
+    calls = []
+    build = Lattice.from_generators.__func__
+
+    def counted(cls, n, columns):
+        calls.append(n)
+        return build(cls, n, columns)
+
+    monkeypatch.setattr(Lattice, "from_generators", classmethod(counted))
+    man = data_path("tower_nonclosed.manifest.txt")
+    code, out, _ = run(capsys, ["construct", man, "--construction", "d-bar", "--format", "json"])
+    assert code == 0 and json.loads(out)["is_lattice"] is False
+    assert calls == [4]
+
+
 def test_d_bar_descent_cap_counts_prefix_tests(capsys, tmp_path, monkeypatch):
     # 18 levels of the even [3, 2] code: the witness descent runs 20 prefix
     # tests, so a cap of 19 refuses it and a cap of 20 decides the tower
@@ -514,6 +582,23 @@ def test_lattice_analyze_z1(capsys, tmp_path):
     assert code == 0
     assert "lambda1^2 = 1" in out
     assert "kappa2 = 2" in out
+
+
+def test_lattice_analyze_text_bytes_past_the_vector_cap(capsys, tmp_path, monkeypatch):
+    p = str(tmp_path / "l.txt")
+    write_z_matrix(p, 4, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])
+    monkeypatch.setattr(cli, "TEXT_VECTOR_CAP", 3)
+    code, out, err = run(capsys, ["lattice-analyze", p])
+    assert (code, err) == (0, "")
+    assert out == (
+        "rank = 4 of n = 4\n"
+        "lambda1^2 = 4\n"
+        "kappa2 = 8\n"
+        "  -2 0 0 0\n"
+        "  0 -2 0 0\n"
+        "  0 0 -2 0\n"
+        "  ... (5 more)\n"
+    )
 
 
 def test_lattice_analyze_2z4_json(capsys, tmp_path):

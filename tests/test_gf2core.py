@@ -705,6 +705,18 @@ def test_code_equality_and_hash_follow_the_span():
         assert longer.words == C.words and longer != C
 
 
+def test_code_equals_only_a_code():
+    # a code's fields, an int and a tuple of ints, have a matrix's shape:
+    # the pivot table (1, 0) of the span of (1,) is also a matrix's columns
+    C = Code(BinaryMatrix(2, (1,)))
+    M = BinaryMatrix(2, (1, 0))
+    assert tuple(C) == tuple(M)
+    assert C != M and M != C and not C == M and not M == C
+    assert C != tuple(C) and not C == tuple(C)
+    assert len({C, M}) == 2
+    assert C == Code(BinaryMatrix(2, (1, 1))) and hash(C) == hash(Code(BinaryMatrix(2, (1,))))
+
+
 def test_second_basis_is_systematic_on_disjoint_coordinates():
     # same span, each word alone on its key and setting no other key; the
     # keys are r coordinates outside the leading rows, r the rank there,
